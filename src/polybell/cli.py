@@ -17,7 +17,7 @@ from typing import IO
 import numpy as np
 
 from . import house as house_mod
-from .core import DEFAULT_TOL, ModelSpec
+from .core import DEFAULT_TOL, ModelSpec, resolve_tol
 from .correlations import (
     TSIRELSON_BOUND,
     chained,
@@ -36,6 +36,11 @@ from .q1 import certificate_from_inner_product_state, q1_necessary_conditions
 from .selfdual import find_cone_isomorphisms, is_strongly_self_dual
 
 CLI_SCHEMA_VERSION = 1
+
+# Largest polygon the CHSH scan accepts. The scan holds n x n correlators
+# plus O(n^2) scratch and runs in O(n^3) time: at this size about 100 MB
+# and 10 s on one core.
+MAX_SCAN_N = 1024
 
 
 def _dump_json(payload: dict, stream: IO[str]) -> None:
@@ -59,7 +64,12 @@ def _csv_row(values) -> str:
     return ",".join(cells)
 
 
-def _write_fig3_csv(n_from: int, n_to: int, stream: IO[str]) -> None:
+def _check_scan_size(n: int) -> None:
+    if n > MAX_SCAN_N:
+        raise ValueError(f"n = {n} exceeds the CHSH scan limit {MAX_SCAN_N}")
+
+
+def _write_chsh_csv(n_from: int, n_to: int, stream: IO[str]) -> None:
     stream.write("n,parity,S_bruteforce,S_analytic,residue_class\n")
     for n in range(n_from, n_to + 1):
         brute, _ = chsh_max_bruteforce(n)
@@ -94,6 +104,7 @@ def _cmd_chsh_max(args: argparse.Namespace) -> int:
         n_from, n_to = args.n_from, args.n_to
     if n_from < 3 or n_to < n_from:
         raise ValueError("need 3 <= n-from <= n-to")
+    _check_scan_size(n_to)
     if args.json:
         rows = []
         for n in range(n_from, n_to + 1):
@@ -109,17 +120,10 @@ def _cmd_chsh_max(args: argparse.Namespace) -> int:
         _dump_json({"rows": rows, "tsirelson": TSIRELSON_BOUND}, sys.stdout)
     elif args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_fig3_csv(n_from, n_to, fh)
+            _write_chsh_csv(n_from, n_to, fh)
         print(f"wrote {args.out}")
     else:
-        _write_fig3_csv(n_from, n_to, sys.stdout)
-    return 0
-
-
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        _write_fig3_csv(args.n_from, args.n_to, fh)
-    print(f"wrote {args.out}")
+        _write_chsh_csv(n_from, n_to, sys.stdout)
     return 0
 
 
@@ -176,8 +180,7 @@ def _cmd_q1_cert(args: argparse.Namespace) -> int:
         if args.state != "maxent":
             raise ValueError(f"unknown state {args.state!r} for polygon models")
         state = max_entangled(model.n_states)
-        meas_a = ray_settings(model, args.settings)
-        meas_b = ray_settings(model, args.settings)
+        meas_a = meas_b = ray_settings(model, args.settings)
 
     from .bipartite import is_inner_product_state
 
@@ -189,12 +192,11 @@ def _cmd_q1_cert(args: argparse.Namespace) -> int:
         if model.name == "house":
             table = correlations_from_state(state, meas_a, meas_b)
         else:
-            _, best = chsh_max_over_settings(state)
-            i0, i1, j0, j1 = best
+            _check_scan_size(model.n_states)
+            _, (i0, i1, j0, j1) = chsh_max_over_settings(state)
+            rays = ray_settings(model, model.n_states)
             table = correlations_from_state(
-                state,
-                [ray_settings(model, model.n_states)[i] for i in (i0, i1)],
-                [ray_settings(model, model.n_states)[j] for j in (j0, j1)],
+                state, [rays[i0], rays[i1]], [rays[j0], rays[j1]]
             )
         report = q1_necessary_conditions(table, tol=args.tol)
         payload = {"gamma": None, "spectrum": None, **report.to_dict()}
@@ -276,13 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_tol(p)
     p.set_defaults(func=_cmd_chsh_max)
 
-    p = sub.add_parser("fig3", help="CHSH ceiling/floor CSV across polygon sizes")
-    p.add_argument("--n-from", type=int, default=3)
-    p.add_argument("--n-to", type=int, default=52)
-    p.add_argument("--out", metavar="PATH", default="fig3.csv")
-    _add_tol(p)
-    p.set_defaults(func=_cmd_fig3)
-
     p = sub.add_parser("chained", help="chained Bell value with canonical settings")
     p.add_argument("--n", type=int, required=True, help="polygon size")
     p.add_argument("--N", type=int, required=True, help="settings per side")
@@ -326,6 +321,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        resolve_tol(args.tol)
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

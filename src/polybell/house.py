@@ -17,9 +17,13 @@ import numpy as np
 
 from .bipartite import JointState
 from .core import DEFAULT_TOL, Measurement, ModelSpec, dichotomic_measurement
-from .correlations import CorrelationTable, chsh, correlations_from_state, uffink
-
-TSIRELSON = 2.0 * np.sqrt(2.0)
+from .correlations import (
+    TSIRELSON_BOUND,
+    CorrelationTable,
+    chsh,
+    correlations_from_state,
+    uffink,
+)
 
 
 def house_model() -> ModelSpec:
@@ -74,7 +78,7 @@ def house_uffink_demo() -> tuple[float, CorrelationTable]:
     value = uffink(table)
     if abs(value - 17.0 / 4.0) > 1e-10:
         raise ArithmeticError(f"quadratic correlator came out as {value!r}, not 17/4")
-    if chsh(table) > TSIRELSON + DEFAULT_TOL:
+    if chsh(table) > TSIRELSON_BOUND + DEFAULT_TOL:
         raise ArithmeticError("CHSH unexpectedly above the Tsirelson value")
     return value, table
 

@@ -54,7 +54,7 @@ def _two_setting_table(n: int):
 
 def test_criterion_01_bruteforce_chsh_parity_split():
     start = time.perf_counter()
-    values = {n: chsh_max_bruteforce(n)[0] for n in range(3, 33)}
+    values = {n: chsh_max_bruteforce(n)[0] for n in range(3, 129)}
     elapsed = time.perf_counter() - start
     for n, value in values.items():
         if n % 2 == 1:
@@ -67,7 +67,7 @@ def test_criterion_01_bruteforce_chsh_parity_split():
 
 
 def test_criterion_02_analytic_matches_bruteforce():
-    for n in range(3, 33):
+    for n in range(3, 129):
         brute, _ = chsh_max_bruteforce(n)
         assert abs(chsh_max_analytic(n) - brute) <= 1e-9, f"mismatch at n={n}"
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from polybell.cli import MAX_SCAN_N, run
 from polybell.core import ModelSpec, models_similar
 from polybell.polygon import polygon
 
@@ -93,11 +94,11 @@ def test_chsh_max_json_settings_are_one_based():
     assert min(row["settings"]) >= 1
 
 
-def test_fig3_deterministic_and_golden(tmp_path):
+def test_chsh_max_csv_deterministic_and_golden(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     for path in (first, second):
-        result = run_cli("fig3", "--n-from", "3", "--n-to", "12", "--out", str(path))
+        result = run_cli("chsh-max", "--n-from", "3", "--n-to", "12", "--out", str(path))
         assert result.returncode == 0
     assert first.read_bytes() == second.read_bytes()
     lines = first.read_text().splitlines()
@@ -106,6 +107,32 @@ def test_fig3_deterministic_and_golden(tmp_path):
     assert lines[2] == "4,even,4,4,4"
     assert lines[3] == "5,odd,2.683281573,2.683281573,5"
     assert lines[4] == "6,even,3,3,6"
+
+
+@pytest.mark.parametrize("args", [
+    ["chsh-max", "--n-to", "1000000000"],
+    ["chsh-max", "--n", str(MAX_SCAN_N + 1)],
+    ["q1-cert", "--model", f"polygon:{MAX_SCAN_N + 2}"],
+])
+def test_scan_size_cap(args, capsys):
+    assert run(args) == 1
+    assert "exceeds the CHSH scan limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["polygon", "--n", "5"],
+    ["chsh-max", "--n", "8"],
+    ["chained", "--n", "12", "--N", "6"],
+    ["distill", "--n", "8"],
+    ["q1-cert", "--model", "polygon:7"],
+    ["selfdual", "--model", "polygon:9"],
+    ["house", "demo"],
+], ids=lambda args: args[0])
+def test_negative_tol_is_rejected(args, capsys):
+    assert run([*args, "--tol", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_q1_cert_constructive_for_odd():

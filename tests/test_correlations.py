@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from polybell import correlations
+from polybell.bipartite import product_state
 from polybell.core import Measurement, simplex_model
 from polybell.correlations import (
     TSIRELSON_BOUND,
@@ -25,7 +27,9 @@ from polybell.correlations import (
     ray_settings,
     uffink,
 )
+from polybell.house import house_joint_state
 from polybell.polygon import max_entangled, polygon, polygon_radius
+from polybell.selfdual import random_extremal_joint_state
 
 
 def two_setting_table(n: int) -> CorrelationTable:
@@ -168,8 +172,6 @@ def brute_chsh_slow(n: int):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_fast_scan_matches_slow_oracle(n):
-    # exact float ties make the argmax index tie-break arbitrary, so compare
-    # the value and check the reported settings actually attain it
     fast_v, fast_idx = chsh_max_bruteforce(n)
     slow_v, _ = brute_chsh_slow(n)
     assert fast_v == pytest.approx(slow_v, abs=1e-12)
@@ -179,6 +181,60 @@ def test_fast_scan_matches_slow_oracle(n):
     i0, i1, j0, j1 = fast_idx
     attained = abs(e[i0, j0] + e[i0, j1] + e[i1, j0] - e[i1, j1])
     assert attained == pytest.approx(fast_v, abs=1e-12)
+
+
+def chsh_scan_reference(state):
+    """The O(n^4) scan: one (i1, j0, j1) block per i0, first maximiser kept."""
+    ga = 2.0 * state.model_a.ray_effects - state.model_a.unit_effect
+    gb = 2.0 * state.model_b.ray_effects - state.model_b.unit_effect
+    e = ga @ state.matrix @ gb.T
+    diff = e[:, :, None] - e[:, None, :]
+    best, best_idx = -np.inf, (0, 0, 0, 0)
+    for i0 in range(e.shape[0]):
+        block = np.abs((e[i0][:, None] + e[i0][None, :])[None, :, :] + diff)
+        flat = int(np.argmax(block))
+        val = float(block.ravel()[flat])
+        if val > best:
+            i1, j0, j1 = np.unravel_index(flat, block.shape)
+            best, best_idx = val, (i0, int(i1), int(j0), int(j1))
+    return best, best_idx
+
+
+def _rectangular_states():
+    rng = np.random.default_rng(20101215)
+    pa, pb = polygon(5), polygon(8)
+    return [
+        random_extremal_joint_state(pa, rng, pb),
+        # rank-one correlators: every (i0, i1) pair ties, so only the
+        # tie-break decides the argmax
+        product_state(pa, pb, pa.extremal_states[0], pb.extremal_states[1]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "state",
+    [max_entangled(n) for n in range(3, 61)] + [house_joint_state()]
+    + _rectangular_states(),
+    ids=[f"maxent{n}" for n in range(3, 61)] + ["house", "rand5x8", "product5x8"],
+)
+def test_scan_is_bitwise_the_quartic_scan(state):
+    value, idx = chsh_max_over_settings(state)
+    ref_value, ref_idx = chsh_scan_reference(state)
+    assert value == ref_value
+    assert idx == ref_idx
+
+
+@pytest.mark.parametrize("state", [
+    max_entangled(12),
+    # the maximally mixed product has all correlators 0: every quadruple
+    # ties, so the argmax candidates span many chunks
+    product_state(polygon(12), polygon(12), [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]),
+], ids=["maxent12", "all-tied"])
+def test_scan_blocks_do_not_change_the_result(state, monkeypatch):
+    # one j0 per block and n_b candidates per chunk, against a single block
+    whole = chsh_max_over_settings(state)
+    monkeypatch.setattr(correlations, "_SCAN_BLOCK_ELEMENTS", 1)
+    assert chsh_max_over_settings(state) == whole == chsh_scan_reference(state)
 
 
 def test_square_reaches_algebraic_maximum():

@@ -5,9 +5,13 @@ import pytest
 
 from polybell.bipartite import in_max_tensor_product, is_extremal, is_inner_product_state
 from polybell.core import validate_model
-from polybell.correlations import chsh, correlations_from_state, correlator_matrix
+from polybell.correlations import (
+    TSIRELSON_BOUND,
+    chsh,
+    correlations_from_state,
+    correlator_matrix,
+)
 from polybell.house import (
-    TSIRELSON,
     house_demo_measurements,
     house_joint_state,
     house_model,
@@ -66,7 +70,7 @@ def test_demo_value_and_correlators():
         correlator_matrix(table), [[0.25, 1.0], [0.25, -1.0]], atol=1e-12
     )
     assert abs(chsh(table) - 2.5) <= 1e-12
-    assert chsh(table) <= TSIRELSON
+    assert chsh(table) <= TSIRELSON_BOUND
 
 
 def test_demo_measurement_settings():
