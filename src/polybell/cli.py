@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
 from . import house as house_mod
-from .core import DEFAULT_TOL, ModelSpec, resolve_tol
+from .core import DEFAULT_TOL, ModelSpec, resolve_tol, validate_model
 from .correlations import (
     TSIRELSON_BOUND,
     chained,
@@ -33,7 +33,7 @@ from .correlations import (
 )
 from .polygon import max_entangled, polygon
 from .q1 import certificate_from_inner_product_state, q1_necessary_conditions
-from .selfdual import find_cone_isomorphisms, is_strongly_self_dual
+from .selfdual import _strong_witness, find_cone_isomorphisms
 
 CLI_SCHEMA_VERSION = 1
 
@@ -42,6 +42,16 @@ CLI_SCHEMA_VERSION = 1
 # and 10 s on one core.
 MAX_SCAN_N = 1024
 
+# Largest polygon that `polygon` builds and validates: validation pairs
+# every extremal effect with every extremal state, up to 2n^2 doubles
+# (64 MB at this size).
+MAX_MODEL_N = 2048
+
+# Largest polygon `selfdual` accepts. The isomorphism search runs in O(n^2)
+# time and O(n) memory per block of candidates: at this size about 2 s and
+# 40 MB on one core.
+MAX_SELFDUAL_N = 2048
+
 
 def _dump_json(payload: dict, stream: IO[str]) -> None:
     payload.setdefault("schema_version", CLI_SCHEMA_VERSION)
@@ -49,11 +59,14 @@ def _dump_json(payload: dict, stream: IO[str]) -> None:
     stream.write("\n")
 
 
-def _parse_model(spec: str) -> ModelSpec:
+def _parse_model(spec: str, check_size: Callable[[int], None]) -> ModelSpec:
+    """Build ``polygon:<n>`` or ``house``; ``check_size(n)`` runs before a polygon is built."""
     if spec == "house":
         return house_mod.house_model()
     if spec.startswith("polygon:"):
-        return polygon(int(spec.split(":", 1)[1]))
+        n = int(spec.split(":", 1)[1])
+        check_size(n)
+        return polygon(n)
     raise ValueError(f"unknown model {spec!r}; expected polygon:<n> or house")
 
 
@@ -64,26 +77,46 @@ def _csv_row(values) -> str:
     return ",".join(cells)
 
 
-def _check_scan_size(n: int) -> None:
-    if n > MAX_SCAN_N:
-        raise ValueError(f"n = {n} exceeds the CHSH scan limit {MAX_SCAN_N}")
+def _check_size(n: int, limit: int, what: str) -> None:
+    if n > limit:
+        raise ValueError(f"n = {n} exceeds the {what} limit {limit}")
 
 
-def _write_chsh_csv(n_from: int, n_to: int, stream: IO[str]) -> None:
-    stream.write("n,parity,S_bruteforce,S_analytic,residue_class\n")
+def _chsh_rows(n_from: int, n_to: int, tol: float) -> list[dict]:
+    """Scan and closed-form maxima per n; they must agree within ``tol``."""
+    rows = []
     for n in range(n_from, n_to + 1):
-        brute, _ = chsh_max_bruteforce(n)
-        stream.write(_csv_row([
-            n,
-            "even" if n % 2 == 0 else "odd",
-            float(brute),
-            float(chsh_max_analytic(n)),
-            n % 8,
-        ]) + "\n")
+        brute, settings = chsh_max_bruteforce(n)
+        analytic = float(chsh_max_analytic(n))
+        if abs(float(brute) - analytic) > tol:
+            raise ArithmeticError(
+                f"n = {n}: scan maximum {float(brute)!r} and closed form "
+                f"{analytic!r} differ by more than {tol:g}"
+            )
+        rows.append({
+            "n": n,
+            "parity": "even" if n % 2 == 0 else "odd",
+            "S_bruteforce": float(brute),
+            "S_analytic": analytic,
+            "residue_class": n % 8,
+            "settings": [int(s) + 1 for s in settings],
+        })
+    return rows
+
+
+def _write_chsh_csv(rows: list[dict], stream: IO[str]) -> None:
+    columns = ["n", "parity", "S_bruteforce", "S_analytic", "residue_class"]
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(_csv_row([row[c] for c in columns]) + "\n")
 
 
 def _cmd_polygon(args: argparse.Namespace) -> int:
+    _check_size(args.n, MAX_MODEL_N, "model validation")
     model = polygon(args.n)
+    report = validate_model(model, args.tol)
+    if not report.ok:
+        raise ValueError(f"{model.name} failed validation: {report.summary()}")
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             fh.write(model.to_json(indent=2) + "\n")
@@ -104,26 +137,16 @@ def _cmd_chsh_max(args: argparse.Namespace) -> int:
         n_from, n_to = args.n_from, args.n_to
     if n_from < 3 or n_to < n_from:
         raise ValueError("need 3 <= n-from <= n-to")
-    _check_scan_size(n_to)
+    _check_size(n_to, MAX_SCAN_N, "CHSH scan")
+    rows = _chsh_rows(n_from, n_to, resolve_tol(args.tol))
     if args.json:
-        rows = []
-        for n in range(n_from, n_to + 1):
-            brute, settings = chsh_max_bruteforce(n)
-            rows.append({
-                "n": n,
-                "parity": "even" if n % 2 == 0 else "odd",
-                "S_bruteforce": float(brute),
-                "S_analytic": float(chsh_max_analytic(n)),
-                "residue_class": n % 8,
-                "settings": [int(s) + 1 for s in settings],
-            })
         _dump_json({"rows": rows, "tsirelson": TSIRELSON_BOUND}, sys.stdout)
     elif args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_chsh_csv(n_from, n_to, fh)
+            _write_chsh_csv(rows, fh)
         print(f"wrote {args.out}")
     else:
-        _write_chsh_csv(n_from, n_to, sys.stdout)
+        _write_chsh_csv(rows, sys.stdout)
     return 0
 
 
@@ -134,7 +157,7 @@ def _cmd_chained(args: argparse.Namespace) -> int:
     if n < big_n:
         raise ValueError("polygon needs at least one ray per setting")
     state = max_entangled(n)
-    meas = [ray_settings(state.model_a, big_n)] * 2
+    meas = [ray_settings(state.model_a, big_n, tol=args.tol)] * 2
     table = correlations_from_state(state, meas[0], meas[1])
     value = chained(table, big_n)
     if args.json:
@@ -155,7 +178,9 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     eps, p_box, p_corr = distill_decompose(args.n)
     state = max_entangled(args.n)
     table = correlations_from_state(
-        state, ray_settings(state.model_a, 2), ray_settings(state.model_b, 2)
+        state,
+        ray_settings(state.model_a, 2, tol=args.tol),
+        ray_settings(state.model_b, 2, tol=args.tol),
     )
     e10 = correlator(table, 1, 0)
     if args.json:
@@ -171,8 +196,14 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_q1_size(n: int) -> None:
+    # even polygons are screened through the CHSH scan
+    if n % 2 == 0:
+        _check_size(n, MAX_SCAN_N, "CHSH scan")
+
+
 def _cmd_q1_cert(args: argparse.Namespace) -> int:
-    model = _parse_model(args.model)
+    model = _parse_model(args.model, _check_q1_size)
     if model.name == "house":
         state = house_mod.house_joint_state()
         meas_a, meas_b = house_mod.house_demo_measurements()
@@ -192,7 +223,6 @@ def _cmd_q1_cert(args: argparse.Namespace) -> int:
         if model.name == "house":
             table = correlations_from_state(state, meas_a, meas_b)
         else:
-            _check_scan_size(model.n_states)
             _, (i0, i1, j0, j1) = chsh_max_over_settings(state)
             rays = ray_settings(model, model.n_states)
             table = correlations_from_state(
@@ -211,9 +241,11 @@ def _cmd_q1_cert(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfdual(args: argparse.Namespace) -> int:
-    model = _parse_model(args.model)
+    model = _parse_model(
+        args.model, lambda n: _check_size(n, MAX_SELFDUAL_N, "isomorphism search"))
     witnesses = find_cone_isomorphisms(model, args.tol)
-    strong, strong_witness = is_strongly_self_dual(model, args.tol)
+    strong_witness = _strong_witness(witnesses, resolve_tol(args.tol))
+    strong = strong_witness is not None
     if args.json:
         _dump_json({
             "model": model.name,

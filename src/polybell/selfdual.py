@@ -19,12 +19,36 @@ generators are available:
   cross-check for the dihedral pruning and for models without a usable
   cyclic structure.
 
-Per candidate, the unknowns are T plus one positive scale per ray; the
-homogeneous system is solved by SVD null space. When the system is
-underdetermined (simplicial cones, k = 3) the equal-scale member of the
-solution family is taken as representative. Accepted solutions are
-normalized to Frobenius norm 1 with the cone orientation (all ray scales
-positive) fixing the sign.
+Both feed the same solver. In d dimensions, d + 1 rays in general position
+(every d of them linearly independent) fix a linear map up to scale: the
+projective frame. Distinct extremal rays of a pointed three-dimensional
+cone are always in general position, since no three extreme points of a
+convex polygon are collinear. So the frame is chosen once per model: d + 1
+effect rays spread evenly in angular order (spread rays keep the system
+well conditioned at large k; adjacent ones would not). Per candidate the
+unknowns are T plus one scale per frame ray, a 12 x 13 homogeneous system
+for d = 3, and the candidate is solved only if its SVD null space is
+exactly one-dimensional. Every ray is then checked at once: the images
+``effects @ T^T``, each ray's scale by projection onto its target state,
+and one residual. A solution is accepted when all scales share a sign
+(which fixes the sign of T), the smallest is at least ``tol * ||T||``,
+the residual of the Frobenius-normalized T is at most ``_RESIDUAL_TOL``,
+and T is invertible.
+
+Simplicial cones (k <= d) leave T underdetermined, so their frame is
+every ray. Whenever the frame is every ray and a candidate's null space is
+wider than one, the candidate is re-solved with equal-scale tie rows,
+which pick the isometry-like member of the solution family. The frame is
+also every ray when the spread rays are not in general position, which
+happens only outside three dimensions (for example the four-dimensional
+cone over a square pyramid, a direct sum of a ray and a square cone).
+
+Candidates are solved in blocks with stacked ``np.linalg.svd`` calls, each
+block's temporaries held to about ``_BLOCK_ELEMENTS`` doubles, so memory
+is O(k) per block. A polygon model costs O(k^2) time: 2k candidates, each
+a constant-size solve plus an O(k) check (about 1 s at k = 1024 on one
+core). The exhaustive generator feeds ``itertools.permutations`` through
+the same blocks.
 """
 
 from __future__ import annotations
@@ -41,6 +65,14 @@ EXHAUSTIVE_RAY_CAP = 10
 
 _RESIDUAL_TOL = 1e-9
 
+# Singular values at or below this fraction of max(largest, 1) count as zero.
+_RANK_CUTOFF = 1e-10
+
+# Element budget of each per-block temporary of the isomorphism search
+# (2**16 doubles = 512 KiB): the stacked frame systems and the (b, k, d)
+# ray images, targets and residuals.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 def _cycle_order(rays: np.ndarray) -> np.ndarray | None:
     """Indices sorting rays by angle on the u = 1 cut, or None if not planar-cyclic."""
@@ -50,73 +82,105 @@ def _cycle_order(rays: np.ndarray) -> np.ndarray | None:
     return np.argsort(angles, kind="stable")
 
 
-def _dihedral_bijections(n_rays: int, effect_order: np.ndarray,
-                         state_order: np.ndarray):
+def _dihedral_blocks(n_rays: int, effect_order: np.ndarray,
+                     state_order: np.ndarray, block: int):
+    """The 2k dihedral bijections, as (b, k) arrays of at most ``block`` rows.
+
+    Candidate ``2 * offset`` sends the effect at angular position p to the
+    state at position ``offset + p``, candidate ``2 * offset + 1`` to
+    ``offset - p`` (both mod k).
+    """
+    candidates = np.arange(2 * n_rays)
+    offsets = candidates // 2
+    flips = 1 - 2 * (candidates % 2)
     base = np.arange(n_rays)
-    for offset in range(n_rays):
-        for flip in (1, -1):
-            perm = np.empty(n_rays, dtype=int)
-            perm[effect_order] = state_order[(offset + flip * base) % n_rays]
-            yield perm
+    for start in range(0, 2 * n_rays, block):
+        rows = slice(start, start + block)
+        positions = (offsets[rows, None] + flips[rows, None] * base) % n_rays
+        perms = np.empty(positions.shape, dtype=int)
+        perms[:, effect_order] = state_order[positions]
+        yield perms
 
 
-def _solve_candidate(effects: np.ndarray, states: np.ndarray, perm: np.ndarray,
-                     tol: float) -> np.ndarray | None:
-    """Solve T e_i = scale_i * state_perm(i); return T or None.
+def _permutation_blocks(n_rays: int, block: int):
+    """All k! bijections in lexicographic order, as (b, k) arrays."""
+    perms = itertools.permutations(range(n_rays))
+    while chunk := list(itertools.islice(perms, block)):
+        yield np.array(chunk)
 
-    Builds the homogeneous system in (vec T, scales) and extracts its null
-    space. A one-dimensional null space gives the candidate directly; a
-    larger one is re-solved with all scales tied together, which picks the
-    isometry-like member of the family. The sign is fixed by requiring
-    positive scales, the global magnitude by Frobenius normalization.
+
+def _frame_system(effects: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frame rays and the candidate-independent part of their system.
+
+    The frame is d + 1 rays spread along ``order`` when they are in general
+    position, otherwise every ray. The system's unknowns are vec T
+    (row-major) followed by one scale per frame ray; rows
+    ``d*j .. d*j + d - 1`` read ``T e_j - s_j target_j = 0``, and the scale
+    columns are left zero for the candidate to fill in.
     """
     k, d = effects.shape
-    rows = []
-    for i in range(k):
-        block = np.zeros((d, d * d + k))
-        for r in range(d):
-            block[r, r * d:(r + 1) * d] = effects[i]
-        block[:, d * d + i] = -states[perm[i]]
-        rows.append(block)
-    a = np.vstack(rows)
+    frame = np.arange(k)
+    if k > d:
+        spread = order[(np.arange(d + 1) * k) // (d + 1)]
+        subsets = np.stack([np.delete(effects[spread], i, axis=0) for i in range(d + 1)])
+        sv = np.linalg.svd(subsets, compute_uv=False)
+        if np.all(sv[:, -1] > _RANK_CUTOFF * np.maximum(sv[:, 0], 1.0)):
+            frame = spread
+    template = np.zeros((d * frame.size, d * d + frame.size))
+    template[:, :d * d] = np.vstack(
+        [np.kron(np.eye(d), effects[ray][None, :]) for ray in frame])
+    return frame, template
 
-    def null_space(mat: np.ndarray) -> np.ndarray:
-        _, sv, vt = np.linalg.svd(mat)
-        cutoff = max(sv[0], 1.0) * 1e-10 if sv.size else 0.0
-        n_null = mat.shape[1] - np.count_nonzero(sv > cutoff)
-        return vt[mat.shape[1] - n_null:]
 
-    basis = null_space(a)
-    if basis.shape[0] > 1:
-        ties = np.zeros((k - 1, d * d + k))
-        for i in range(k - 1):
-            ties[i, d * d + i] = 1.0
-            ties[i, d * d + i + 1] = -1.0
-        basis = null_space(np.vstack([a, ties]))
-    if basis.shape[0] != 1:
-        return None
+def _null_vectors(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per stacked system, its last right-singular vector and its nullity."""
+    _, sv, vt = np.linalg.svd(systems)
+    rank = np.count_nonzero(sv > _RANK_CUTOFF * np.maximum(sv[:, :1], 1.0), axis=1)
+    return vt[:, -1], systems.shape[2] - rank
 
-    vec = basis[0]
-    scales = vec[d * d:]
-    if np.all(scales > 0):
-        pass
-    elif np.all(scales < 0):
-        vec = -vec
-        scales = vec[d * d:]
-    else:
-        return None
-    t = vec[:d * d].reshape(d, d)
-    norm = np.linalg.norm(t)
-    if norm < tol or np.min(scales) < tol * norm:
-        return None
-    t = t / norm
-    scales = scales / norm
-    residual = np.abs(effects @ t.T - scales[:, None] * states[perm]).max()
-    if residual > _RESIDUAL_TOL:
-        return None
-    if abs(np.linalg.det(t)) < 1e-9:
-        return None
-    return t
+
+def _solve_block(effects: np.ndarray, states: np.ndarray, frame: np.ndarray,
+                 template: np.ndarray, perms: np.ndarray,
+                 tol: float) -> list[np.ndarray]:
+    """Solve T e_i = scale_i * state_perm(i) for a block of candidates.
+
+    Returns the accepted T, Frobenius-normalized, in candidate order. A
+    candidate is solved from its frame system when that system's null space
+    is one-dimensional; when the frame is every ray, a wider null space is
+    re-solved with the tie rows ``s_j = s_{j+1}`` added. The solution is
+    then checked on every ray: all projected scales share a sign (the sign
+    of T follows), the smallest is at least ``tol * ||T||``, the residual
+    is at most ``_RESIDUAL_TOL`` and T is invertible.
+    """
+    k, d = effects.shape
+    b, f = perms.shape[0], frame.size
+    system = np.repeat(template[None], b, axis=0)
+    scale_rows = np.arange(d * f)
+    system[:, scale_rows, d * d + scale_rows // d] = -states[perms[:, frame]].reshape(b, d * f)
+    vec, nullity = _null_vectors(system)
+    wide = nullity > 1
+    if f == k and wide.any():
+        ties = np.zeros((f - 1, d * d + f))
+        ties[:, d * d:] = np.eye(f - 1, f) - np.eye(f - 1, f, 1)
+        tied = np.concatenate([system[wide], np.repeat(ties[None], wide.sum(), axis=0)], axis=1)
+        vec[wide], nullity[wide] = _null_vectors(tied)
+
+    t = vec[:, :d * d].reshape(b, d, d)
+    images = effects @ t.transpose(0, 2, 1)
+    targets = states[perms]
+    scales = np.sum(images * targets, axis=2) / np.sum(targets * targets, axis=2)
+    positive = np.all(scales > 0, axis=1)
+    negative = np.all(scales < 0, axis=1)
+    norm = np.linalg.norm(t, axis=(1, 2))
+    ok = (nullity == 1) & (positive | negative) & (norm >= tol)
+    factor = np.where(negative, -1.0, 1.0) / np.where(ok, norm, 1.0)
+    scales *= factor[:, None]
+    ok &= scales.min(axis=1) >= tol
+    t = t * factor[:, None, None]
+    residual = np.abs(images * factor[:, None, None] - scales[..., None] * targets)
+    ok &= residual.max(axis=(1, 2)) <= _RESIDUAL_TOL
+    ok &= np.abs(np.linalg.det(t)) >= 1e-9
+    return [t[i] for i in np.flatnonzero(ok)]
 
 
 def find_cone_isomorphisms(model: ModelSpec, tol: float | None = None,
@@ -140,31 +204,42 @@ def find_cone_isomorphisms(model: ModelSpec, tol: float | None = None,
     if method == "exhaustive" and k > EXHAUSTIVE_RAY_CAP:
         raise ValueError(f"exhaustive search is capped at {EXHAUSTIVE_RAY_CAP} rays")
 
-    if method in ("auto", "dihedral"):
-        effect_order = _cycle_order(effects)
-        state_order = _cycle_order(states)
-        if effect_order is None or state_order is None:
-            if method == "dihedral":
-                raise ValueError("model rays admit no angular cycle ordering")
-            if k > EXHAUSTIVE_RAY_CAP:
-                raise ValueError(
-                    "model rays admit no angular cycle ordering and exceed "
-                    f"the exhaustive cap of {EXHAUSTIVE_RAY_CAP}"
-                )
-            candidates = (np.array(p) for p in itertools.permutations(range(k)))
-        else:
-            candidates = _dihedral_bijections(k, effect_order, state_order)
+    effect_order = _cycle_order(effects)
+    state_order = _cycle_order(states)
+    cyclic = effect_order is not None and state_order is not None
+    if method in ("auto", "dihedral") and not cyclic:
+        if method == "dihedral":
+            raise ValueError("model rays admit no angular cycle ordering")
+        if k > EXHAUSTIVE_RAY_CAP:
+            raise ValueError(
+                "model rays admit no angular cycle ordering and exceed "
+                f"the exhaustive cap of {EXHAUSTIVE_RAY_CAP}"
+            )
+
+    frame, template = _frame_system(
+        effects, np.arange(k) if effect_order is None else effect_order)
+    block = max(1, _BLOCK_ELEMENTS // max(template.size, k * effects.shape[1]))
+    if method != "exhaustive" and cyclic:
+        blocks = _dihedral_blocks(k, effect_order, state_order, block)
     else:
-        candidates = (np.array(p) for p in itertools.permutations(range(k)))
+        blocks = _permutation_blocks(k, block)
 
     found: dict[tuple, np.ndarray] = {}
-    for perm in candidates:
-        t = _solve_candidate(effects, states, perm, tol)
-        if t is None:
-            continue
-        key = tuple(np.round(t, 8).ravel())
-        found.setdefault(key, t)
+    for perms in blocks:
+        for t in _solve_block(effects, states, frame, template, perms, tol):
+            found.setdefault(tuple(np.round(t, 8).ravel()), t)
     return [found[key] for key in sorted(found)]
+
+
+def _strong_witness(isomorphisms: list[np.ndarray], tol: float) -> np.ndarray | None:
+    """The first isomorphism with max |T - T^T| <= tol and min eigenvalue >= -tol."""
+    for t in isomorphisms:
+        if np.abs(t - t.T).max() > tol:
+            continue
+        if np.linalg.eigvalsh((t + t.T) / 2.0)[0] < -tol:
+            continue
+        return t
+    return None
 
 
 def is_strongly_self_dual(model: ModelSpec, tol: float | None = None,
@@ -175,13 +250,8 @@ def is_strongly_self_dual(model: ModelSpec, tol: float | None = None,
     eigenvalue >= -tol, returning the first witness in canonical order.
     """
     tol = resolve_tol(tol)
-    for t in find_cone_isomorphisms(model, tol, method=method):
-        if np.abs(t - t.T).max() > tol:
-            continue
-        if np.linalg.eigvalsh((t + t.T) / 2.0)[0] < -tol:
-            continue
-        return True, t
-    return False, None
+    witness = _strong_witness(find_cone_isomorphisms(model, tol, method=method), tol)
+    return witness is not None, witness
 
 
 def state_from_isomorphism(t, model: ModelSpec,
@@ -207,10 +277,8 @@ def state_from_isomorphism(t, model: ModelSpec,
     return state
 
 
-def induced_state_symmetries(isomorphisms: list[np.ndarray],
-                             tol: float | None = None) -> list[np.ndarray]:
+def induced_state_symmetries(isomorphisms: list[np.ndarray]) -> list[np.ndarray]:
     """The state-cone automorphisms T_i T_j^{-1}, Frobenius-normalized, deduped."""
-    resolve_tol(tol)
     symmetries: dict[tuple, np.ndarray] = {}
     for ti in isomorphisms:
         for tj in isomorphisms:

@@ -186,8 +186,10 @@ def test_criterion_08_self_duality_classification():
                 state_from_isomorphism(t, model)
             ).is_inner_product
             assert sym_psd(t) == inner, f"n={n}"
-    for n in range(17, 32):
-        assert is_strongly_self_dual(polygon(n))[0] == (n % 2 == 1), f"n={n}"
+    for n in range(17, 129):
+        model = polygon(n)
+        assert len(find_cone_isomorphisms(model)) == 2 * n, f"n={n}"
+        assert is_strongly_self_dual(model)[0] == (n % 2 == 1), f"n={n}"
 
     house = house_model()
     strong, witness = is_strongly_self_dual(house)

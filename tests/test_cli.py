@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from polybell import cli, selfdual
 from polybell.cli import MAX_SCAN_N, run
 from polybell.core import ModelSpec, models_similar
 from polybell.polygon import polygon
@@ -113,10 +114,87 @@ def test_chsh_max_csv_deterministic_and_golden(tmp_path):
     ["chsh-max", "--n-to", "1000000000"],
     ["chsh-max", "--n", str(MAX_SCAN_N + 1)],
     ["q1-cert", "--model", f"polygon:{MAX_SCAN_N + 2}"],
+    ["q1-cert", "--model", "polygon:1000000000"],
 ])
 def test_scan_size_cap(args, capsys):
     assert run(args) == 1
     assert "exceeds the CHSH scan limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, limit", [
+    (["selfdual", "--model", "polygon:1000000000"], "isomorphism search"),
+    (["selfdual", "--model", f"polygon:{cli.MAX_SELFDUAL_N + 1}"], "isomorphism search"),
+    (["polygon", "--n", "1000000000"], "model validation"),
+    (["polygon", "--n", str(cli.MAX_MODEL_N + 1)], "model validation"),
+], ids=["selfdual-huge", "selfdual-cap", "polygon-huge", "polygon-cap"])
+def test_model_size_caps_run_before_construction(args, limit, capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"polygon({n}) built past the size cap")
+
+    monkeypatch.setattr(cli, "polygon", refuse)
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert f"exceeds the {limit} limit" in captured.err
+
+
+def test_polygon_rejects_a_model_that_fails_validation(capsys, monkeypatch):
+    good = polygon(5)
+    states = good.extremal_states.copy()
+    states[0, 2] = 1.5
+    broken = ModelSpec("broken", 3, states, good.extremal_effects, good.unit_effect,
+                       ray_extremal=good.ray_extremal)
+    monkeypatch.setattr(cli, "polygon", lambda n: broken)
+    assert run(["polygon", "--n", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: broken failed validation: state 0 has unit pairing")
+    assert captured.out == ""
+
+
+def test_polygon_tol_reaches_validation(monkeypatch, capsys):
+    original = cli.validate_model
+    seen = []
+    monkeypatch.setattr(cli, "validate_model",
+                        lambda model, tol: seen.append(tol) or original(model, tol))
+    assert run(["polygon", "--n", "7", "--tol", "0.001"]) == 0
+    assert seen == [0.001]
+
+
+@pytest.mark.parametrize("args, calls", [
+    (["chained", "--n", "12", "--N", "6"], 1),
+    (["distill", "--n", "8"], 2),
+], ids=["chained", "distill"])
+def test_tol_reaches_ray_settings(args, calls, monkeypatch, capsys):
+    original = cli.ray_settings
+    seen = []
+
+    def recording(model, k, tol=None):
+        seen.append(tol)
+        return original(model, k, tol=tol)
+
+    monkeypatch.setattr(cli, "ray_settings", recording)
+    assert run([*args, "--tol", "0.001"]) == 0
+    assert seen == [0.001] * calls
+
+
+def test_chsh_max_checks_scan_against_closed_form_within_tol(monkeypatch, capsys):
+    original = cli.chsh_max_analytic
+    monkeypatch.setattr(cli, "chsh_max_analytic", lambda n: original(n) + 1e-6)
+    assert run(["chsh-max", "--n-from", "3", "--n-to", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: n = 3: scan maximum")
+    assert captured.out == ""
+    assert run(["chsh-max", "--n-from", "3", "--n-to", "6", "--tol", "1e-5"]) == 0
+
+
+def test_selfdual_searches_once(monkeypatch, capsys):
+    original = selfdual._frame_system
+    calls = []
+    monkeypatch.setattr(selfdual, "_frame_system",
+                        lambda *args: calls.append(1) or original(*args))
+    assert run(["selfdual", "--model", "polygon:9"]) == 0
+    assert "strongly self-dual: yes" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("args", [
