@@ -26,6 +26,10 @@ from .core import (
 
 JOINT_STATE_SCHEMA_VERSION = 1
 
+# Singular values below this fraction of the largest count as zero when
+# :func:`is_extremal` ranks the active constraints.
+_RANK_CUTOFF = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class JointState:
@@ -52,11 +56,11 @@ class JointState:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def to_dict(self, *, inline_models: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "schema_version": JOINT_STATE_SCHEMA_VERSION,
-            "model_A": self.model_a.to_dict() if inline_models else self.model_a.name,
-            "model_B": self.model_b.to_dict() if inline_models else self.model_b.name,
+            "model_A": self.model_a.name,
+            "model_B": self.model_b.name,
             "matrix": self.matrix.tolist(),
         }
 
@@ -109,14 +113,13 @@ def in_max_tensor_product(state: JointState, tol: float | None = None) -> bool:
     return local_positivity_margin(state) >= -tol
 
 
-def is_extremal(state: JointState, tol: float | None = None,
-                rank_cutoff: float = 1e-8) -> bool:
+def is_extremal(state: JointState, tol: float | None = None) -> bool:
     """Extremality of ``state`` in the maximal tensor product.
 
     A member of the polytope is extremal iff its active constraints, the
     product effects pairing to zero together with the normalization
     functional, span the full ``dim_A * dim_B``-dimensional space. The span
-    is ranked by SVD with singular values below ``rank_cutoff`` times the
+    is ranked by SVD with singular values below ``_RANK_CUTOFF`` times the
     largest treated as zero.
 
     Raises ``ValueError`` if the state is not in the maximal tensor product.
@@ -132,7 +135,7 @@ def is_extremal(state: JointState, tol: float | None = None,
         rows.append(np.outer(ea[i], eb[j]).ravel())
     stacked = np.stack(rows)
     s = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(s > rank_cutoff * s[0]))
+    rank = int(np.sum(s > _RANK_CUTOFF * s[0]))
     return rank == state.model_a.dim * state.model_b.dim
 
 

@@ -44,7 +44,8 @@ MAX_SCAN_N = 1024
 
 # Largest polygon that `polygon` builds and validates: validation pairs
 # every extremal effect with every extremal state, up to 2n^2 doubles
-# (64 MB at this size).
+# (64 MB at this size). Odd-n `q1-cert` shares the cap; it builds O(n)
+# model arrays and checks each measurement against every state.
 MAX_MODEL_N = 2048
 
 # Largest polygon `selfdual` accepts. The isomorphism search runs in O(n^2)
@@ -131,10 +132,13 @@ def _cmd_polygon(args: argparse.Namespace) -> int:
 
 
 def _cmd_chsh_max(args: argparse.Namespace) -> int:
-    if args.n is not None:
+    if args.n is None:
+        n_from = 3 if args.n_from is None else args.n_from
+        n_to = 52 if args.n_to is None else args.n_to
+    elif args.n_from is None and args.n_to is None:
         n_from = n_to = args.n
     else:
-        n_from, n_to = args.n_from, args.n_to
+        raise argparse.ArgumentError(None, "--n cannot be combined with --n-from or --n-to")
     if n_from < 3 or n_to < n_from:
         raise ValueError("need 3 <= n-from <= n-to")
     _check_size(n_to, MAX_SCAN_N, "CHSH scan")
@@ -200,6 +204,8 @@ def _check_q1_size(n: int) -> None:
     # even polygons are screened through the CHSH scan
     if n % 2 == 0:
         _check_size(n, MAX_SCAN_N, "CHSH scan")
+    else:
+        _check_size(n, MAX_MODEL_N, "model size")
 
 
 def _cmd_q1_cert(args: argparse.Namespace) -> int:
@@ -208,8 +214,6 @@ def _cmd_q1_cert(args: argparse.Namespace) -> int:
         state = house_mod.house_joint_state()
         meas_a, meas_b = house_mod.house_demo_measurements()
     else:
-        if args.state != "maxent":
-            raise ValueError(f"unknown state {args.state!r} for polygon models")
         state = max_entangled(model.n_states)
         meas_a = meas_b = ray_settings(model, args.settings)
 
@@ -296,17 +300,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polygon", help="construct a polygon model")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--emit", metavar="PATH", help="write model JSON to a file")
-    p.add_argument("--json", action="store_true", help="print model JSON to stdout")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--emit", metavar="PATH", help="write model JSON to a file")
+    output.add_argument("--json", action="store_true", help="print model JSON to stdout")
     _add_tol(p)
     p.set_defaults(func=_cmd_polygon)
 
     p = sub.add_parser("chsh-max", help="maximal CHSH value over all settings")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-from", type=int, default=3)
-    p.add_argument("--n-to", type=int, default=52)
-    p.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--n", type=int, help="a single polygon size")
+    p.add_argument("--n-from", type=int, help="first size of a range (default 3)")
+    p.add_argument("--n-to", type=int, help="last size of a range (default 52)")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
+    output.add_argument("--json", action="store_true")
     _add_tol(p)
     p.set_defaults(func=_cmd_chsh_max)
 
@@ -325,7 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("q1-cert", help="first-level certificate or necessary-condition screen")
     p.add_argument("--model", required=True, help="polygon:<n> or house")
-    p.add_argument("--state", default="maxent")
     p.add_argument("--settings", type=int, default=2)
     p.add_argument("--json", action="store_true")
     _add_tol(p)
@@ -355,6 +360,9 @@ def run(argv: list[str] | None = None) -> int:
     try:
         resolve_tol(args.tol)
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -271,9 +271,10 @@ class Measurement:
         total = effects.sum(axis=0)
         if not np.allclose(total, self.model.unit_effect, atol=tol, rtol=0.0):
             raise ValueError("measurement effects do not sum to the unit effect")
-        for k, e in enumerate(effects):
-            if not is_proper_effect(e, self.model, tol):
-                raise ValueError(f"measurement outcome {k} is not a proper effect")
+        p = self.model.extremal_states @ effects.T  # (states, outcomes)
+        improper = np.flatnonzero(((p < -tol) | (p > 1.0 + tol)).any(axis=0))
+        if improper.size:
+            raise ValueError(f"measurement outcome {improper[0]} is not a proper effect")
 
     @property
     def n_outcomes(self) -> int:

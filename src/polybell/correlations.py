@@ -103,67 +103,6 @@ class CorrelationTable:
     def n_settings_b(self) -> int:
         return self.probs.shape[3]
 
-    # -- flat outcome labeling ------------------------------------------------
-    # Outcomes of all settings on one side, concatenated in setting order:
-    # flat index i corresponds to setting x(i) and outcome a(i).
-
-    @property
-    def flat_offsets_a(self) -> tuple[int, ...]:
-        return tuple(np.concatenate([[0], np.cumsum(self.outcomes_a)]).tolist())
-
-    @property
-    def flat_offsets_b(self) -> tuple[int, ...]:
-        return tuple(np.concatenate([[0], np.cumsum(self.outcomes_b)]).tolist())
-
-    def flat_index_a(self, x: int, a: int) -> int:
-        if not 0 <= a < self.outcomes_a[x]:
-            raise ValueError(f"setting {x} has no outcome {a}")
-        return self.flat_offsets_a[x] + a
-
-    def flat_index_b(self, y: int, b: int) -> int:
-        if not 0 <= b < self.outcomes_b[y]:
-            raise ValueError(f"setting {y} has no outcome {b}")
-        return self.flat_offsets_b[y] + b
-
-    def setting_of_flat_a(self, i: int) -> tuple[int, int]:
-        offs = self.flat_offsets_a
-        x = int(np.searchsorted(offs, i, side="right")) - 1
-        if not 0 <= i < offs[-1]:
-            raise ValueError(f"flat index {i} out of range")
-        return x, i - offs[x]
-
-    def setting_of_flat_b(self, j: int) -> tuple[int, int]:
-        offs = self.flat_offsets_b
-        y = int(np.searchsorted(offs, j, side="right")) - 1
-        if not 0 <= j < offs[-1]:
-            raise ValueError(f"flat index {j} out of range")
-        return y, j - offs[y]
-
-    def flat_joint(self) -> np.ndarray:
-        """P(i, j) over flat outcome labels (block (x, y) holds that slice)."""
-        offs_a, offs_b = self.flat_offsets_a, self.flat_offsets_b
-        out = np.zeros((offs_a[-1], offs_b[-1]))
-        for x, ra in enumerate(self.outcomes_a):
-            for y, rb in enumerate(self.outcomes_b):
-                out[offs_a[x]:offs_a[x] + ra, offs_b[y]:offs_b[y] + rb] = \
-                    self.probs[:ra, :rb, x, y]
-        return out
-
-    def flat_marginal_a(self) -> np.ndarray:
-        """P_A(i) over flat labels (far setting irrelevant by no-signalling)."""
-        offs = self.flat_offsets_a
-        out = np.zeros(offs[-1])
-        for x, ra in enumerate(self.outcomes_a):
-            out[offs[x]:offs[x] + ra] = self.probs[:ra, :, x, 0].sum(axis=1)
-        return out
-
-    def flat_marginal_b(self) -> np.ndarray:
-        offs = self.flat_offsets_b
-        out = np.zeros(offs[-1])
-        for y, rb in enumerate(self.outcomes_b):
-            out[offs[y]:offs[y] + rb] = self.probs[:, :rb, 0, y].sum(axis=0)
-        return out
-
 
 def correlations_from_state(state: JointState,
                             meas_a: Sequence[Measurement],

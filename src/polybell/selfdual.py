@@ -9,15 +9,15 @@ The search enumerates candidate bijections between ray-extremal effect rays
 and extremal state rays, then solves each candidate linearly. Two candidate
 generators are available:
 
-* ``dihedral`` sorts both ray families by angle around the cone axis and
-  tries the 2k cyclic alignments. For three-dimensional cones this is
-  complete, not a heuristic: a linear cone bijection maps two-dimensional
-  faces to two-dimensional faces, so it preserves ray adjacency, and the
-  only adjacency-preserving bijections of a k-cycle are the 2k dihedral
-  ones.
-* ``exhaustive`` tries all k! bijections (capped at 10 rays). Kept as a
-  cross-check for the dihedral pruning and for models without a usable
-  cyclic structure.
+* ``method="auto"`` sorts both ray families by angle around the cone axis
+  and tries the 2k cyclic (dihedral) alignments. For three-dimensional
+  cones this is complete, not a heuristic: a linear cone bijection maps
+  two-dimensional faces to two-dimensional faces, so it preserves ray
+  adjacency, and the only adjacency-preserving bijections of a k-cycle are
+  the 2k dihedral ones. Rays without an angular order fall back to the
+  exhaustive generator.
+* ``method="exhaustive"`` tries all k! bijections (capped at 10 rays). Kept
+  as a cross-check for the dihedral pruning.
 
 Both feed the same solver. In d dimensions, d + 1 rays in general position
 (every d of them linearly independent) fix a linear map up to scale: the
@@ -199,7 +199,7 @@ def find_cone_isomorphisms(model: ModelSpec, tol: float | None = None,
     if k != states.shape[0] or k == 0:
         return []
 
-    if method not in ("auto", "dihedral", "exhaustive"):
+    if method not in ("auto", "exhaustive"):
         raise ValueError(f"unknown search method {method!r}")
     if method == "exhaustive" and k > EXHAUSTIVE_RAY_CAP:
         raise ValueError(f"exhaustive search is capped at {EXHAUSTIVE_RAY_CAP} rays")
@@ -207,19 +207,16 @@ def find_cone_isomorphisms(model: ModelSpec, tol: float | None = None,
     effect_order = _cycle_order(effects)
     state_order = _cycle_order(states)
     cyclic = effect_order is not None and state_order is not None
-    if method in ("auto", "dihedral") and not cyclic:
-        if method == "dihedral":
-            raise ValueError("model rays admit no angular cycle ordering")
-        if k > EXHAUSTIVE_RAY_CAP:
-            raise ValueError(
-                "model rays admit no angular cycle ordering and exceed "
-                f"the exhaustive cap of {EXHAUSTIVE_RAY_CAP}"
-            )
+    if not cyclic and k > EXHAUSTIVE_RAY_CAP:
+        raise ValueError(
+            "model rays admit no angular cycle ordering and exceed "
+            f"the exhaustive cap of {EXHAUSTIVE_RAY_CAP}"
+        )
 
     frame, template = _frame_system(
         effects, np.arange(k) if effect_order is None else effect_order)
     block = max(1, _BLOCK_ELEMENTS // max(template.size, k * effects.shape[1]))
-    if method != "exhaustive" and cyclic:
+    if method == "auto" and cyclic:
         blocks = _dihedral_blocks(k, effect_order, state_order, block)
     else:
         blocks = _permutation_blocks(k, block)
@@ -242,15 +239,15 @@ def _strong_witness(isomorphisms: list[np.ndarray], tol: float) -> np.ndarray | 
     return None
 
 
-def is_strongly_self_dual(model: ModelSpec, tol: float | None = None,
-                          method: str = "auto") -> tuple[bool, np.ndarray | None]:
+def is_strongly_self_dual(model: ModelSpec,
+                          tol: float | None = None) -> tuple[bool, np.ndarray | None]:
     """(True, witness) when a symmetric PSD cone isomorphism exists.
 
     Filters the isomorphism list for max |T - T^T| <= tol and minimum
     eigenvalue >= -tol, returning the first witness in canonical order.
     """
     tol = resolve_tol(tol)
-    witness = _strong_witness(find_cone_isomorphisms(model, tol, method=method), tol)
+    witness = _strong_witness(find_cone_isomorphisms(model, tol), tol)
     return witness is not None, witness
 
 

@@ -1,21 +1,30 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import polybell
 from polybell import cli, selfdual
 from polybell.cli import MAX_SCAN_N, run
 from polybell.core import ModelSpec, models_similar
 from polybell.polygon import polygon
 
 
+# The child imports the same polybell as this process, installed or not.
+SRC = str(Path(polybell.__file__).resolve().parent.parent)
+
+
 def run_cli(*args, **kwargs):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "polybell", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
         **kwargs,
     )
 
@@ -126,7 +135,10 @@ def test_scan_size_cap(args, capsys):
     (["selfdual", "--model", f"polygon:{cli.MAX_SELFDUAL_N + 1}"], "isomorphism search"),
     (["polygon", "--n", "1000000000"], "model validation"),
     (["polygon", "--n", str(cli.MAX_MODEL_N + 1)], "model validation"),
-], ids=["selfdual-huge", "selfdual-cap", "polygon-huge", "polygon-cap"])
+    (["q1-cert", "--model", f"polygon:{cli.MAX_MODEL_N + 1}"], "model size"),
+    (["q1-cert", "--model", "polygon:999999999"], "model size"),
+], ids=["selfdual-huge", "selfdual-cap", "polygon-huge", "polygon-cap",
+        "q1-odd-cap", "q1-odd-huge"])
 def test_model_size_caps_run_before_construction(args, limit, capsys, monkeypatch):
     def refuse(n):
         raise AssertionError(f"polygon({n}) built past the size cap")
@@ -136,6 +148,22 @@ def test_model_size_caps_run_before_construction(args, limit, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert f"exceeds the {limit} limit" in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ["chsh-max", "--n", "8", "--json", "--out", "{out}"],
+    ["chsh-max", "--n", "8", "--n-from", "3"],
+    ["chsh-max", "--n", "8", "--n-to", "12"],
+    ["polygon", "--n", "5", "--emit", "{out}", "--json"],
+    ["q1-cert", "--model", "house", "--state", "maxent"],
+], ids=["json-out", "n-n-from", "n-n-to", "emit-json", "no-state-flag"])
+def test_flags_that_would_be_ignored_are_usage_errors(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([a.format(out=out) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_polygon_rejects_a_model_that_fails_validation(capsys, monkeypatch):

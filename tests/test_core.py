@@ -104,8 +104,13 @@ def test_measurement_must_resolve_unit():
 
 def test_measurement_rejects_improper_outcome():
     m = square_model()
-    with pytest.raises(ValueError, match="not a proper effect"):
+    with pytest.raises(ValueError, match="outcome 0 is not a proper effect"):
         Measurement(np.array([[1.5, 0.0, 0.5], [-1.5, 0.0, 0.5]]), m)
+    # only the middle outcome goes negative (on the second vertex)
+    tri = simplex_model(3)
+    effects = np.array([[1.0, 0.6, 0.0], [0.0, -0.2, 0.0], [0.0, 0.6, 1.0]])
+    with pytest.raises(ValueError, match="outcome 1 is not a proper effect"):
+        Measurement(effects, tri)
 
 
 def test_dichotomic_measurement_outcomes():

@@ -89,15 +89,8 @@ def test_mixed_outcome_counts_pad_with_zeros():
     assert t.outcomes_b == (3,)
     assert t.probs.shape == (3, 3, 2, 1)
     assert np.all(t.probs[2, :, 1, 0] == 0.0)
-    # flat labels round-trip
-    assert t.flat_index_a(1, 1) == 4
-    assert t.setting_of_flat_a(4) == (1, 1)
-    # one unit of probability per setting on each side
-    np.testing.assert_allclose(t.flat_marginal_a().sum(), 2.0, atol=1e-12)
-    np.testing.assert_allclose(t.flat_marginal_b().sum(), 1.0, atol=1e-12)
-    joint = t.flat_joint()
-    assert joint.shape == (5, 3)
-    np.testing.assert_allclose(joint.sum(), 2.0, atol=1e-12)
+    # one unit of probability per setting pair
+    np.testing.assert_allclose(t.probs.sum(axis=(0, 1)), np.ones((2, 1)), atol=1e-12)
 
 
 def test_correlator_requires_two_outcomes():

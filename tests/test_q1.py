@@ -27,10 +27,14 @@ def test_certificate_matches_table_entries():
     cert = certificate_from_inner_product_state(state, meas, meas)
     table = correlations_from_state(state, meas, meas)
 
+    # gamma's labels run over settings, then outcomes within a setting:
+    # with two outcomes per setting, label 2x + a is (setting x, outcome a)
     n_a = sum(cert.outcomes_a)
-    marg_a = table.flat_marginal_a()
-    marg_b = table.flat_marginal_b()
-    joint = table.flat_joint()
+    probs = table.probs  # [a, b, x, y]
+    marg_a = probs[:, :, :, 0].sum(axis=1).T.ravel()
+    marg_b = probs[:, :, 0, :].sum(axis=0).T.ravel()
+    joint = probs.transpose(2, 0, 3, 1).reshape(n_a, -1)
+    assert joint[2 * 1 + 0, 2 * 0 + 1] == probs[0, 1, 1, 0]  # (x=1, a=0), (y=0, b=1)
 
     # first row and column carry the marginals
     np.testing.assert_allclose(cert.gamma[0, 1:1 + n_a], marg_a, atol=1e-12)
@@ -41,10 +45,15 @@ def test_certificate_matches_table_entries():
         cert.gamma[1:1 + n_a, 1 + n_a:], joint, atol=1e-12)
     # diagonal blocks: marginals on the diagonal, zero within a measurement
     for x in range(2):
-        i0 = 1 + table.flat_index_a(x, 0)
+        i0 = 1 + 2 * x
         block = cert.gamma[i0:i0 + 2, i0:i0 + 2]
         np.testing.assert_allclose(
-            block, np.diag(marg_a[i0 - 1:i0 + 1]), atol=1e-12)
+            block, np.diag(marg_a[2 * x:2 * x + 2]), atol=1e-12)
+    for y in range(2):
+        j0 = 1 + n_a + 2 * y
+        block = cert.gamma[j0:j0 + 2, j0:j0 + 2]
+        np.testing.assert_allclose(
+            block, np.diag(marg_b[2 * y:2 * y + 2]), atol=1e-12)
 
 
 def test_certificate_psd_and_verdict():

@@ -198,8 +198,11 @@ def test_exhaustive_cap():
 
 
 def test_unknown_method():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown search method"):
         find_cone_isomorphisms(polygon(5), method="fancy")
+    # "auto" already runs the dihedral search; there is no separate method
+    with pytest.raises(ValueError, match="unknown search method"):
+        find_cone_isomorphisms(polygon(5), method="dihedral")
 
 
 def test_ray_count_mismatch_gives_empty():
