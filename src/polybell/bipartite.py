@@ -11,7 +11,9 @@ non-member matrices can be represented and analyzed.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +21,8 @@ import numpy as np
 from .core import (
     ModelSpec,
     Measurement,
+    _model_gap,
     as_vector,
-    models_similar,
     resolve_tol,
 )
 
@@ -55,6 +57,25 @@ class JointState:
             raise ValueError("joint state matrix has non-finite entries")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @functools.cached_property
+    def _inner_product_margins(self) -> tuple[float, float, float, float]:
+        """Tolerance-free numbers behind :func:`is_inner_product_state`.
+
+        The model gap (see ``core._model_gap``), ``max |M - M^T|``, the
+        Frobenius norm of ``M`` and the smallest eigenvalue of
+        ``(M + M^T) / 2``. The state is immutable, so they are computed on
+        first use and kept; each caller compares them with its own ``tol``.
+        The last three are nan when ``M`` is not square (the gap is then inf).
+        """
+        gap = _model_gap(self.model_a, self.model_b)
+        m = self.matrix
+        if m.shape[0] != m.shape[1]:
+            return gap, math.nan, math.nan, math.nan
+        asymmetry = float(np.abs(m - m.T).max())
+        norm = float(np.linalg.norm(m))
+        min_eig = float(np.linalg.eigvalsh((m + m.T) / 2.0)[0])
+        return gap, asymmetry, norm, min_eig
 
     def to_dict(self) -> dict:
         return {
@@ -145,7 +166,9 @@ class InnerProductReport:
 
     ``asymmetry`` is the max-abs entry of ``M - M^T``; ``min_eigenvalue`` is
     the smallest eigenvalue of the symmetrized matrix; ``matrix_norm`` is the
-    Frobenius norm used for the relative PSD threshold.
+    Frobenius norm used for the relative PSD threshold; ``model_gap`` is the
+    largest entry difference between the two systems, which passed the
+    similarity check against ``tol``.
     """
 
     symmetric: bool
@@ -153,6 +176,7 @@ class InnerProductReport:
     asymmetry: float
     min_eigenvalue: float
     matrix_norm: float
+    model_gap: float
 
     @property
     def is_inner_product(self) -> bool:
@@ -168,22 +192,23 @@ def is_inner_product_state(state: JointState,
     symmetry of ``M`` plus positive semidefiniteness of ``(M + M^T) / 2``
     (threshold relative to the Frobenius norm of ``M``).
 
-    Raises ``ValueError`` when the two systems are not similar.
+    The tolerance-free invariants (model gap, asymmetry, norm, smallest
+    eigenvalue) are computed once per immutable :class:`JointState`; the
+    verdict is taken on every call against this call's ``tol``.
+
+    Raises ``ValueError`` when the two systems are not similar within ``tol``.
     """
     tol = resolve_tol(tol)
-    if not models_similar(state.model_a, state.model_b, tol):
+    gap, asymmetry, norm, min_eig = state._inner_product_margins
+    if gap > tol:
         raise ValueError("inner-product test requires two similar systems")
-    m = state.matrix
-    asymmetry = float(np.abs(m - m.T).max())
-    norm = float(np.linalg.norm(m))
-    eigs = np.linalg.eigvalsh((m + m.T) / 2.0)
-    min_eig = float(eigs[0])
     return InnerProductReport(
         symmetric=asymmetry <= tol,
         psd=min_eig >= -tol * max(norm, 1e-300),
         asymmetry=asymmetry,
         min_eigenvalue=min_eig,
         matrix_norm=norm,
+        model_gap=gap,
     )
 
 

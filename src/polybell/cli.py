@@ -48,6 +48,12 @@ MAX_SCAN_N = 1024
 # model arrays and checks each measurement against every state.
 MAX_MODEL_N = 2048
 
+# Most settings per side that odd-n `q1-cert --settings` accepts. The
+# certificate's moment matrix is (1 + 4k)^2 doubles: at this size 1025^2,
+# about 8 MB; with its eigendecomposition about 0.3 s and 80 MB peak RSS
+# in-process on one core (2.5 s and 115 MB with --json, 28 MB of text).
+MAX_CERT_SETTINGS = 256
+
 # Largest polygon `selfdual` accepts. The isomorphism search runs in O(n^2)
 # time and O(n) memory per block of candidates: at this size about 2 s and
 # 40 MB on one core.
@@ -78,9 +84,9 @@ def _csv_row(values) -> str:
     return ",".join(cells)
 
 
-def _check_size(n: int, limit: int, what: str) -> None:
+def _check_size(n: int, limit: int, what: str, name: str = "n") -> None:
     if n > limit:
-        raise ValueError(f"n = {n} exceeds the {what} limit {limit}")
+        raise ValueError(f"{name} = {n} exceeds the {what} limit {limit}")
 
 
 def _chsh_rows(n_from: int, n_to: int, tol: float) -> list[dict]:
@@ -200,22 +206,30 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_q1_size(n: int) -> None:
-    # even polygons are screened through the CHSH scan
+def _check_q1_size(n: int, settings: int | None) -> None:
+    # even polygons are screened through the CHSH scan at its argmax pair
     if n % 2 == 0:
+        if settings is not None:
+            raise argparse.ArgumentError(None, "--settings applies to odd polygons only")
         _check_size(n, MAX_SCAN_N, "CHSH scan")
-    else:
-        _check_size(n, MAX_MODEL_N, "model size")
+        return
+    _check_size(n, MAX_MODEL_N, "model size")
+    if settings is not None:
+        if settings < 1:
+            raise ValueError(f"settings = {settings} is below the minimum 1")
+        _check_size(settings, MAX_CERT_SETTINGS, "certificate settings", "settings")
 
 
 def _cmd_q1_cert(args: argparse.Namespace) -> int:
-    model = _parse_model(args.model, _check_q1_size)
+    if args.model == "house" and args.settings is not None:
+        raise argparse.ArgumentError(None, "--settings applies to odd polygons only")
+    model = _parse_model(args.model, lambda n: _check_q1_size(n, args.settings))
     if model.name == "house":
         state = house_mod.house_joint_state()
         meas_a, meas_b = house_mod.house_demo_measurements()
     else:
         state = max_entangled(model.n_states)
-        meas_a = meas_b = ray_settings(model, args.settings)
+        meas_a = meas_b = ray_settings(model, 2 if args.settings is None else args.settings)
 
     from .bipartite import is_inner_product_state
 
@@ -331,7 +345,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("q1-cert", help="first-level certificate or necessary-condition screen")
     p.add_argument("--model", required=True, help="polygon:<n> or house")
-    p.add_argument("--settings", type=int, default=2)
+    p.add_argument("--settings", type=int, default=None,
+                   help="settings per side for an odd polygon (default 2, "
+                        f"at most {MAX_CERT_SETTINGS})")
     p.add_argument("--json", action="store_true")
     _add_tol(p)
     p.set_defaults(func=_cmd_q1_cert)

@@ -14,6 +14,7 @@ every checking function accepts a per-call ``tol`` override.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,12 +25,16 @@ MODEL_SCHEMA_VERSION = 1
 
 
 def resolve_tol(tol: float | None) -> float:
-    """Return the effective tolerance: the global default when ``tol`` is None."""
+    """Return the effective tolerance: the global default when ``tol`` is None.
+
+    A tolerance must be finite and non-negative: at ``inf`` every check
+    would pass, and at ``nan`` every comparison would fail.
+    """
     if tol is None:
         return DEFAULT_TOL
     tol = float(tol)
-    if tol < 0.0:
-        raise ValueError("tolerance must be non-negative")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tolerance must be finite and non-negative")
     return tol
 
 
@@ -152,18 +157,30 @@ class ModelSpec:
         return cls.from_dict(json.loads(text))
 
 
-def models_similar(a: ModelSpec, b: ModelSpec, tol: float | None = None) -> bool:
-    """Whether two systems are the same up to numerical noise (names ignored)."""
-    tol = resolve_tol(tol)
-    return (
-        a.dim == b.dim
-        and a.n_states == b.n_states
-        and a.n_effects == b.n_effects
-        and bool(np.array_equal(a.ray_extremal, b.ray_extremal))
-        and bool(np.allclose(a.extremal_states, b.extremal_states, atol=tol, rtol=0.0))
-        and bool(np.allclose(a.extremal_effects, b.extremal_effects, atol=tol, rtol=0.0))
-        and bool(np.allclose(a.unit_effect, b.unit_effect, atol=tol, rtol=0.0))
+def _model_gap(a: ModelSpec, b: ModelSpec) -> float:
+    """Largest absolute entry difference between two systems' arrays.
+
+    Compares the extremal states, the extremal effects and the unit effect;
+    ``inf`` when the dimensions, the state or effect counts, or the
+    ray-extremal flags differ. Names are ignored.
+    """
+    if (a.dim != b.dim or a.n_states != b.n_states or a.n_effects != b.n_effects
+            or not np.array_equal(a.ray_extremal, b.ray_extremal)):
+        return math.inf
+    return max(
+        float(np.abs(a.extremal_states - b.extremal_states).max()),
+        float(np.abs(a.extremal_effects - b.extremal_effects).max()),
+        float(np.abs(a.unit_effect - b.unit_effect).max()),
     )
+
+
+def models_similar(a: ModelSpec, b: ModelSpec, tol: float | None = None) -> bool:
+    """Whether two systems are the same up to numerical noise (names ignored).
+
+    Every array entry may differ by at most ``tol`` (absolute), and the
+    shapes and ray-extremal flags must agree exactly.
+    """
+    return _model_gap(a, b) <= resolve_tol(tol)
 
 
 def is_proper_effect(effect, model: ModelSpec, tol: float | None = None) -> bool:

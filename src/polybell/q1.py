@@ -13,6 +13,12 @@ take the bilinear pairing of every pair of listed effects, then override the
 diagonal blocks as required. The override differs from the pairing by a
 block-diagonal correction that splits into pair matrices
 ``p * [[1, -1], [-1, 1]]`` with ``p >= 0``, hence stays PSD.
+
+Every certificate first runs the inner-product test on its state. The
+test's tolerance-free invariants (model gap, asymmetry, norm, smallest
+eigenvalue) are computed once per immutable :class:`JointState` and kept on
+it; the verdict is taken on every call against that call's ``tol``. Each
+certificate's own matrix and spectrum are computed on every call.
 """
 
 from __future__ import annotations
@@ -112,13 +118,6 @@ class Q1Certificate:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _stack_effects(measurements: Sequence[Measurement]) -> tuple[np.ndarray, tuple[int, ...]]:
-    if not measurements:
-        raise ValueError("need at least one measurement")
-    effects = np.vstack([m.effects for m in measurements])
-    return effects, tuple(m.n_outcomes for m in measurements)
-
-
 def certificate_from_inner_product_state(state: JointState,
                                          meas_a: Sequence[Measurement],
                                          meas_b: Sequence[Measurement],
@@ -130,7 +129,9 @@ def certificate_from_inner_product_state(state: JointState,
     diagonal measurement block to (marginals on the diagonal, zeros between
     distinct outcomes), and checks the result stays PSD. Raises
     ``ValueError`` when the state fails the inner-product test, since the
-    construction would then be unsound.
+    construction would then be unsound. The state's inner-product
+    invariants are computed once per state and compared with ``tol`` here;
+    the spectrum of every certificate is computed afresh.
     """
     tol = resolve_tol(tol)
     report = is_inner_product_state(state, tol)
@@ -139,24 +140,27 @@ def certificate_from_inner_product_state(state: JointState,
             "certificate construction needs an inner-product state "
             f"(asymmetry {report.asymmetry!r}, min eigenvalue {report.min_eigenvalue!r})"
         )
-    effects_a, outcomes_a = _stack_effects(meas_a)
-    effects_b, outcomes_b = _stack_effects(meas_b)
+    if not meas_a or not meas_b:
+        raise ValueError("need at least one measurement")
+    outcomes_a = tuple(m.n_outcomes for m in meas_a)
+    outcomes_b = tuple(m.n_outcomes for m in meas_b)
+    n_a = sum(outcomes_a)
     m = state.matrix
-    u = state.model_a.unit_effect
-    g = np.vstack([u[None, :], effects_a, effects_b])
+    # rows: the unit, then every outcome effect, settings in order per side
+    g = np.concatenate([state.model_a.unit_effect[None, :]]
+                       + [x.effects for x in meas_a] + [x.effects for x in meas_b])
     gamma = g @ m @ g.T
     gamma = (gamma + gamma.T) / 2.0
 
-    marg_a = effects_a @ m @ state.model_b.unit_effect
-    marg_b = u @ m @ effects_b.T
-    offset = 1
-    for count, marg in ((outcomes_a, marg_a), (outcomes_b, marg_b)):
-        pos = 0
-        for size in count:
-            block = slice(offset + pos, offset + pos + size)
-            gamma[block, block] = np.diag(marg[pos:pos + size])
-            pos += size
-        offset += pos
+    marg_a = g[1:1 + n_a] @ m @ state.model_b.unit_effect
+    marg_b = g[0] @ m @ g[1 + n_a:].T
+    # every outcome row carries its measurement's label: zero each
+    # measurement's diagonal block, then put the marginals on the diagonal
+    counts = outcomes_a + outcomes_b
+    labels = np.repeat(np.arange(len(counts)), counts)
+    outcome_block = gamma[1:, 1:]
+    outcome_block[labels[:, None] == labels] = 0.0
+    np.fill_diagonal(outcome_block, np.concatenate([marg_a, marg_b]))
 
     spectrum = np.linalg.eigvalsh(gamma)
     cert = Q1Certificate(

@@ -16,7 +16,7 @@ from polybell.bipartite import (
     pull_back_measurement,
     push_local_map,
 )
-from polybell.core import dichotomic_measurement, simplex_model
+from polybell.core import ModelSpec, dichotomic_measurement, simplex_model
 from polybell.polygon import max_entangled, polygon
 from polybell.selfdual import random_extremal_joint_state, rotation_about_axis
 
@@ -87,8 +87,63 @@ def test_inner_product_classical_diagonal():
 
 def test_inner_product_requires_similar_models():
     st_ = JointState(np.eye(3), polygon(5), polygon(7))
-    with pytest.raises(ValueError):
-        is_inner_product_state(st_)
+    for tol in (None, 0.0, 1.0, 1e300, None):
+        with pytest.raises(ValueError, match="similar"):
+            is_inner_product_state(st_, tol)
+
+
+# The verdict is taken against each call's tol from numbers kept on the
+# state: one state object, tol just above then just below the margin (and
+# the other way round on a fresh object), so the first tol is never frozen.
+def flip_orders(margin):
+    above, below = margin * (1 + 1e-6), margin * (1 - 1e-6)
+    return [(above, True), (below, False), (above, True)], \
+        [(below, False), (above, True), (below, False)]
+
+
+def test_symmetry_verdict_follows_tol():
+    tri = simplex_model(3)
+    a = 1e-4
+    matrix = np.diag([0.5, 0.3, 0.2])
+    matrix[0, 1] = a
+    for order in flip_orders(a):
+        st_ = JointState(matrix, tri, tri)
+        for tol, expected in order:
+            report = is_inner_product_state(st_, tol)
+            assert report.asymmetry == a
+            assert report.symmetric is expected
+            assert report.is_inner_product is expected
+
+
+def test_model_gap_verdict_follows_tol():
+    tri = simplex_model(3)
+    gap = 3e-7
+    effects = np.eye(3)
+    effects[0, 1] = gap
+    near = ModelSpec("near", 3, tri.extremal_states, effects, tri.unit_effect)
+    for order in flip_orders(gap):
+        st_ = JointState(np.diag([0.5, 0.3, 0.2]), tri, near)
+        for tol, similar in order:
+            if similar:
+                report = is_inner_product_state(st_, tol)
+                assert report.model_gap == gap
+                assert report.is_inner_product
+            else:
+                with pytest.raises(ValueError, match="similar"):
+                    is_inner_product_state(st_, tol)
+
+
+def test_psd_verdict_follows_tol():
+    tri = simplex_model(3)
+    matrix = np.diag([0.5, 0.3, -1e-5])
+    margin = 1e-5 / np.linalg.norm(matrix)
+    for order in flip_orders(margin):
+        st_ = JointState(matrix, tri, tri)
+        for tol, expected in order:
+            report = is_inner_product_state(st_, tol)
+            assert report.min_eigenvalue == pytest.approx(-1e-5, rel=1e-12)
+            assert report.symmetric
+            assert report.psd is expected
 
 
 def test_joint_probability_matches_pairing():

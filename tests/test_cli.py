@@ -130,16 +130,24 @@ def test_scan_size_cap(args, capsys):
     assert "exceeds the CHSH scan limit" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args, limit", [
-    (["selfdual", "--model", "polygon:1000000000"], "isomorphism search"),
-    (["selfdual", "--model", f"polygon:{cli.MAX_SELFDUAL_N + 1}"], "isomorphism search"),
-    (["polygon", "--n", "1000000000"], "model validation"),
-    (["polygon", "--n", str(cli.MAX_MODEL_N + 1)], "model validation"),
-    (["q1-cert", "--model", f"polygon:{cli.MAX_MODEL_N + 1}"], "model size"),
-    (["q1-cert", "--model", "polygon:999999999"], "model size"),
+@pytest.mark.parametrize("args, message", [
+    (["selfdual", "--model", "polygon:1000000000"], "exceeds the isomorphism search limit"),
+    (["selfdual", "--model", f"polygon:{cli.MAX_SELFDUAL_N + 1}"],
+     "exceeds the isomorphism search limit"),
+    (["polygon", "--n", "1000000000"], "exceeds the model validation limit"),
+    (["polygon", "--n", str(cli.MAX_MODEL_N + 1)], "exceeds the model validation limit"),
+    (["q1-cert", "--model", f"polygon:{cli.MAX_MODEL_N + 1}"], "exceeds the model size limit"),
+    (["q1-cert", "--model", "polygon:999999999"], "exceeds the model size limit"),
+    (["q1-cert", "--model", "polygon:2047", "--settings", str(cli.MAX_CERT_SETTINGS + 1)],
+     "exceeds the certificate settings limit"),
+    (["q1-cert", "--model", "polygon:7", "--settings", "2047"],
+     "exceeds the certificate settings limit"),
+    (["q1-cert", "--model", "polygon:7", "--settings", "0"], "below the minimum 1"),
+    (["q1-cert", "--model", "polygon:7", "--settings", "-3"], "below the minimum 1"),
 ], ids=["selfdual-huge", "selfdual-cap", "polygon-huge", "polygon-cap",
-        "q1-odd-cap", "q1-odd-huge"])
-def test_model_size_caps_run_before_construction(args, limit, capsys, monkeypatch):
+        "q1-odd-cap", "q1-odd-huge", "q1-settings-cap", "q1-settings-huge",
+        "q1-settings-zero", "q1-settings-negative"])
+def test_model_size_caps_run_before_construction(args, message, capsys, monkeypatch):
     def refuse(n):
         raise AssertionError(f"polygon({n}) built past the size cap")
 
@@ -147,7 +155,7 @@ def test_model_size_caps_run_before_construction(args, limit, capsys, monkeypatc
     assert run(args) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
-    assert f"exceeds the {limit} limit" in captured.err
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("args", [
@@ -156,7 +164,11 @@ def test_model_size_caps_run_before_construction(args, limit, capsys, monkeypatc
     ["chsh-max", "--n", "8", "--n-to", "12"],
     ["polygon", "--n", "5", "--emit", "{out}", "--json"],
     ["q1-cert", "--model", "house", "--state", "maxent"],
-], ids=["json-out", "n-n-from", "n-n-to", "emit-json", "no-state-flag"])
+    ["q1-cert", "--model", "house", "--settings", "2"],
+    ["q1-cert", "--model", "polygon:8", "--settings", "2"],
+    ["q1-cert", "--model", "polygon:1000000000", "--settings", "2"],
+], ids=["json-out", "n-n-from", "n-n-to", "emit-json", "no-state-flag",
+        "house-settings", "even-settings", "even-huge-settings"])
 def test_flags_that_would_be_ignored_are_usage_errors(args, tmp_path, capsys):
     out = tmp_path / "out"
     assert run([a.format(out=out) for a in args]) == 2
@@ -249,6 +261,17 @@ def test_q1_cert_constructive_for_odd():
     gamma = payload["gamma"]
     assert len(gamma) == 9 and all(len(row) == 9 for row in gamma)
     assert min(payload["spectrum"]) >= -1e-9
+
+
+def test_q1_cert_settings_reach_odd_certificate(capsys):
+    assert run(["q1-cert", "--model", "polygon:7", "--settings", "3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "in-Q1"
+    assert payload["outcomes_A"] == [2, 2, 2]
+    assert len(payload["gamma"]) == 1 + 4 * 3
+    # without the flag an odd polygon gets two settings per side
+    assert run(["q1-cert", "--model", "polygon:7", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcomes_A"] == [2, 2]
 
 
 def test_q1_cert_screen_for_even():

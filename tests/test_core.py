@@ -48,6 +48,9 @@ def test_resolve_tol():
     assert resolve_tol(1e-6) == 1e-6
     with pytest.raises(ValueError):
         resolve_tol(-1e-9)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            resolve_tol(bad)
 
 
 def test_model_arrays_read_only():
@@ -136,6 +139,36 @@ def test_models_similar_detects_difference():
     states[0, 0] = 0.9
     c = ModelSpec("square", 3, states, a.extremal_effects, a.unit_effect)
     assert not models_similar(a, c)
+    # shapes and ray flags must agree exactly, whatever the tolerance
+    flags = ModelSpec("flags", 3, a.extremal_states, a.extremal_effects, a.unit_effect,
+                      ray_extremal=[True, True, True, False])
+    fewer = ModelSpec("fewer", 3, a.extremal_states[:3], a.extremal_effects, a.unit_effect)
+    for b in (flags, fewer, simplex_model(3)):
+        assert not models_similar(a, b, 1.0)
+
+
+def test_models_similar_is_allclose_at_tol():
+    # the similarity check is the entrywise absolute test of np.allclose,
+    # on perturbations just inside, at and just outside tol
+    rng = np.random.default_rng(7)
+    a = square_model()
+    outcomes = set()
+    for trial in range(300):
+        tol = float(10.0 ** rng.uniform(-12, -2))
+        arrays = [a.extremal_states.copy(), a.extremal_effects.copy(), a.unit_effect.copy()]
+        target = arrays[trial % 3]
+        flat = target.reshape(-1)
+        k = rng.integers(flat.size)
+        flat[k] += rng.choice([-1.0, 1.0]) * tol * rng.choice([1 - 1e-9, 1.0, 1 + 1e-9])
+        b = ModelSpec("b", 3, *arrays)
+        expected = all(np.allclose(x, y, atol=tol, rtol=0.0) for x, y in (
+            (a.extremal_states, b.extremal_states),
+            (a.extremal_effects, b.extremal_effects),
+            (a.unit_effect, b.unit_effect),
+        ))
+        assert models_similar(a, b, tol) == expected, (trial, tol)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_json_roundtrip():

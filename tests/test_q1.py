@@ -1,7 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from polybell.bipartite import JointState, push_local_map
+from polybell.bipartite import JointState, pull_back_measurement, push_local_map
 from polybell.core import Measurement, dichotomic_measurement, simplex_model
 from polybell.correlations import correlations_from_state, pr_box_table, ray_settings
 from polybell.polygon import max_entangled, polygon
@@ -13,6 +16,41 @@ from polybell.q1 import (
     verify_delta_decomposition,
 )
 from polybell.selfdual import rotation_about_axis
+
+
+def certificate_reference(state, meas_a, meas_b):
+    """The per-measurement construction the library used to run: gamma, spectrum.
+
+    Stacks each side's effects, pairs (unit, first side, second side) under
+    the state, then overrides one diagonal block per measurement with
+    ``np.diag`` of its marginals.
+    """
+    effects_a = np.vstack([m.effects for m in meas_a])
+    effects_b = np.vstack([m.effects for m in meas_b])
+    outcomes_a = tuple(m.n_outcomes for m in meas_a)
+    outcomes_b = tuple(m.n_outcomes for m in meas_b)
+    m = state.matrix
+    u = state.model_a.unit_effect
+    g = np.vstack([u[None, :], effects_a, effects_b])
+    gamma = g @ m @ g.T
+    gamma = (gamma + gamma.T) / 2.0
+    marg_a = effects_a @ m @ state.model_b.unit_effect
+    marg_b = u @ m @ effects_b.T
+    offset = 1
+    for count, marg in ((outcomes_a, marg_a), (outcomes_b, marg_b)):
+        pos = 0
+        for size in count:
+            block = slice(offset + pos, offset + pos + size)
+            gamma[block, block] = np.diag(marg[pos:pos + size])
+            pos += size
+        offset += pos
+    return gamma, np.linalg.eigvalsh(gamma)
+
+
+def assert_matches_reference(cert, state, meas_a, meas_b):
+    gamma, spectrum = certificate_reference(state, meas_a, meas_b)
+    assert np.array_equal(cert.gamma, gamma)
+    assert np.array_equal(cert.eigen_spectrum, spectrum)
 
 
 def trit_state() -> tuple[JointState, Measurement]:
@@ -79,8 +117,9 @@ def test_certificate_classical_trit():
 def test_certificate_rejects_even_polygon():
     state = max_entangled(6)
     meas = ray_settings(state.model_a, 2)
-    with pytest.raises(ValueError, match="inner-product"):
-        certificate_from_inner_product_state(state, meas, meas)
+    for tol in (None, 1e-9, 1e-6, 1e-3, None):
+        with pytest.raises(ValueError, match="inner-product"):
+            certificate_from_inner_product_state(state, meas, meas, tol)
 
 
 def test_supplied_gamma_verdict():
@@ -160,3 +199,72 @@ def test_gamma_shape_validation():
     with pytest.raises(ValueError):
         Q1Certificate(gamma=np.eye(4), eigen_spectrum=np.ones(4),
                       outcomes_a=(2,), outcomes_b=(2,))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_certificate_is_bitwise_the_reference_for_every_pair(n):
+    state = max_entangled(n)
+    meas = ray_settings(state.model_a, n)
+    for i0, i1 in itertools.combinations(range(n), 2):
+        for j0, j1 in itertools.combinations(range(n), 2):
+            meas_a, meas_b = [meas[i0], meas[i1]], [meas[j0], meas[j1]]
+            cert = certificate_from_inner_product_state(state, meas_a, meas_b)
+            assert_matches_reference(cert, state, meas_a, meas_b)
+
+
+def test_certificate_is_bitwise_the_reference_for_other_outcome_counts():
+    state, trit = trit_state()
+    for meas_a, meas_b in (([trit], [trit]), ([trit, trit], [trit])):
+        cert = certificate_from_inner_product_state(state, meas_a, meas_b)
+        assert_matches_reference(cert, state, meas_a, meas_b)
+
+    state = max_entangled(7)
+    meas = ray_settings(state.model_a, 3)
+    unit, e0 = state.model_a.unit_effect, meas[0].effects[0]
+    three = Measurement(np.stack([e0, (unit - e0) / 2.0, (unit - e0) / 2.0]), state.model_a)
+    for meas_a, meas_b in (([three], [three]), ([three, meas[1]], [meas[2], three]),
+                           ([meas[1]], [meas[2], meas[0], three])):
+        cert = certificate_from_inner_product_state(state, meas_a, meas_b)
+        assert cert.outcomes_a == tuple(m.n_outcomes for m in meas_a)
+        assert_matches_reference(cert, state, meas_a, meas_b)
+
+
+def test_pushforward_certificate_is_bitwise_the_reference():
+    rng = np.random.default_rng(515)
+    for _ in range(10):
+        n = int(rng.choice([3, 5, 7, 9, 11]))
+        model = polygon(n)
+        weights = rng.dirichlet(np.ones(n + 1))
+        matrix = weights[0] * max_entangled(n).matrix
+        for k in range(n):
+            omega_k = model.extremal_states[k]
+            matrix = matrix + weights[k + 1] * np.outer(omega_k, omega_k)
+        sigma = JointState(matrix, model, model)
+        tau = sum(w * rotation_about_axis(2.0 * math.pi * k / n)
+                  for k, w in enumerate(rng.dirichlet(np.ones(n))))
+        meas = ray_settings(model, n)
+        meas_a = [meas[i] for i in rng.choice(n, size=2, replace=False)]
+        meas_b = [meas[j] for j in rng.choice(n, size=2, replace=False)]
+        omega = push_local_map(sigma, tau)
+        cert = certificate_via_pushforward(omega, tau, meas_a, meas_b, sigma=sigma)
+        pulled = [pull_back_measurement(tau, m) for m in meas_b]
+        assert_matches_reference(cert, sigma, meas_a, pulled)
+
+
+def test_state_spectrum_is_computed_once_per_state(monkeypatch):
+    state = max_entangled(7)
+    meas = ray_settings(state.model_a, 7)
+    original = np.linalg.eigvalsh
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    pairs = list(itertools.combinations(range(7), 2))
+    for (i0, i1), (j0, j1) in itertools.islice(itertools.product(pairs, pairs), 100):
+        certificate_from_inner_product_state(state, [meas[i0], meas[i1]],
+                                             [meas[j0], meas[j1]])
+    assert shapes.count(state.matrix.shape) == 1
+    assert shapes.count((9, 9)) == 100
