@@ -77,12 +77,12 @@ from .q1 import (
     verify_delta_decomposition,
 )
 from .selfdual import (
-    certain_state_counts,
+    SelfDualityReport,
     find_cone_isomorphisms,
-    induced_state_symmetries,
     is_strongly_self_dual,
     random_extremal_joint_state,
     rotation_about_axis,
+    self_duality,
     state_from_isomorphism,
 )
 

@@ -33,7 +33,7 @@ from .correlations import (
 )
 from .polygon import max_entangled, polygon
 from .q1 import certificate_from_inner_product_state, q1_necessary_conditions
-from .selfdual import _strong_witness, find_cone_isomorphisms
+from .selfdual import self_duality
 
 CLI_SCHEMA_VERSION = 1
 
@@ -261,21 +261,24 @@ def _cmd_q1_cert(args: argparse.Namespace) -> int:
 def _cmd_selfdual(args: argparse.Namespace) -> int:
     model = _parse_model(
         args.model, lambda n: _check_size(n, MAX_SELFDUAL_N, "isomorphism search"))
-    witnesses = find_cone_isomorphisms(model, args.tol)
-    strong_witness = _strong_witness(witnesses, resolve_tol(args.tol))
-    strong = strong_witness is not None
+    report = self_duality(model, args.tol)
+    witnesses = report.isomorphisms
     if args.json:
         _dump_json({
             "model": model.name,
-            "weak": bool(witnesses),
-            "strong": strong,
+            "weak": report.weak,
+            "strong": report.strong,
             "witnesses": [w.tolist() for w in witnesses],
-            "strong_witness": None if strong_witness is None else strong_witness.tolist(),
+            "strong_witness": None if report.witness is None else report.witness.tolist(),
+            "witness_asymmetry": report.witness_asymmetry,
+            "witness_min_eigenvalue": report.witness_min_eigenvalue,
+            "candidates_tried": report.candidates,
+            "candidates_rejected": report.rejected,
         }, sys.stdout)
     else:
-        print(f"{model.name}: weakly self-dual: {'yes' if witnesses else 'no'} "
+        print(f"{model.name}: weakly self-dual: {'yes' if report.weak else 'no'} "
               f"({len(witnesses)} isomorphisms); strongly self-dual: "
-              f"{'yes' if strong else 'no'}")
+              f"{'yes' if report.strong else 'no'}")
     return 0
 
 

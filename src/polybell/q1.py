@@ -81,6 +81,23 @@ class Q1Certificate:
         object.__setattr__(self, "outcomes_b", tuple(int(k) for k in self.outcomes_b))
 
     @classmethod
+    def _adopt(cls, gamma: np.ndarray, spectrum: np.ndarray,
+               outcomes_a: tuple[int, ...], outcomes_b: tuple[int, ...]) -> "Q1Certificate":
+        """A "from-state" certificate around freshly made arrays.
+
+        :func:`certificate_from_inner_product_state` owns the arrays it
+        passes and derived their shapes from the outcome counts, so they
+        are made read-only in place instead of being copied and checked
+        again.
+        """
+        gamma.flags.writeable = False
+        spectrum.flags.writeable = False
+        cert = object.__new__(cls)
+        cert.__dict__.update(gamma=gamma, eigen_spectrum=spectrum, outcomes_a=outcomes_a,
+                             outcomes_b=outcomes_b, free_entries_source="from-state")
+        return cert
+
+    @classmethod
     def from_gamma(cls, gamma, outcomes_a: Sequence[int], outcomes_b: Sequence[int],
                    free_entries_source: str = "supplied") -> "Q1Certificate":
         gamma = np.asarray(gamma, dtype=float)
@@ -163,13 +180,7 @@ def certificate_from_inner_product_state(state: JointState,
     np.fill_diagonal(outcome_block, np.concatenate([marg_a, marg_b]))
 
     spectrum = np.linalg.eigvalsh(gamma)
-    cert = Q1Certificate(
-        gamma=gamma,
-        eigen_spectrum=spectrum,
-        outcomes_a=outcomes_a,
-        outcomes_b=outcomes_b,
-        free_entries_source="from-state",
-    )
+    cert = Q1Certificate._adopt(gamma, spectrum, outcomes_a, outcomes_b)
     if not cert.psd(tol):
         raise ArithmeticError(
             f"certificate unexpectedly not PSD (min eigenvalue {spectrum[0]!r})"
@@ -199,18 +210,12 @@ def verify_delta_decomposition(state: JointState, measurement: Measurement,
     marg = e @ m @ state.model_b.unit_effect
     correction = np.diag(marg) - pair
 
-    r = e.shape[0]
-    total = np.zeros((r, r))
-    psd_ok = True
-    for nn in range(1, r):
-        for mm in range(nn):
-            p = pair[mm, nn]
-            total[mm, mm] += p
-            total[nn, nn] += p
-            total[mm, nn] -= p
-            total[nn, mm] -= p
-            if p < -tol:
-                psd_ok = False
+    # sum over m < n of p_mn (E_mm + E_nn - E_mn - E_nm): the pairing's
+    # upper triangle mirrored, negated, with its row sums on the diagonal
+    upper = np.triu(pair, 1)
+    off = upper + upper.T
+    total = np.diag(off.sum(axis=1)) - off
+    psd_ok = not np.any(off < -tol)
     return psd_ok and float(np.abs(total - correction).max()) <= 1e-12
 
 

@@ -49,12 +49,23 @@ is O(k) per block. A polygon model costs O(k^2) time: 2k candidates, each
 a constant-size solve plus an O(k) check (about 1 s at k = 1024 on one
 core). The exhaustive generator feeds ``itertools.permutations`` through
 the same blocks.
+
+The search itself does not depend on ``tol``. Every candidate's T and its
+tolerance-free margins (nullity, sign, ``||T||``, smallest scale, residual,
+determinant, deduplication key) are kept per model object, so each model
+is searched once however many calls and tolerances follow; every call
+takes its verdicts against its own ``tol``. (``method="exhaustive"``, the
+cross-check, solves afresh on every call.) :func:`self_duality` reports the
+isomorphisms, the strong witness with its margins, and how many candidates
+were tried and rejected by each rule.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,18 +150,41 @@ def _null_vectors(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vt[:, -1], systems.shape[2] - rank
 
 
+@dataclass(frozen=True, eq=False)
+class _Candidates:
+    """Every candidate bijection of one search, in candidate order.
+
+    ``transforms`` holds each solution T with its sign fixed by the projected
+    scales and Frobenius-normalized. The checks do not depend on ``tol``:
+    ``nullity`` (the null space is one-dimensional), ``sign`` (all scales
+    share a sign), ``residual`` (at most ``_RESIDUAL_TOL``) and
+    ``determinant`` (``|det T| >= 1e-9``) are masks; ``norm`` is the raw
+    ``||T||`` and ``min_scale`` the smallest normalized scale, which a call
+    compares with its own ``tol``. ``group`` ranks each candidate's
+    8-decimal key among the distinct keys of the candidates that pass every
+    mask (-1 for the others), so equal ranks are duplicates and rank order
+    is canonical order.
+    """
+
+    transforms: np.ndarray
+    nullity: np.ndarray
+    sign: np.ndarray
+    norm: np.ndarray
+    min_scale: np.ndarray
+    residual: np.ndarray
+    determinant: np.ndarray
+    group: np.ndarray
+
+
 def _solve_block(effects: np.ndarray, states: np.ndarray, frame: np.ndarray,
-                 template: np.ndarray, perms: np.ndarray,
-                 tol: float) -> list[np.ndarray]:
+                 template: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, ...]:
     """Solve T e_i = scale_i * state_perm(i) for a block of candidates.
 
-    Returns the accepted T, Frobenius-normalized, in candidate order. A
-    candidate is solved from its frame system when that system's null space
-    is one-dimensional; when the frame is every ray, a wider null space is
-    re-solved with the tie rows ``s_j = s_{j+1}`` added. The solution is
-    then checked on every ray: all projected scales share a sign (the sign
-    of T follows), the smallest is at least ``tol * ||T||``, the residual
-    is at most ``_RESIDUAL_TOL`` and T is invertible.
+    A candidate is solved from its frame system when that system's null
+    space is one-dimensional; when the frame is every ray, a wider null
+    space is re-solved with the tie rows ``s_j = s_{j+1}`` added. The
+    solution is then checked on every ray at once. Returns the
+    ``_Candidates`` fields before ``group``, one entry per candidate.
     """
     k, d = effects.shape
     b, f = perms.shape[0], frame.size
@@ -169,38 +203,33 @@ def _solve_block(effects: np.ndarray, states: np.ndarray, frame: np.ndarray,
     images = effects @ t.transpose(0, 2, 1)
     targets = states[perms]
     scales = np.sum(images * targets, axis=2) / np.sum(targets * targets, axis=2)
-    positive = np.all(scales > 0, axis=1)
     negative = np.all(scales < 0, axis=1)
+    sign = np.all(scales > 0, axis=1) | negative
     norm = np.linalg.norm(t, axis=(1, 2))
-    ok = (nullity == 1) & (positive | negative) & (norm >= tol)
-    factor = np.where(negative, -1.0, 1.0) / np.where(ok, norm, 1.0)
+    # scales of one sign imply T != 0; the others are rejected anyway
+    factor = np.where(negative, -1.0, 1.0) / np.where(sign, norm, 1.0)
     scales *= factor[:, None]
-    ok &= scales.min(axis=1) >= tol
     t = t * factor[:, None, None]
     residual = np.abs(images * factor[:, None, None] - scales[..., None] * targets)
-    ok &= residual.max(axis=(1, 2)) <= _RESIDUAL_TOL
-    ok &= np.abs(np.linalg.det(t)) >= 1e-9
-    return [t[i] for i in np.flatnonzero(ok)]
+    return (t, nullity == 1, sign, norm, scales.min(axis=1),
+            residual.max(axis=(1, 2)) <= _RESIDUAL_TOL,
+            np.abs(np.linalg.det(t)) >= 1e-9)
 
 
-def find_cone_isomorphisms(model: ModelSpec, tol: float | None = None,
-                           method: str = "auto") -> list[np.ndarray]:
-    """All linear bijections effect cone -> state cone, up to positive scale.
+def _candidate_margins(model: ModelSpec, method: str) -> _Candidates:
+    """Solve every candidate bijection of ``method`` once, keeping its margins.
 
-    Returns Frobenius-normalized matrices in a deterministic canonical
-    order; the empty list means the search found no isomorphism (so the
-    model is not weakly self-dual, for the model families this search is
-    complete on). Ray counts must match, otherwise no bijection exists.
+    Ray counts must match, otherwise no bijection exists and there are no
+    candidates.
     """
-    tol = resolve_tol(tol)
     effects = model.ray_effects
     states = model.extremal_states
-    k = effects.shape[0]
+    k, d = effects.shape
     if k != states.shape[0] or k == 0:
-        return []
+        none, flags = np.zeros(0), np.zeros(0, dtype=bool)
+        return _Candidates(np.zeros((0, d, d)), flags, flags, none, none, flags, flags,
+                           np.zeros(0, dtype=int))
 
-    if method not in ("auto", "exhaustive"):
-        raise ValueError(f"unknown search method {method!r}")
     if method == "exhaustive" and k > EXHAUSTIVE_RAY_CAP:
         raise ValueError(f"exhaustive search is capped at {EXHAUSTIVE_RAY_CAP} rays")
 
@@ -215,40 +244,147 @@ def find_cone_isomorphisms(model: ModelSpec, tol: float | None = None,
 
     frame, template = _frame_system(
         effects, np.arange(k) if effect_order is None else effect_order)
-    block = max(1, _BLOCK_ELEMENTS // max(template.size, k * effects.shape[1]))
+    block = max(1, _BLOCK_ELEMENTS // max(template.size, k * d))
     if method == "auto" and cyclic:
         blocks = _dihedral_blocks(k, effect_order, state_order, block)
     else:
         blocks = _permutation_blocks(k, block)
 
-    found: dict[tuple, np.ndarray] = {}
-    for perms in blocks:
-        for t in _solve_block(effects, states, frame, template, perms, tol):
-            found.setdefault(tuple(np.round(t, 8).ravel()), t)
-    return [found[key] for key in sorted(found)]
+    solved = [_solve_block(effects, states, frame, template, perms) for perms in blocks]
+    fields = [np.concatenate(column) for column in zip(*solved)]
+    transforms, nullity, sign, _, _, residual, determinant = fields
+    passing = np.flatnonzero(nullity & sign & residual & determinant)
+    rounded = np.round(transforms[passing], 8).reshape(passing.size, -1)
+    keys = [tuple(row) for row in rounded.tolist()]
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    group = np.full(nullity.size, -1)
+    group[passing] = [rank[key] for key in keys]
+    return _Candidates(*fields, group)
 
 
-def _strong_witness(isomorphisms: list[np.ndarray], tol: float) -> np.ndarray | None:
-    """The first isomorphism with max |T - T^T| <= tol and min eigenvalue >= -tol."""
-    for t in isomorphisms:
-        if np.abs(t - t.T).max() > tol:
-            continue
-        if np.linalg.eigvalsh((t + t.T) / 2.0)[0] < -tol:
-            continue
-        return t
-    return None
+# Model -> its ``method="auto"`` candidates. A ModelSpec is immutable and
+# hashes by identity, so an entry never goes stale, and it goes when the
+# model does.
+_SEARCHES: weakref.WeakKeyDictionary[ModelSpec, _Candidates] = weakref.WeakKeyDictionary()
+
+
+def _searched(model: ModelSpec) -> _Candidates:
+    """The model's dihedral (or fallback) candidates, solved on first use."""
+    candidates = _SEARCHES.get(model)
+    if candidates is None:
+        candidates = _SEARCHES[model] = _candidate_margins(model, "auto")
+    return candidates
+
+
+def _accept(candidates: _Candidates, tol: float) -> tuple[np.ndarray, dict[str, int]]:
+    """Indices of the isomorphisms accepted at ``tol``, and the rejections.
+
+    A candidate is accepted when it passes every tolerance-free check, both
+    ``norm >= tol`` and ``min_scale >= tol`` (the rule "scale"), and is the
+    first in candidate order with its key. The indices come in canonical
+    (key) order. Each rejected candidate is counted under the first rule it
+    fails, in the order of the returned dict.
+    """
+    c = candidates
+    rules = (("nullity", c.nullity), ("sign", c.sign),
+             ("scale", (c.norm >= tol) & (c.min_scale >= tol)),
+             ("residual", c.residual), ("determinant", c.determinant))
+    passed = np.ones(c.norm.size, dtype=bool)
+    rejected = {}
+    for rule, ok in rules:
+        rejected[rule] = int(np.count_nonzero(passed & ~ok))
+        passed &= ok
+    kept = np.flatnonzero(passed)
+    _, first = np.unique(c.group[kept], return_index=True)
+    rejected["duplicate"] = kept.size - first.size
+    return kept[first], rejected
+
+
+def find_cone_isomorphisms(model: ModelSpec, tol: float | None = None,
+                           method: str = "auto") -> list[np.ndarray]:
+    """All linear bijections effect cone -> state cone, up to positive scale.
+
+    Returns Frobenius-normalized matrices in a deterministic canonical
+    order; the empty list means the search found no isomorphism (so the
+    model is not weakly self-dual, for the model families this search is
+    complete on). Ray counts must match, otherwise no bijection exists.
+    The ``"auto"`` search runs once per model object; ``"exhaustive"``
+    solves afresh on every call.
+    """
+    tol = resolve_tol(tol)
+    if method == "auto":
+        candidates = _searched(model)
+    elif method == "exhaustive":
+        candidates = _candidate_margins(model, method)
+    else:
+        raise ValueError(f"unknown search method {method!r}")
+    return list(candidates.transforms[_accept(candidates, tol)[0]])
+
+
+@dataclass(frozen=True, eq=False)
+class SelfDualityReport:
+    """The cone isomorphisms of one model at one tolerance, and why.
+
+    ``isomorphisms`` is :func:`find_cone_isomorphisms` at the same ``tol``.
+    ``witness`` is the first of them, in canonical order, with
+    ``max |T - T^T| <= tol`` and smallest eigenvalue of ``(T + T^T) / 2``
+    at least ``-tol``; ``witness_asymmetry`` and ``witness_min_eigenvalue``
+    are those two numbers (all three None when no witness exists).
+    ``candidates`` counts the bijections tried and ``rejected`` the ones
+    each rule turned away: ``nullity`` (the solve's null space is not
+    one-dimensional), ``sign`` (the ray scales do not share a sign),
+    ``scale`` (``||T||`` or the smallest normalized scale is below
+    ``tol``), ``residual``, ``determinant`` and ``duplicate`` (an earlier
+    candidate has the same 8-decimal key), each candidate under the first
+    rule it fails.
+    """
+
+    isomorphisms: list[np.ndarray]
+    witness: np.ndarray | None
+    witness_asymmetry: float | None
+    witness_min_eigenvalue: float | None
+    candidates: int
+    rejected: dict[str, int]
+
+    @property
+    def weak(self) -> bool:
+        return bool(self.isomorphisms)
+
+    @property
+    def strong(self) -> bool:
+        return self.witness is not None
+
+
+def self_duality(model: ModelSpec, tol: float | None = None) -> SelfDualityReport:
+    """Weak and strong self-duality of ``model``, from its one search."""
+    tol = resolve_tol(tol)
+    candidates = _searched(model)
+    accepted, rejected = _accept(candidates, tol)
+    stack = candidates.transforms[accepted]
+    asymmetry = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    min_eig = np.linalg.eigvalsh((stack + stack.transpose(0, 2, 1)) / 2.0)[:, 0]
+    hits = np.flatnonzero((asymmetry <= tol) & (min_eig >= -tol))
+    first = hits[0] if hits.size else None
+    return SelfDualityReport(
+        isomorphisms=list(stack),
+        witness=None if first is None else stack[first],
+        witness_asymmetry=None if first is None else float(asymmetry[first]),
+        witness_min_eigenvalue=None if first is None else float(min_eig[first]),
+        candidates=candidates.norm.size,
+        rejected=rejected,
+    )
 
 
 def is_strongly_self_dual(model: ModelSpec,
                           tol: float | None = None) -> tuple[bool, np.ndarray | None]:
     """(True, witness) when a symmetric PSD cone isomorphism exists.
 
-    Filters the isomorphism list for max |T - T^T| <= tol and minimum
-    eigenvalue >= -tol, returning the first witness in canonical order.
+    The witness is the first isomorphism in canonical order with
+    max |T - T^T| <= tol and minimum eigenvalue >= -tol; see
+    :func:`self_duality` for the margins behind the verdict.
     """
-    tol = resolve_tol(tol)
-    witness = _strong_witness(find_cone_isomorphisms(model, tol), tol)
-    return witness is not None, witness
+    report = self_duality(model, tol)
+    return report.strong, report.witness
 
 
 def state_from_isomorphism(t, model: ModelSpec,
@@ -272,28 +408,6 @@ def state_from_isomorphism(t, model: ModelSpec,
     if not in_max_tensor_product(state, tol):
         raise ArithmeticError("induced state failed local positivity")
     return state
-
-
-def induced_state_symmetries(isomorphisms: list[np.ndarray]) -> list[np.ndarray]:
-    """The state-cone automorphisms T_i T_j^{-1}, Frobenius-normalized, deduped."""
-    symmetries: dict[tuple, np.ndarray] = {}
-    for ti in isomorphisms:
-        for tj in isomorphisms:
-            s = ti @ np.linalg.inv(tj)
-            s = s / np.linalg.norm(s)
-            symmetries.setdefault(tuple(np.round(s, 8).ravel()), s)
-    return [symmetries[key] for key in sorted(symmetries)]
-
-
-def certain_state_counts(model: ModelSpec, tol: float | None = None) -> list[int]:
-    """Per ray-extremal effect, how many extremal states it accepts with certainty.
-
-    Diagnostic for the uniqueness question: a count above 1 means the effect
-    occurs with probability one on several distinct extremal states.
-    """
-    tol = resolve_tol(tol)
-    pairings = model.ray_effects @ model.extremal_states.T
-    return [int(np.sum(np.abs(row - 1.0) <= tol)) for row in pairings]
 
 
 def random_extremal_joint_state(model_a: ModelSpec, rng: np.random.Generator,

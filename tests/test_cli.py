@@ -291,6 +291,25 @@ def test_selfdual_json():
     assert payload["strong_witness"] is not None
 
 
+@pytest.mark.parametrize("model, tried, rejected, isomorphisms", [
+    ("polygon:9", 18, {}, 18),
+    # five rays: ten dihedral alignments, eight fail the residual check
+    ("house", 10, {"residual": 8}, 2),
+], ids=["polygon-9", "house"])
+def test_selfdual_json_counts_candidates(model, tried, rejected, isomorphisms, capsys):
+    assert run(["selfdual", "--model", model, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) >= {"schema_version", "model", "weak", "strong", "witnesses",
+                            "strong_witness"}
+    assert len(payload["witnesses"]) == isomorphisms
+    assert payload["candidates_tried"] == tried
+    rules = ["nullity", "sign", "scale", "residual", "determinant", "duplicate"]
+    assert payload["candidates_rejected"] == {rule: rejected.get(rule, 0) for rule in rules}
+    assert payload["strong"] is True
+    assert 0.0 <= payload["witness_asymmetry"] <= 1e-9
+    assert payload["witness_min_eigenvalue"] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
+
+
 def test_distill_json():
     result = run_cli("distill", "--n", "8", "--json")
     payload = json.loads(result.stdout)

@@ -195,6 +195,24 @@ def test_pushforward_certificate_needs_inner_product_preimage():
         certificate_via_pushforward(omega, tau, meas, meas, sigma=sigma)
 
 
+def test_certificate_arrays_are_read_only():
+    state = max_entangled(5)
+    meas = ray_settings(state.model_a, 2)
+    cert = certificate_from_inner_product_state(state, meas, meas)
+    assert cert.outcomes_a == cert.outcomes_b == (2, 2)
+    assert cert.free_entries_source == "from-state"
+    for array in (cert.gamma, cert.eigen_spectrum):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    # a supplied matrix is copied: the caller's array stays writeable and apart
+    supplied = np.eye(3)
+    cert = Q1Certificate.from_gamma(supplied, [1], [1])
+    assert supplied.flags.writeable
+    assert not cert.gamma.flags.writeable and not cert.eigen_spectrum.flags.writeable
+    assert not np.shares_memory(cert.gamma, supplied)
+
+
 def test_gamma_shape_validation():
     with pytest.raises(ValueError):
         Q1Certificate(gamma=np.eye(4), eigen_spectrum=np.ones(4),

@@ -10,18 +10,54 @@ from polybell.core import ModelSpec
 from polybell.house import house_model
 from polybell.polygon import max_entangled, polygon
 from polybell.selfdual import (
-    certain_state_counts,
     find_cone_isomorphisms,
-    induced_state_symmetries,
     is_strongly_self_dual,
     random_extremal_joint_state,
     rotation_about_axis,
+    self_duality,
     state_from_isomorphism,
 )
 
 
 def _key(t: np.ndarray) -> tuple:
     return tuple(np.round(t, 8).ravel())
+
+
+def strong_witness_reference(isomorphisms, tol=1e-9):
+    """The first isomorphism with max |T - T^T| <= tol and min eigenvalue >= -tol."""
+    for t in isomorphisms:
+        if np.abs(t - t.T).max() > tol:
+            continue
+        if np.linalg.eigvalsh((t + t.T) / 2.0)[0] < -tol:
+            continue
+        return t
+    return None
+
+
+def twin(model: ModelSpec) -> ModelSpec:
+    """A new model object with the same arrays, so it shares no search."""
+    return ModelSpec.from_dict(model.to_dict())
+
+
+def induced_state_symmetries(isomorphisms: list[np.ndarray]) -> list[np.ndarray]:
+    """The state-cone automorphisms T_i T_j^{-1}, Frobenius-normalized, deduped."""
+    symmetries: dict[tuple, np.ndarray] = {}
+    for ti in isomorphisms:
+        for tj in isomorphisms:
+            s = ti @ np.linalg.inv(tj)
+            s = s / np.linalg.norm(s)
+            symmetries.setdefault(_key(s), s)
+    return [symmetries[key] for key in sorted(symmetries)]
+
+
+def certain_state_counts(model: ModelSpec, tol: float = 1e-9) -> list[int]:
+    """Per ray-extremal effect, how many extremal states it accepts with certainty.
+
+    Diagnostic for the uniqueness question: a count above 1 means the effect
+    occurs with probability one on several distinct extremal states.
+    """
+    pairings = model.ray_effects @ model.extremal_states.T
+    return [int(np.sum(np.abs(row - 1.0) <= tol)) for row in pairings]
 
 
 def solve_candidate_reference(effects, states, perm, tol):
@@ -122,9 +158,7 @@ def test_search_matches_reference_solve(model):
     for x, y in zip(found, expected):
         assert np.abs(x - y).max() <= 1e-12
     strong, witness = is_strongly_self_dual(model)
-    expected_witness = next(
-        (t for t in expected if np.abs(t - t.T).max() <= 1e-9
-         and np.linalg.eigvalsh((t + t.T) / 2.0)[0] >= -1e-9), None)
+    expected_witness = strong_witness_reference(expected)
     assert strong == (expected_witness is not None)
     if strong:
         assert np.abs(witness - expected_witness).max() <= 1e-12
@@ -141,13 +175,157 @@ def test_frame_falls_back_to_every_ray_outside_general_position():
 
 @pytest.mark.parametrize("model", [polygon(12), house_model()], ids=lambda m: m.name)
 def test_search_blocks_do_not_change_the_result(model, monkeypatch):
-    # one candidate per block, against the whole search in one block
+    # one candidate per block, against the whole search in one block; the
+    # blocked search runs on a twin, since the model's own search is kept
     whole = find_cone_isomorphisms(model)
     monkeypatch.setattr(selfdual, "_BLOCK_ELEMENTS", 1)
-    blocked = find_cone_isomorphisms(model)
+    blocked = find_cone_isomorphisms(twin(model))
     assert len(blocked) == len(whole)
     for x, y in zip(blocked, whole):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("model", [polygon(7), polygon(8), house_model()],
+                         ids=lambda m: m.name)
+def test_kept_search_matches_reference_at_every_tol(model):
+    # one model object for every tolerance, in an order that revisits some
+    for tol in (0.5, 1e-9, 0.2, 0.0, 1e-3, 0.5, 1e-9):
+        expected = find_cone_isomorphisms_reference(model, tol)
+        found = find_cone_isomorphisms(model, tol)
+        assert len(found) == len(expected), tol
+        for x, y in zip(found, expected):
+            assert np.abs(x - y).max() <= 1e-12
+        report = self_duality(model, tol)
+        expected_witness = strong_witness_reference(expected, tol)
+        assert report.strong == (expected_witness is not None), tol
+        if report.strong:
+            assert np.abs(report.witness - expected_witness).max() <= 1e-12
+
+
+BITWISE_MODELS = ([lambda n=n: polygon(n) for n in range(3, 129)]
+                  + [house_model, square_pyramid_model])
+
+
+def test_kept_search_is_bitwise_a_first_search():
+    # every tolerance on one model object gives bitwise what a model's
+    # first search at that tolerance gives, in either order; the batched
+    # witness is bitwise the per-matrix loop's
+    tols = (1e-9, 1e-3, 0.0)
+    for make in BITWISE_MODELS:
+        first = {tol: find_cone_isomorphisms(make(), tol) for tol in tols}
+        for order in (tols, tols[::-1]):
+            model = make()
+            for tol in order:
+                report = self_duality(model, tol)
+                for found in (find_cone_isomorphisms(model, tol), report.isomorphisms):
+                    assert len(found) == len(first[tol])
+                    assert all(x.tobytes() == y.tobytes() for x, y in zip(found, first[tol]))
+                expected = strong_witness_reference(first[tol], tol)
+                if expected is None:
+                    assert report.witness is None and report.witness_asymmetry is None
+                else:
+                    assert report.witness.tobytes() == expected.tobytes()
+                    assert report.witness_asymmetry == np.abs(expected - expected.T).max()
+                    assert report.witness_min_eigenvalue == \
+                        np.linalg.eigvalsh((expected + expected.T) / 2.0)[0]
+
+
+def test_candidate_solve_runs_once_per_model(monkeypatch):
+    solved = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if a.ndim == 3 and a.shape[1:] == (12, 13):  # the stacked frame systems
+            solved.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    model = polygon(5)
+    assert len(find_cone_isomorphisms(model)) == 10
+    assert len(find_cone_isomorphisms(model, 1e-3)) == 10
+    assert is_strongly_self_dual(model)[0]
+    assert self_duality(model).strong
+    assert solved == [10]
+    # another model object searches on its own
+    find_cone_isomorphisms(twin(model))
+    assert solved == [10, 10]
+    # the exhaustive cross-check solves on every call
+    find_cone_isomorphisms(model, method="exhaustive")
+    find_cone_isomorphisms(model, method="exhaustive")
+    assert solved == [10, 10, 120, 120]
+
+
+def flip_orders(margin):
+    above, below = margin * (1 + 1e-6), margin * (1 - 1e-6)
+    return [(above, True), (below, False), (above, True)], \
+        [(below, False), (above, True), (below, False)]
+
+
+def test_candidate_norm_verdict_follows_tol():
+    # shrinking the state rays keeps the cones but lifts every scale far
+    # above ||T||, so the norm rule decides
+    base = polygon(5)
+    small = ModelSpec("small-states", 3, base.extremal_states * 1e-2,
+                      base.extremal_effects, base.unit_effect, base.ray_extremal)
+    candidates = selfdual._candidate_margins(twin(small), "auto")
+    margin = candidates.norm.min()
+    assert candidates.min_scale.min() > 10 * margin
+    for order in flip_orders(margin):
+        model = twin(small)
+        for tol, above in order:
+            assert len(find_cone_isomorphisms(model, tol)) == (0 if above else 10)
+            report = self_duality(model, tol)
+            assert report.rejected["scale"] == (10 if above else 0)
+            assert report.strong is not above
+
+
+def test_candidate_min_scale_verdict_follows_tol():
+    candidates = selfdual._candidate_margins(polygon(5), "auto")
+    margin = candidates.min_scale.min()
+    assert candidates.norm.min() > 2 * margin
+    for order in flip_orders(margin):
+        model = polygon(5)
+        for tol, above in order:
+            assert len(find_cone_isomorphisms(model, tol)) == (0 if above else 10)
+            report = self_duality(model, tol)
+            assert report.rejected["scale"] == (10 if above else 0)
+            assert report.weak is not above
+
+
+def test_witness_asymmetry_verdict_follows_tol():
+    # states turned by a small angle about the cone axis: the only symmetric
+    # PSD candidate becomes that rotation, asymmetric by 2 sin(angle) / sqrt(3)
+    base = polygon(5)
+    turned = ModelSpec("turned", 3, base.extremal_states @ rotation_about_axis(1e-3).T,
+                       base.extremal_effects, base.unit_effect, base.ray_extremal)
+    margin = self_duality(twin(turned), 1e-2).witness_asymmetry
+    assert margin == pytest.approx(2 * math.sin(1e-3) / math.sqrt(3.0), rel=1e-9)
+    for order in flip_orders(margin):
+        model = twin(turned)
+        for tol, above in order:
+            report = self_duality(model, tol)
+            assert len(report.isomorphisms) == 10
+            assert report.strong is above
+            assert is_strongly_self_dual(model, tol)[0] is above
+            if above:
+                assert report.witness_asymmetry == margin
+            else:
+                assert report.witness_asymmetry is None
+
+
+@pytest.mark.parametrize("model", [polygon(6), polygon(9), house_model(), square_pyramid_model()],
+                         ids=lambda m: m.name)
+def test_report_counts_every_candidate_once(model):
+    for tol in (0.0, 1e-9, 0.2, 0.5):
+        report = self_duality(model, tol)
+        assert report.candidates == (120 if model.dim == 4 else 2 * model.n_states)
+        assert list(report.rejected) == ["nullity", "sign", "scale", "residual",
+                                         "determinant", "duplicate"]
+        assert sum(report.rejected.values()) + len(report.isomorphisms) == report.candidates
+    # the pyramid's 120 bijections include ones with a wide null space and
+    # ones whose scales change sign
+    report = self_duality(square_pyramid_model())
+    assert report.rejected["nullity"] > 0 and report.rejected["sign"] > 0
 
 
 @pytest.mark.parametrize("n", range(3, 13))
