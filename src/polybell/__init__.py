@@ -10,14 +10,11 @@ certificates, and cone self-duality classification.
 from .bipartite import (
     InnerProductReport,
     JointState,
-    adjoint_effect,
     in_max_tensor_product,
     is_extremal,
     is_inner_product_state,
-    joint_probability,
     local_positivity_margin,
     normalization,
-    product_state,
     pull_back_measurement,
     push_local_map,
 )
@@ -28,9 +25,6 @@ from .core import (
     ValidationFailure,
     ValidationReport,
     dichotomic_measurement,
-    is_proper_effect,
-    models_similar,
-    probability,
     resolve_tol,
     simplex_model,
     validate_model,
@@ -47,10 +41,7 @@ from .correlations import (
     chsh_max_over_settings,
     correlations_from_state,
     correlator,
-    correlator_matrix,
-    deterministic_table,
     distill_decompose,
-    pr_box_table,
     ray_settings,
     uffink,
 )
@@ -61,8 +52,6 @@ from .house import (
     house_uffink_demo,
 )
 from .polygon import (
-    complement_effect,
-    complement_index,
     max_entangled,
     polygon,
     polygon_radius,
@@ -80,7 +69,6 @@ from .selfdual import (
     SelfDualityReport,
     find_cone_isomorphisms,
     is_strongly_self_dual,
-    random_extremal_joint_state,
     rotation_about_axis,
     self_duality,
     state_from_isomorphism,

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ModelSpec,
-    Measurement,
-    _model_gap,
-    as_vector,
-    resolve_tol,
-)
+from .core import ModelSpec, Measurement, _model_gap, resolve_tol
 
 JOINT_STATE_SCHEMA_VERSION = 1
 
@@ -88,21 +82,6 @@ class JointState:
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)
         return json.dumps(self.to_dict(), **kwargs)
-
-
-def joint_probability(state: JointState, effect_a, effect_b) -> float:
-    """Joint probability of local effects: ``e_A^T M e_B``."""
-    e = as_vector(effect_a, dim=state.model_a.dim)
-    f = as_vector(effect_b, dim=state.model_b.dim)
-    return float(e @ state.matrix @ f)
-
-
-def product_state(model_a: ModelSpec, model_b: ModelSpec,
-                  state_a, state_b) -> JointState:
-    """Uncorrelated joint state of two local states (outer product matrix)."""
-    wa = as_vector(state_a, dim=model_a.dim)
-    wb = as_vector(state_b, dim=model_b.dim)
-    return JointState(np.outer(wa, wb), model_a, model_b)
 
 
 def normalization(state: JointState) -> float:
@@ -243,17 +222,6 @@ def push_local_map(state: JointState, tau, tol: float | None = None) -> JointSta
     tau = np.asarray(tau, dtype=float)
     _check_local_map(tau, state.model_b, tol)
     return JointState(state.matrix @ tau.T, state.model_a, state.model_b)
-
-
-def adjoint_effect(tau, effect) -> np.ndarray:
-    """Pull an effect back through a local map: ``tau^T e``.
-
-    Adjoint consistency: ``(tau^T e) . omega == e . (tau omega)`` for all
-    states and effects.
-    """
-    tau = np.asarray(tau, dtype=float)
-    e = np.asarray(effect, dtype=float)
-    return tau.T @ e
 
 
 def pull_back_measurement(tau, measurement: Measurement,

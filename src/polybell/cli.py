@@ -23,8 +23,8 @@ from .correlations import (
     chained,
     chained_local_bound,
     chsh,
-    chsh_max_analytic,
     chsh_max_bruteforce,
+    chsh_max_closed_form,
     chsh_max_over_settings,
     correlations_from_state,
     correlator,
@@ -44,15 +44,18 @@ MAX_SCAN_N = 1024
 
 # Largest polygon that `polygon` builds and validates: validation pairs
 # every extremal effect with every extremal state, up to 2n^2 doubles
-# (64 MB at this size). Odd-n `q1-cert` shares the cap; it builds O(n)
-# model arrays and checks each measurement against every state.
+# (64 MB at this size). Odd-n `q1-cert`, `chained` and `distill` share the
+# cap; they build O(n) model arrays and check each measurement against
+# every state.
 MAX_MODEL_N = 2048
 
-# Most settings per side that odd-n `q1-cert --settings` accepts. The
-# certificate's moment matrix is (1 + 4k)^2 doubles: at this size 1025^2,
-# about 8 MB; with its eigendecomposition about 0.3 s and 80 MB peak RSS
-# in-process on one core (2.5 s and 115 MB with --json, 28 MB of text).
-MAX_CERT_SETTINGS = 256
+# Most settings per side that odd-n `q1-cert --settings` and `chained --N`
+# accept. The certificate's moment matrix is (1 + 4k)^2 doubles: at this
+# size 1025^2, about 8 MB; with its eigendecomposition about 0.3 s and
+# 80 MB peak RSS in-process on one core (2.5 s and 115 MB with --json,
+# 28 MB of text). The chained table holds k^2 setting pairs, each checked
+# in Python: `chained --n 2048 --N 256` takes about 1.4 s and 38 MB.
+MAX_SETTINGS = 256
 
 # Largest polygon `selfdual` accepts. The isomorphism search runs in O(n^2)
 # time and O(n) memory per block of candidates: at this size about 2 s and
@@ -94,7 +97,7 @@ def _chsh_rows(n_from: int, n_to: int, tol: float) -> list[dict]:
     rows = []
     for n in range(n_from, n_to + 1):
         brute, settings = chsh_max_bruteforce(n)
-        analytic = float(chsh_max_analytic(n))
+        analytic = chsh_max_closed_form(n)
         if abs(float(brute) - analytic) > tol:
             raise ArithmeticError(
                 f"n = {n}: scan maximum {float(brute)!r} and closed form "
@@ -162,6 +165,8 @@ def _cmd_chsh_max(args: argparse.Namespace) -> int:
 
 def _cmd_chained(args: argparse.Namespace) -> int:
     n, big_n = args.n, args.N
+    _check_size(n, MAX_MODEL_N, "model size")
+    _check_size(big_n, MAX_SETTINGS, "chained settings", "N")
     if big_n < 2:
         raise ValueError("need at least N = 2 settings")
     if n < big_n:
@@ -185,6 +190,7 @@ def _cmd_chained(args: argparse.Namespace) -> int:
 
 
 def _cmd_distill(args: argparse.Namespace) -> int:
+    _check_size(args.n, MAX_MODEL_N, "model size")
     eps, p_box, p_corr = distill_decompose(args.n)
     state = max_entangled(args.n)
     table = correlations_from_state(
@@ -217,7 +223,7 @@ def _check_q1_size(n: int, settings: int | None) -> None:
     if settings is not None:
         if settings < 1:
             raise ValueError(f"settings = {settings} is below the minimum 1")
-        _check_size(settings, MAX_CERT_SETTINGS, "certificate settings", "settings")
+        _check_size(settings, MAX_SETTINGS, "certificate settings", "settings")
 
 
 def _cmd_q1_cert(args: argparse.Namespace) -> int:
@@ -335,7 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chained", help="chained Bell value with canonical settings")
     p.add_argument("--n", type=int, required=True, help="polygon size")
-    p.add_argument("--N", type=int, required=True, help="settings per side")
+    p.add_argument("--N", type=int, required=True,
+                   help=f"settings per side (at most {MAX_SETTINGS})")
     p.add_argument("--json", action="store_true")
     _add_tol(p)
     p.set_defaults(func=_cmd_chained)
@@ -350,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="polygon:<n> or house")
     p.add_argument("--settings", type=int, default=None,
                    help="settings per side for an odd polygon (default 2, "
-                        f"at most {MAX_CERT_SETTINGS})")
+                        f"at most {MAX_SETTINGS})")
     p.add_argument("--json", action="store_true")
     _add_tol(p)
     p.set_defaults(func=_cmd_q1_cert)

@@ -61,19 +61,6 @@ def _as_matrix(x, *, cols: int, name: str) -> np.ndarray:
     return m
 
 
-def probability(effect, state) -> float:
-    """Outcome probability of ``effect`` on ``state``: their Euclidean pairing.
-
-    The pairing is bilinear; validity (a value in [0, 1]) is a property of the
-    inputs, not enforced here.
-    """
-    e = np.asarray(effect, dtype=float)
-    w = np.asarray(state, dtype=float)
-    if e.shape != w.shape or e.ndim != 1:
-        raise ValueError(f"dimension mismatch: effect {e.shape} vs state {w.shape}")
-    return float(e @ w)
-
-
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """A single system: extremal states, extremal effects, and the unit effect.
@@ -172,26 +159,6 @@ def _model_gap(a: ModelSpec, b: ModelSpec) -> float:
         float(np.abs(a.extremal_effects - b.extremal_effects).max()),
         float(np.abs(a.unit_effect - b.unit_effect).max()),
     )
-
-
-def models_similar(a: ModelSpec, b: ModelSpec, tol: float | None = None) -> bool:
-    """Whether two systems are the same up to numerical noise (names ignored).
-
-    Every array entry may differ by at most ``tol`` (absolute), and the
-    shapes and ray-extremal flags must agree exactly.
-    """
-    return _model_gap(a, b) <= resolve_tol(tol)
-
-
-def is_proper_effect(effect, model: ModelSpec, tol: float | None = None) -> bool:
-    """Whether ``effect`` gives probabilities in [0, 1] on every extremal state.
-
-    By convexity this is equivalent to validity on every state of the model.
-    """
-    tol = resolve_tol(tol)
-    e = as_vector(effect, dim=model.dim)
-    p = model.extremal_states @ e
-    return bool(np.all(p >= -tol) and np.all(p <= 1.0 + tol))
 
 
 @dataclass(frozen=True)

@@ -142,14 +142,6 @@ def correlator(table: CorrelationTable, x: int, y: int) -> float:
     return float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
 
 
-def correlator_matrix(table: CorrelationTable) -> np.ndarray:
-    """All correlators E(x, y); requires every setting to be dichotomic."""
-    if any(k != 2 for k in table.outcomes_a) or any(k != 2 for k in table.outcomes_b):
-        raise ValueError("correlator matrix needs dichotomic settings throughout")
-    p = table.probs
-    return p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]
-
-
 def chsh(table: CorrelationTable, x0: int = 0, x1: int = 1,
          y0: int = 0, y1: int = 1) -> float:
     """|E(x0,y0) + E(x0,y1) + E(x1,y0) - E(x1,y1)|."""
@@ -370,7 +362,7 @@ def chsh_max_closed_form(n: int) -> float:
                           + 2.0 * math.cos((n + 3) * q) + 2.0 - sec) - 1.0)
 
 
-# -- special tables -----------------------------------------------------------
+# -- distillation -------------------------------------------------------------
 
 
 def _pattern_table(predicate: Callable[[int, int, int, int], bool]) -> CorrelationTable:
@@ -383,23 +375,6 @@ def _pattern_table(predicate: Callable[[int, int, int, int], bool]) -> Correlati
                     if predicate(a, b, x, y):
                         probs[a, b, x, y] = 0.5
     return CorrelationTable(probs, (2, 2), (2, 2))
-
-
-def pr_box_table() -> CorrelationTable:
-    """The extremal no-signalling box: a XOR b == x AND y, uniformly."""
-    return _pattern_table(lambda a, b, x, y: (a ^ b) == (x & y))
-
-
-def deterministic_table(assign_a: Sequence[int],
-                        assign_b: Sequence[int]) -> CorrelationTable:
-    """Local deterministic dichotomic table: fixed outcome per setting."""
-    assign_a = [int(v) for v in assign_a]
-    assign_b = [int(v) for v in assign_b]
-    probs = np.zeros((2, 2, len(assign_a), len(assign_b)))
-    for x, a in enumerate(assign_a):
-        for y, b in enumerate(assign_b):
-            probs[a, b, x, y] = 1.0
-    return CorrelationTable(probs, (2,) * len(assign_a), (2,) * len(assign_b))
 
 
 def distill_decompose(n: int) -> tuple[float, CorrelationTable, CorrelationTable]:

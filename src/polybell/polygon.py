@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bipartite import JointState
-from .core import ModelSpec, is_proper_effect, resolve_tol
+from .core import ModelSpec
 
 
 def polygon_radius(n: int) -> float:
@@ -93,17 +93,3 @@ def max_entangled(n: int) -> JointState:
         ])
     return JointState(matrix, m, m)
 
-
-def complement_effect(effect, model: ModelSpec, tol: float | None = None) -> np.ndarray:
-    """Complement ``u - e`` of a proper effect (raises if ``e`` is improper)."""
-    tol = resolve_tol(tol)
-    if not is_proper_effect(effect, model, tol):
-        raise ValueError("complement requires a proper effect")
-    return model.unit_effect - np.asarray(effect, dtype=float)
-
-
-def complement_index(i: int, n: int) -> int:
-    """Even-n polygon identity: the complement of effect row i is row (i + n/2) % n."""
-    if n % 2 != 0:
-        raise ValueError("the complement index identity holds for even n only")
-    return (i + n // 2) % n

@@ -24,7 +24,6 @@ certificate's own matrix and spectrum are computed on every call.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,63 +50,30 @@ UFFINK_BOUND = 4.0
 
 @dataclass(frozen=True, eq=False)
 class Q1Certificate:
-    """A candidate moment matrix with its spectrum and provenance.
+    """A candidate moment matrix with its spectrum.
 
-    ``outcomes_a``/``outcomes_b`` record how the flat outcome labels split
-    into measurements (one count per setting). ``free_entries_source`` is
-    "from-state" when the unconstrained entries were filled from a state's
-    bilinear pairing, "supplied" when the matrix came from outside.
+    ``gamma`` is the symmetric moment matrix and ``eigen_spectrum`` its
+    eigenvalues in ascending order, both numpy float arrays; construction
+    checks their shapes against the outcome counts and makes them read-only
+    in place, without a copy. ``outcomes_a``/``outcomes_b`` record how the
+    flat outcome labels split into measurements (one count per setting).
+    :func:`certificate_from_inner_product_state` is the one constructor the
+    library calls; its free entries come from the state's bilinear pairing.
     """
 
     gamma: np.ndarray
     eigen_spectrum: np.ndarray
     outcomes_a: tuple[int, ...]
     outcomes_b: tuple[int, ...]
-    free_entries_source: str = "from-state"
 
     def __post_init__(self) -> None:
-        gamma = np.array(self.gamma, dtype=float, copy=True)
         n = 1 + sum(self.outcomes_a) + sum(self.outcomes_b)
-        if gamma.shape != (n, n):
+        if self.gamma.shape != (n, n):
             raise ValueError(f"gamma must be {n}x{n} for these outcome counts")
-        spectrum = np.array(self.eigen_spectrum, dtype=float, copy=True)
-        if spectrum.shape != (n,):
+        if self.eigen_spectrum.shape != (n,):
             raise ValueError("eigen spectrum length must match gamma")
-        gamma.flags.writeable = False
-        spectrum.flags.writeable = False
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "eigen_spectrum", spectrum)
-        object.__setattr__(self, "outcomes_a", tuple(int(k) for k in self.outcomes_a))
-        object.__setattr__(self, "outcomes_b", tuple(int(k) for k in self.outcomes_b))
-
-    @classmethod
-    def _adopt(cls, gamma: np.ndarray, spectrum: np.ndarray,
-               outcomes_a: tuple[int, ...], outcomes_b: tuple[int, ...]) -> "Q1Certificate":
-        """A "from-state" certificate around freshly made arrays.
-
-        :func:`certificate_from_inner_product_state` owns the arrays it
-        passes and derived their shapes from the outcome counts, so they
-        are made read-only in place instead of being copied and checked
-        again.
-        """
-        gamma.flags.writeable = False
-        spectrum.flags.writeable = False
-        cert = object.__new__(cls)
-        cert.__dict__.update(gamma=gamma, eigen_spectrum=spectrum, outcomes_a=outcomes_a,
-                             outcomes_b=outcomes_b, free_entries_source="from-state")
-        return cert
-
-    @classmethod
-    def from_gamma(cls, gamma, outcomes_a: Sequence[int], outcomes_b: Sequence[int],
-                   free_entries_source: str = "supplied") -> "Q1Certificate":
-        gamma = np.asarray(gamma, dtype=float)
-        return cls(
-            gamma=gamma,
-            eigen_spectrum=np.linalg.eigvalsh((gamma + gamma.T) / 2.0),
-            outcomes_a=tuple(outcomes_a),
-            outcomes_b=tuple(outcomes_b),
-            free_entries_source=free_entries_source,
-        )
+        self.gamma.flags.writeable = False
+        self.eigen_spectrum.flags.writeable = False
 
     def psd(self, tol: float | None = None) -> bool:
         """Positive semidefiniteness: min eigenvalue >= -tol * max |eigenvalue|."""
@@ -126,7 +92,8 @@ class Q1Certificate:
             "spectrum": self.eigen_spectrum.tolist(),
             "outcomes_A": list(self.outcomes_a),
             "outcomes_B": list(self.outcomes_b),
-            "free_entries_source": self.free_entries_source,
+            # schema 1 keeps the key; every certificate is built from a state
+            "free_entries_source": "from-state",
             "verdict": self.verdict(),
         }
 
@@ -180,7 +147,7 @@ def certificate_from_inner_product_state(state: JointState,
     np.fill_diagonal(outcome_block, np.concatenate([marg_a, marg_b]))
 
     spectrum = np.linalg.eigvalsh(gamma)
-    cert = Q1Certificate._adopt(gamma, spectrum, outcomes_a, outcomes_b)
+    cert = Q1Certificate(gamma, spectrum, outcomes_a, outcomes_b)
     if not cert.psd(tol):
         raise ArithmeticError(
             f"certificate unexpectedly not PSD (min eigenvalue {spectrum[0]!r})"

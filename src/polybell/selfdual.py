@@ -6,34 +6,31 @@ semidefinite such map exists. Every isomorphism T induces a bipartite joint
 state through ``(e, f) -> f . T(e) / u . T(u)``.
 
 The search enumerates candidate bijections between ray-extremal effect rays
-and extremal state rays, then solves each candidate linearly. Two candidate
-generators are available:
+and extremal state rays, then solves each candidate linearly. Both ray
+families are sorted by angle around the cone axis and the 2k cyclic
+(dihedral) alignments are tried. For three-dimensional cones this is
+complete, not a heuristic: a linear cone bijection maps two-dimensional
+faces to two-dimensional faces, so it preserves ray adjacency, and the only
+adjacency-preserving bijections of a k-cycle are the 2k dihedral ones. Rays
+without an angular order (a ray with a non-positive third coordinate, or a
+cone outside three dimensions) fall back to all k! bijections, capped at
+``EXHAUSTIVE_RAY_CAP`` rays.
 
-* ``method="auto"`` sorts both ray families by angle around the cone axis
-  and tries the 2k cyclic (dihedral) alignments. For three-dimensional
-  cones this is complete, not a heuristic: a linear cone bijection maps
-  two-dimensional faces to two-dimensional faces, so it preserves ray
-  adjacency, and the only adjacency-preserving bijections of a k-cycle are
-  the 2k dihedral ones. Rays without an angular order fall back to the
-  exhaustive generator.
-* ``method="exhaustive"`` tries all k! bijections (capped at 10 rays). Kept
-  as a cross-check for the dihedral pruning.
-
-Both feed the same solver. In d dimensions, d + 1 rays in general position
-(every d of them linearly independent) fix a linear map up to scale: the
-projective frame. Distinct extremal rays of a pointed three-dimensional
-cone are always in general position, since no three extreme points of a
-convex polygon are collinear. So the frame is chosen once per model: d + 1
-effect rays spread evenly in angular order (spread rays keep the system
-well conditioned at large k; adjacent ones would not). Per candidate the
-unknowns are T plus one scale per frame ray, a 12 x 13 homogeneous system
-for d = 3, and the candidate is solved only if its SVD null space is
-exactly one-dimensional. Every ray is then checked at once: the images
-``effects @ T^T``, each ray's scale by projection onto its target state,
-and one residual. A solution is accepted when all scales share a sign
-(which fixes the sign of T), the smallest is at least ``tol * ||T||``,
-the residual of the Frobenius-normalized T is at most ``_RESIDUAL_TOL``,
-and T is invertible.
+Every candidate goes through one solver. In d dimensions, d + 1 rays in
+general position (every d of them linearly independent) fix a linear map up
+to scale: the projective frame. Distinct extremal rays of a pointed
+three-dimensional cone are always in general position, since no three
+extreme points of a convex polygon are collinear. So the frame is chosen
+once per model: d + 1 effect rays spread evenly in angular order (spread
+rays keep the system well conditioned at large k; adjacent ones would not).
+Per candidate the unknowns are T plus one scale per frame ray, a 12 x 13
+homogeneous system for d = 3, and the candidate is solved only if its SVD
+null space is exactly one-dimensional. Every ray is then checked at once:
+the images ``effects @ T^T``, each ray's scale by projection onto its
+target state, and one residual. A solution is accepted when all scales
+share a sign (which fixes the sign of T), the smallest is at least
+``tol * ||T||``, the residual of the Frobenius-normalized T is at most
+``_RESIDUAL_TOL``, and T is invertible.
 
 Simplicial cones (k <= d) leave T underdetermined, so their frame is
 every ray. Whenever the frame is every ray and a candidate's null space is
@@ -47,15 +44,14 @@ Candidates are solved in blocks with stacked ``np.linalg.svd`` calls, each
 block's temporaries held to about ``_BLOCK_ELEMENTS`` doubles, so memory
 is O(k) per block. A polygon model costs O(k^2) time: 2k candidates, each
 a constant-size solve plus an O(k) check (about 1 s at k = 1024 on one
-core). The exhaustive generator feeds ``itertools.permutations`` through
-the same blocks.
+core). The fallback feeds ``itertools.permutations`` through the same
+blocks.
 
 The search itself does not depend on ``tol``. Every candidate's T and its
 tolerance-free margins (nullity, sign, ``||T||``, smallest scale, residual,
 determinant, deduplication key) are kept per model object, so each model
 is searched once however many calls and tolerances follow; every call
-takes its verdicts against its own ``tol``. (``method="exhaustive"``, the
-cross-check, solves afresh on every call.) :func:`self_duality` reports the
+takes its verdicts against its own ``tol``. :func:`self_duality` reports the
 isomorphisms, the strong witness with its margins, and how many candidates
 were tried and rejected by each rule.
 """
@@ -216,11 +212,12 @@ def _solve_block(effects: np.ndarray, states: np.ndarray, frame: np.ndarray,
             np.abs(np.linalg.det(t)) >= 1e-9)
 
 
-def _candidate_margins(model: ModelSpec, method: str) -> _Candidates:
-    """Solve every candidate bijection of ``method`` once, keeping its margins.
+def _candidate_margins(model: ModelSpec) -> _Candidates:
+    """Solve every candidate bijection once, keeping its margins.
 
-    Ray counts must match, otherwise no bijection exists and there are no
-    candidates.
+    The candidates are the dihedral alignments when both ray families have
+    an angular order, otherwise every permutation. Ray counts must match,
+    otherwise no bijection exists and there are no candidates.
     """
     effects = model.ray_effects
     states = model.extremal_states
@@ -229,9 +226,6 @@ def _candidate_margins(model: ModelSpec, method: str) -> _Candidates:
         none, flags = np.zeros(0), np.zeros(0, dtype=bool)
         return _Candidates(np.zeros((0, d, d)), flags, flags, none, none, flags, flags,
                            np.zeros(0, dtype=int))
-
-    if method == "exhaustive" and k > EXHAUSTIVE_RAY_CAP:
-        raise ValueError(f"exhaustive search is capped at {EXHAUSTIVE_RAY_CAP} rays")
 
     effect_order = _cycle_order(effects)
     state_order = _cycle_order(states)
@@ -245,7 +239,7 @@ def _candidate_margins(model: ModelSpec, method: str) -> _Candidates:
     frame, template = _frame_system(
         effects, np.arange(k) if effect_order is None else effect_order)
     block = max(1, _BLOCK_ELEMENTS // max(template.size, k * d))
-    if method == "auto" and cyclic:
+    if cyclic:
         blocks = _dihedral_blocks(k, effect_order, state_order, block)
     else:
         blocks = _permutation_blocks(k, block)
@@ -262,17 +256,17 @@ def _candidate_margins(model: ModelSpec, method: str) -> _Candidates:
     return _Candidates(*fields, group)
 
 
-# Model -> its ``method="auto"`` candidates. A ModelSpec is immutable and
-# hashes by identity, so an entry never goes stale, and it goes when the
-# model does.
+# Model -> its candidates, dihedral or (without an angular order) every
+# permutation. A ModelSpec is immutable and hashes by identity, so an entry
+# never goes stale, and it goes when the model does.
 _SEARCHES: weakref.WeakKeyDictionary[ModelSpec, _Candidates] = weakref.WeakKeyDictionary()
 
 
 def _searched(model: ModelSpec) -> _Candidates:
-    """The model's dihedral (or fallback) candidates, solved on first use."""
+    """The model's candidates, solved on first use."""
     candidates = _SEARCHES.get(model)
     if candidates is None:
-        candidates = _SEARCHES[model] = _candidate_margins(model, "auto")
+        candidates = _SEARCHES[model] = _candidate_margins(model)
     return candidates
 
 
@@ -300,24 +294,17 @@ def _accept(candidates: _Candidates, tol: float) -> tuple[np.ndarray, dict[str, 
     return kept[first], rejected
 
 
-def find_cone_isomorphisms(model: ModelSpec, tol: float | None = None,
-                           method: str = "auto") -> list[np.ndarray]:
+def find_cone_isomorphisms(model: ModelSpec, tol: float | None = None) -> list[np.ndarray]:
     """All linear bijections effect cone -> state cone, up to positive scale.
 
     Returns Frobenius-normalized matrices in a deterministic canonical
     order; the empty list means the search found no isomorphism (so the
     model is not weakly self-dual, for the model families this search is
     complete on). Ray counts must match, otherwise no bijection exists.
-    The ``"auto"`` search runs once per model object; ``"exhaustive"``
-    solves afresh on every call.
+    The search runs once per model object.
     """
     tol = resolve_tol(tol)
-    if method == "auto":
-        candidates = _searched(model)
-    elif method == "exhaustive":
-        candidates = _candidate_margins(model, method)
-    else:
-        raise ValueError(f"unknown search method {method!r}")
+    candidates = _searched(model)
     return list(candidates.transforms[_accept(candidates, tol)[0]])
 
 
@@ -408,36 +395,6 @@ def state_from_isomorphism(t, model: ModelSpec,
     if not in_max_tensor_product(state, tol):
         raise ArithmeticError("induced state failed local positivity")
     return state
-
-
-def random_extremal_joint_state(model_a: ModelSpec, rng: np.random.Generator,
-                                model_b: ModelSpec | None = None) -> JointState:
-    """A random vertex of the maximal tensor product polytope.
-
-    Maximizes a random linear functional over the normalized locally
-    positive matrices by linear programming; the optimum of a generic
-    objective over a polytope is a vertex, i.e. an extremal joint state.
-    Part of the falsification harness for bound conjectures: it asserts
-    nothing beyond feasibility.
-    """
-    from scipy.optimize import linprog
-
-    if model_b is None:
-        model_b = model_a
-    da, db = model_a.dim, model_b.dim
-    rows = [-np.kron(e, f) for e in model_a.ray_effects for f in model_b.ray_effects]
-    res = linprog(
-        c=rng.standard_normal(da * db),
-        A_ub=np.array(rows),
-        b_ub=np.zeros(len(rows)),
-        A_eq=np.kron(model_a.unit_effect, model_b.unit_effect)[None, :],
-        b_eq=np.ones(1),
-        bounds=(None, None),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"vertex search failed: {res.message}")
-    return JointState(matrix=res.x.reshape(da, db), model_a=model_a, model_b=model_b)
 
 
 def rotation_about_axis(angle: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from polybell.correlations import (
     chained,
     chsh_max_analytic,
     chsh_max_bruteforce,
+    chsh_max_closed_form,
     chsh_max_over_settings,
     correlations_from_state,
     correlator,
@@ -70,6 +71,7 @@ def test_criterion_02_analytic_matches_bruteforce():
     for n in range(3, 129):
         brute, _ = chsh_max_bruteforce(n)
         assert abs(chsh_max_analytic(n) - brute) <= 1e-9, f"mismatch at n={n}"
+        assert abs(chsh_max_closed_form(n) - brute) <= 1e-9, f"closed form mismatch at n={n}"
 
 
 def test_criterion_03_chained_reaches_algebraic_maximum():

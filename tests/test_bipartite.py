@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,20 +7,20 @@ from hypothesis import strategies as st
 
 from polybell.bipartite import (
     JointState,
-    adjoint_effect,
     in_max_tensor_product,
     is_extremal,
     is_inner_product_state,
-    joint_probability,
     local_positivity_margin,
     normalization,
-    product_state,
     pull_back_measurement,
     push_local_map,
 )
 from polybell.core import ModelSpec, dichotomic_measurement, simplex_model
+from polybell.correlations import correlations_from_state
 from polybell.polygon import max_entangled, polygon
-from polybell.selfdual import random_extremal_joint_state, rotation_about_axis
+from polybell.selfdual import rotation_about_axis
+
+from helpers import product_state, random_extremal_joint_state
 
 
 @pytest.mark.parametrize("n", list(range(3, 17)) + [32, 64])
@@ -146,14 +148,6 @@ def test_psd_verdict_follows_tol():
             assert report.psd is expected
 
 
-def test_joint_probability_matches_pairing():
-    st_ = max_entangled(6)
-    m = st_.model_a
-    e, f = m.extremal_effects[0], m.extremal_effects[3]
-    want = float(e @ st_.matrix @ f)
-    assert joint_probability(st_, e, f) == pytest.approx(want, abs=0)
-
-
 def test_push_local_map_identity_and_rotation():
     st_ = max_entangled(8)
     same = push_local_map(st_, np.eye(3))
@@ -175,13 +169,25 @@ def test_push_local_map_rejects_non_unital():
 
 
 def test_adjoint_effect_duality():
+    # a pulled-back effect is the adjoint tau^T e: (tau^T e) . omega == e . (tau omega)
     m = polygon(7)
     tau = rotation_about_axis(2 * np.pi / 7)
-    for e in m.extremal_effects[:7]:
-        for w in m.extremal_states:
-            lhs = float(adjoint_effect(tau, e) @ w)
-            rhs = float(e @ tau @ w)
-            assert lhs == pytest.approx(rhs, abs=1e-14)
+    for i in range(7):
+        meas = dichotomic_measurement(m, i)
+        pulled = pull_back_measurement(tau, meas)
+        for e, f in zip(meas.effects, pulled.effects):
+            for w in m.extremal_states:
+                assert float(f @ w) == pytest.approx(float(e @ (tau @ w)), abs=1e-14)
+
+
+def test_joint_probability_matches_pairing():
+    # a table entry is the joint probability e_A^T M e_B of its two effects
+    st_ = max_entangled(6)
+    meas = [dichotomic_measurement(st_.model_a, i) for i in (0, 3)]
+    table = correlations_from_state(st_, meas, meas)
+    for x, y, a, b in itertools.product(range(2), repeat=4):
+        want = float(meas[x].effects[a] @ st_.matrix @ meas[y].effects[b])
+        assert table.probs[a, b, x, y] == pytest.approx(want, abs=1e-15)
 
 
 def test_pull_back_shifts_even_ray_effects():

@@ -10,7 +10,7 @@ import pytest
 import polybell
 from polybell import cli, selfdual
 from polybell.cli import MAX_SCAN_N, run
-from polybell.core import ModelSpec, models_similar
+from polybell.core import DEFAULT_TOL, ModelSpec, _model_gap
 from polybell.polygon import polygon
 
 
@@ -18,15 +18,19 @@ from polybell.polygon import polygon
 SRC = str(Path(polybell.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, **kwargs):
+def run_python(*args, **kwargs):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "polybell", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         **kwargs,
     )
+
+
+def run_cli(*args, **kwargs):
+    return run_python("-m", "polybell", *args, **kwargs)
 
 
 def test_help_exits_zero():
@@ -58,7 +62,7 @@ def test_polygon_emit_roundtrip(tmp_path):
     result = run_cli("polygon", "--n", "7", "--emit", str(path))
     assert result.returncode == 0
     loaded = ModelSpec.from_json(path.read_text())
-    assert models_similar(loaded, polygon(7))
+    assert _model_gap(loaded, polygon(7)) <= DEFAULT_TOL
 
 
 def test_house_demo_text():
@@ -138,20 +142,29 @@ def test_scan_size_cap(args, capsys):
     (["polygon", "--n", str(cli.MAX_MODEL_N + 1)], "exceeds the model validation limit"),
     (["q1-cert", "--model", f"polygon:{cli.MAX_MODEL_N + 1}"], "exceeds the model size limit"),
     (["q1-cert", "--model", "polygon:999999999"], "exceeds the model size limit"),
-    (["q1-cert", "--model", "polygon:2047", "--settings", str(cli.MAX_CERT_SETTINGS + 1)],
+    (["q1-cert", "--model", "polygon:2047", "--settings", str(cli.MAX_SETTINGS + 1)],
      "exceeds the certificate settings limit"),
     (["q1-cert", "--model", "polygon:7", "--settings", "2047"],
      "exceeds the certificate settings limit"),
     (["q1-cert", "--model", "polygon:7", "--settings", "0"], "below the minimum 1"),
     (["q1-cert", "--model", "polygon:7", "--settings", "-3"], "below the minimum 1"),
+    (["chained", "--n", str(cli.MAX_MODEL_N + 1), "--N", "2"], "exceeds the model size limit"),
+    (["chained", "--n", "1000000000", "--N", "2"], "exceeds the model size limit"),
+    (["chained", "--n", "600", "--N", str(cli.MAX_SETTINGS + 1)],
+     "N = 257 exceeds the chained settings limit 256"),
+    (["chained", "--n", "12", "--N", "1000000000"], "exceeds the chained settings limit"),
+    (["distill", "--n", str(cli.MAX_MODEL_N + 2)], "exceeds the model size limit"),
+    (["distill", "--n", "1000000000"], "exceeds the model size limit"),
 ], ids=["selfdual-huge", "selfdual-cap", "polygon-huge", "polygon-cap",
         "q1-odd-cap", "q1-odd-huge", "q1-settings-cap", "q1-settings-huge",
-        "q1-settings-zero", "q1-settings-negative"])
+        "q1-settings-zero", "q1-settings-negative", "chained-cap", "chained-huge",
+        "chained-settings-cap", "chained-settings-huge", "distill-cap", "distill-huge"])
 def test_model_size_caps_run_before_construction(args, message, capsys, monkeypatch):
     def refuse(n):
-        raise AssertionError(f"polygon({n}) built past the size cap")
+        raise AssertionError(f"a {n}-gon built past the size cap")
 
-    monkeypatch.setattr(cli, "polygon", refuse)
+    for name in ("polygon", "max_entangled", "distill_decompose"):
+        monkeypatch.setattr(cli, name, refuse)
     assert run(args) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
@@ -218,8 +231,8 @@ def test_tol_reaches_ray_settings(args, calls, monkeypatch, capsys):
 
 
 def test_chsh_max_checks_scan_against_closed_form_within_tol(monkeypatch, capsys):
-    original = cli.chsh_max_analytic
-    monkeypatch.setattr(cli, "chsh_max_analytic", lambda n: original(n) + 1e-6)
+    original = cli.chsh_max_closed_form
+    monkeypatch.setattr(cli, "chsh_max_closed_form", lambda n: original(n) + 1e-6)
     assert run(["chsh-max", "--n-from", "3", "--n-to", "6"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: n = 3: scan maximum")
@@ -322,3 +335,23 @@ def test_distill_rejects_odd():
     result = run_cli("distill", "--n", "7")
     assert result.returncode == 1
     assert "error:" in result.stderr
+
+
+def test_package_and_every_subcommand_run_without_scipy():
+    # numpy is the one runtime dependency
+    script = """
+import contextlib, io, json, sys
+import polybell
+from polybell.cli import run
+calls = [["polygon", "--n", "5"], ["chsh-max", "--n", "8"], ["chained", "--n", "12", "--N", "6"],
+         ["distill", "--n", "8"], ["q1-cert", "--model", "polygon:7"],
+         ["q1-cert", "--model", "polygon:6"], ["q1-cert", "--model", "house"],
+         ["selfdual", "--model", "polygon:9"], ["selfdual", "--model", "house"],
+         ["house", "demo"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run(argv) for argv in calls]
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+"""
+    result = run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"codes": [0] * 10, "scipy": False}

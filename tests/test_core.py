@@ -5,10 +5,8 @@ from polybell.core import (
     DEFAULT_TOL,
     Measurement,
     ModelSpec,
+    _model_gap,
     dichotomic_measurement,
-    is_proper_effect,
-    models_similar,
-    probability,
     resolve_tol,
     simplex_model,
     validate_model,
@@ -36,11 +34,6 @@ def square_model() -> ModelSpec:
         extremal_effects=effects,
         unit_effect=np.array([0.0, 0.0, 1.0]),
     )
-
-
-def test_probability_pairing():
-    assert probability([0.5, 0.0, 0.5], [1.0, 0.0, 1.0]) == 1.0
-    assert probability([0.5, 0.0, 0.5], [-1.0, 0.0, 1.0]) == 0.0
 
 
 def test_resolve_tol():
@@ -92,13 +85,6 @@ def test_validate_catches_degenerate_states():
     assert any(f.code == "states-not-full-dimensional" for f in report.failures)
 
 
-def test_is_proper_effect():
-    m = square_model()
-    assert is_proper_effect([0.5, 0.0, 0.5], m)
-    assert is_proper_effect(m.unit_effect, m)
-    assert not is_proper_effect([1.0, 0.0, 0.5], m)
-
-
 def test_measurement_must_resolve_unit():
     m = square_model()
     with pytest.raises(ValueError, match="sum to the unit"):
@@ -130,7 +116,7 @@ def test_dichotomic_measurement_outcomes():
 def test_models_similar_ignores_name():
     a = square_model()
     b = ModelSpec("other", 3, a.extremal_states, a.extremal_effects, a.unit_effect)
-    assert models_similar(a, b)
+    assert _model_gap(a, b) <= DEFAULT_TOL
 
 
 def test_models_similar_detects_difference():
@@ -138,13 +124,13 @@ def test_models_similar_detects_difference():
     states = a.extremal_states.copy()
     states[0, 0] = 0.9
     c = ModelSpec("square", 3, states, a.extremal_effects, a.unit_effect)
-    assert not models_similar(a, c)
+    assert _model_gap(a, c) > DEFAULT_TOL
     # shapes and ray flags must agree exactly, whatever the tolerance
     flags = ModelSpec("flags", 3, a.extremal_states, a.extremal_effects, a.unit_effect,
                       ray_extremal=[True, True, True, False])
     fewer = ModelSpec("fewer", 3, a.extremal_states[:3], a.extremal_effects, a.unit_effect)
     for b in (flags, fewer, simplex_model(3)):
-        assert not models_similar(a, b, 1.0)
+        assert _model_gap(a, b) == np.inf
 
 
 def test_models_similar_is_allclose_at_tol():
@@ -166,7 +152,7 @@ def test_models_similar_is_allclose_at_tol():
             (a.extremal_effects, b.extremal_effects),
             (a.unit_effect, b.unit_effect),
         ))
-        assert models_similar(a, b, tol) == expected, (trial, tol)
+        assert (_model_gap(a, b) <= tol) == expected, (trial, tol)
         outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -174,7 +160,7 @@ def test_models_similar_is_allclose_at_tol():
 def test_json_roundtrip():
     m = square_model()
     back = ModelSpec.from_json(m.to_json())
-    assert models_similar(m, back)
+    assert _model_gap(m, back) <= DEFAULT_TOL
     assert back.name == "square"
     assert back.ray_extremal.all()
 

@@ -6,7 +6,6 @@ import pytest
 import sympy as sp
 
 from polybell import correlations
-from polybell.bipartite import product_state
 from polybell.core import Measurement, simplex_model
 from polybell.correlations import (
     TSIRELSON_BOUND,
@@ -20,16 +19,20 @@ from polybell.correlations import (
     chsh_max_over_settings,
     correlations_from_state,
     correlator,
-    correlator_matrix,
-    deterministic_table,
     distill_decompose,
-    pr_box_table,
     ray_settings,
     uffink,
 )
 from polybell.house import house_joint_state
 from polybell.polygon import max_entangled, polygon, polygon_radius
-from polybell.selfdual import random_extremal_joint_state
+
+from helpers import (
+    correlator_matrix,
+    deterministic_table,
+    pr_box_table,
+    product_state,
+    random_extremal_joint_state,
+)
 
 
 def two_setting_table(n: int) -> CorrelationTable:

@@ -9,7 +9,6 @@ from polybell.correlations import (
     TSIRELSON_BOUND,
     chsh,
     correlations_from_state,
-    correlator_matrix,
 )
 from polybell.house import (
     house_demo_measurements,
@@ -18,6 +17,8 @@ from polybell.house import (
     house_uffink_demo,
 )
 from polybell.q1 import q1_necessary_conditions
+
+from helpers import correlator_matrix
 
 
 def test_model_validates():

@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from polybell.bipartite import joint_probability
 from polybell.core import validate_model
-from polybell.polygon import (
-    complement_effect,
-    complement_index,
-    max_entangled,
-    polygon,
-    polygon_radius,
-)
+from polybell.polygon import max_entangled, polygon, polygon_radius
 
 # Frozen radius oracle: r_n = sqrt(1 / cos(pi/n)), computed independently
 # with sympy at 40 digits and rounded to double.
@@ -87,20 +80,8 @@ def test_even_complement_is_opposite_effect():
     for n in (4, 6, 8, 10):
         m = polygon(n)
         for i in range(n):
-            c = complement_effect(m.extremal_effects[i], m)
-            j = complement_index(i, n)
-            np.testing.assert_allclose(c, m.extremal_effects[j], atol=1e-12)
-
-
-def test_complement_index_rejects_odd():
-    with pytest.raises(ValueError):
-        complement_index(0, 5)
-
-
-def test_complement_effect_rejects_improper():
-    m = polygon(4)
-    with pytest.raises(ValueError):
-        complement_effect([3.0, 0.0, 0.5], m)
+            c = m.unit_effect - m.extremal_effects[i]
+            np.testing.assert_allclose(c, m.extremal_effects[(i + n // 2) % n], atol=1e-12)
 
 
 def test_probability_range_is_tight():
@@ -164,7 +145,7 @@ def test_joint_probability_closed_forms():
             alpha = 2 * math.pi * (i + 1) / n
             beta = (2 * (j + 1) - 1) * math.pi / n
             want = 0.25 * (1.0 + r2 * math.cos(alpha - beta))
-            got = joint_probability(st, m.extremal_effects[i], m.extremal_effects[j])
+            got = m.extremal_effects[i] @ st.matrix @ m.extremal_effects[j]
             assert got == pytest.approx(want, abs=1e-12)
 
     n = 7
@@ -174,5 +155,5 @@ def test_joint_probability_closed_forms():
     for i in range(n):
         for j in range(n):
             want = (1.0 + r2 * math.cos(2 * math.pi * (i - j) / n)) / (1.0 + r2) ** 2
-            got = joint_probability(st, m.extremal_effects[i], m.extremal_effects[j])
+            got = m.extremal_effects[i] @ st.matrix @ m.extremal_effects[j]
             assert got == pytest.approx(want, abs=1e-12)

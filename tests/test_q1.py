@@ -6,7 +6,7 @@ import pytest
 
 from polybell.bipartite import JointState, pull_back_measurement, push_local_map
 from polybell.core import Measurement, dichotomic_measurement, simplex_model
-from polybell.correlations import correlations_from_state, pr_box_table, ray_settings
+from polybell.correlations import correlations_from_state, ray_settings
 from polybell.polygon import max_entangled, polygon
 from polybell.q1 import (
     Q1Certificate,
@@ -16,6 +16,8 @@ from polybell.q1 import (
     verify_delta_decomposition,
 )
 from polybell.selfdual import rotation_about_axis
+
+from helpers import pr_box_table
 
 
 def certificate_reference(state, meas_a, meas_b):
@@ -124,10 +126,9 @@ def test_certificate_rejects_even_polygon():
 
 def test_supplied_gamma_verdict():
     bad = np.diag([1.0, -1.0, 1.0])
-    cert = Q1Certificate.from_gamma(bad, [1], [1])
+    cert = Q1Certificate(bad, np.linalg.eigvalsh(bad), (1,), (1,))
     assert not cert.psd()
     assert cert.verdict() == "undetermined"
-    assert cert.free_entries_source == "supplied"
 
 
 def test_delta_decomposition_dichotomic():
@@ -200,17 +201,16 @@ def test_certificate_arrays_are_read_only():
     meas = ray_settings(state.model_a, 2)
     cert = certificate_from_inner_product_state(state, meas, meas)
     assert cert.outcomes_a == cert.outcomes_b == (2, 2)
-    assert cert.free_entries_source == "from-state"
+    assert cert.to_dict()["free_entries_source"] == "from-state"
     for array in (cert.gamma, cert.eigen_spectrum):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    # a supplied matrix is copied: the caller's array stays writeable and apart
-    supplied = np.eye(3)
-    cert = Q1Certificate.from_gamma(supplied, [1], [1])
-    assert supplied.flags.writeable
-    assert not cert.gamma.flags.writeable and not cert.eigen_spectrum.flags.writeable
-    assert not np.shares_memory(cert.gamma, supplied)
+    # a supplied matrix is made read-only in place, not copied
+    supplied, spectrum = np.eye(3), np.ones(3)
+    cert = Q1Certificate(supplied, spectrum, (1,), (1,))
+    assert cert.gamma is supplied and cert.eigen_spectrum is spectrum
+    assert not supplied.flags.writeable and not spectrum.flags.writeable
 
 
 def test_gamma_shape_validation():

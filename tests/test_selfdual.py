@@ -12,11 +12,12 @@ from polybell.polygon import max_entangled, polygon
 from polybell.selfdual import (
     find_cone_isomorphisms,
     is_strongly_self_dual,
-    random_extremal_joint_state,
     rotation_about_axis,
     self_duality,
     state_from_isomorphism,
 )
+
+from helpers import random_extremal_joint_state
 
 
 def _key(t: np.ndarray) -> tuple:
@@ -37,6 +38,21 @@ def strong_witness_reference(isomorphisms, tol=1e-9):
 def twin(model: ModelSpec) -> ModelSpec:
     """A new model object with the same arrays, so it shares no search."""
     return ModelSpec.from_dict(model.to_dict())
+
+
+# An orthogonal change of coordinates that turns some rays of every polygon
+# to a negative third coordinate: they have no angular order, so the search
+# falls back to every permutation.
+TILT = np.array([[1.0, 0.0, 0.0],
+                 [0.0, math.cos(2.0), -math.sin(2.0)],
+                 [0.0, math.sin(2.0), math.cos(2.0)]])
+
+
+def tilted(model: ModelSpec) -> ModelSpec:
+    """The model in coordinates turned by TILT; isomorphisms become TILT T TILT^T."""
+    return ModelSpec(f"tilted-{model.name}", 3, model.extremal_states @ TILT.T,
+                     model.extremal_effects @ TILT.T, TILT @ model.unit_effect,
+                     model.ray_extremal)
 
 
 def induced_state_symmetries(isomorphisms: list[np.ndarray]) -> list[np.ndarray]:
@@ -249,10 +265,12 @@ def test_candidate_solve_runs_once_per_model(monkeypatch):
     # another model object searches on its own
     find_cone_isomorphisms(twin(model))
     assert solved == [10, 10]
-    # the exhaustive cross-check solves on every call
-    find_cone_isomorphisms(model, method="exhaustive")
-    find_cone_isomorphisms(model, method="exhaustive")
-    assert solved == [10, 10, 120, 120]
+    # a model whose rays have no angular order tries every permutation, once
+    turned = tilted(model)
+    assert len(find_cone_isomorphisms(turned)) == 10
+    assert len(find_cone_isomorphisms(turned, 1e-3)) == 10
+    assert self_duality(turned).candidates == 120
+    assert solved == [10, 10, 120]
 
 
 def flip_orders(margin):
@@ -267,7 +285,7 @@ def test_candidate_norm_verdict_follows_tol():
     base = polygon(5)
     small = ModelSpec("small-states", 3, base.extremal_states * 1e-2,
                       base.extremal_effects, base.unit_effect, base.ray_extremal)
-    candidates = selfdual._candidate_margins(twin(small), "auto")
+    candidates = selfdual._candidate_margins(twin(small))
     margin = candidates.norm.min()
     assert candidates.min_scale.min() > 10 * margin
     for order in flip_orders(margin):
@@ -280,7 +298,7 @@ def test_candidate_norm_verdict_follows_tol():
 
 
 def test_candidate_min_scale_verdict_follows_tol():
-    candidates = selfdual._candidate_margins(polygon(5), "auto")
+    candidates = selfdual._candidate_margins(polygon(5))
     margin = candidates.min_scale.min()
     assert candidates.norm.min() > 2 * margin
     for order in flip_orders(margin):
@@ -354,33 +372,31 @@ def test_even_family_contains_odd_rotations(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_dihedral_search_matches_exhaustive(n):
-    a = find_cone_isomorphisms(polygon(n))
-    b = find_cone_isomorphisms(polygon(n), method="exhaustive")
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        np.testing.assert_allclose(x, y, atol=1e-10)
+    # the tilted n-gon takes the permutation fallback: all n! bijections
+    model = tilted(polygon(n))
+    assert selfdual._cycle_order(model.extremal_states) is None
+    report = self_duality(model)
+    assert report.candidates == math.factorial(n)
+    dihedral = [TILT @ t @ TILT.T for t in find_cone_isomorphisms(polygon(n))]
+    assert len(report.isomorphisms) == len(dihedral) == 2 * n
+    for x in report.isomorphisms:
+        gaps = [np.abs(x - y).max() for y in dihedral]
+        assert min(gaps) <= 1e-10
+        dihedral.pop(int(np.argmin(gaps)))
 
 
 def test_house_search_matches_exhaustive():
     h = house_model()
     a = find_cone_isomorphisms(h)
-    b = find_cone_isomorphisms(h, method="exhaustive")
+    b = find_cone_isomorphisms_reference(h, exhaustive=True)
     assert len(a) == len(b) == 2
     for x, y in zip(a, b):
         np.testing.assert_allclose(x, y, atol=1e-10)
 
 
 def test_exhaustive_cap():
-    with pytest.raises(ValueError, match="capped"):
-        find_cone_isomorphisms(polygon(11), method="exhaustive")
-
-
-def test_unknown_method():
-    with pytest.raises(ValueError, match="unknown search method"):
-        find_cone_isomorphisms(polygon(5), method="fancy")
-    # "auto" already runs the dihedral search; there is no separate method
-    with pytest.raises(ValueError, match="unknown search method"):
-        find_cone_isomorphisms(polygon(5), method="dihedral")
+    with pytest.raises(ValueError, match="exceed the exhaustive cap of 10"):
+        find_cone_isomorphisms(tilted(polygon(11)))
 
 
 def test_ray_count_mismatch_gives_empty():
