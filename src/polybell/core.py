@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -126,7 +126,8 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelSpec":
-        return cls(
+        """Rebuild a model; ``ValueError`` when :func:`validate_model` rejects it."""
+        model = cls(
             name=str(data["name"]),
             dim=int(data["dim"]),
             extremal_states=data["extremal_states"],
@@ -134,6 +135,10 @@ class ModelSpec:
             unit_effect=data["unit_effect"],
             ray_extremal=data.get("ray_extremal"),
         )
+        report = validate_model(model)
+        if not report.ok:
+            raise ValueError(f"{model.name} failed validation: {report.summary()}")
+        return model
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)
@@ -204,7 +209,7 @@ def validate_model(model: ModelSpec, tol: float | None = None) -> ValidationRepo
     for i in np.flatnonzero(np.abs(norms - 1.0) > tol):
         failures.append(ValidationFailure(
             code="state-not-normalized",
-            message=f"state {i} has unit pairing {norms[i]!r}, expected 1",
+            message=f"state {i} has unit pairing {float(norms[i])!r}, expected 1",
             indices=(int(i),),
         ))
 
@@ -214,7 +219,7 @@ def validate_model(model: ModelSpec, tol: float | None = None) -> ValidationRepo
         failures.append(ValidationFailure(
             code="effect-out-of-range",
             message=(
-                f"effect {ei} on state {si} gives {pairings[ei, si]!r}, "
+                f"effect {ei} on state {si} gives {float(pairings[ei, si])!r}, "
                 "outside [0, 1]"
             ),
             indices=(int(ei), int(si)),
@@ -240,18 +245,17 @@ class Measurement:
     """A finite-outcome measurement: effects (rows) resolving the unit effect.
 
     Construction validates that every effect is proper for ``model`` and that
-    the effects sum to the unit effect within ``tol``.
+    the effects sum to the unit effect within ``tol`` (not stored).
     """
 
     effects: np.ndarray
     model: ModelSpec
-    tol: float | None = None
+    tol: InitVar[float | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tol: float | None) -> None:
         effects = _as_matrix(self.effects, cols=self.model.dim, name="effects")
         object.__setattr__(self, "effects", effects)
-        tol = resolve_tol(self.tol)
-        object.__setattr__(self, "tol", tol)
+        tol = resolve_tol(tol)
         total = effects.sum(axis=0)
         if not np.allclose(total, self.model.unit_effect, atol=tol, rtol=0.0):
             raise ValueError("measurement effects do not sum to the unit effect")

@@ -37,7 +37,9 @@ class CorrelationTable:
     The dense array is zero-padded up to the largest outcome count on each
     side; ``outcomes_a``/``outcomes_b`` record the true count per setting.
     Construction validates that every (x, y) slice is a probability
-    distribution and that the marginals obey no-signalling.
+    distribution and that the marginals obey no-signalling. A bad table is
+    reported at its first failing pair in row-major order, checking padding,
+    then negativity, then the sum.
     """
 
     probs: np.ndarray
@@ -45,7 +47,7 @@ class CorrelationTable:
     outcomes_b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=float, copy=True)
+        probs = np.array(self.probs, dtype=float, order="C")
         outcomes_a = tuple(int(k) for k in self.outcomes_a)
         outcomes_b = tuple(int(k) for k in self.outcomes_b)
         object.__setattr__(self, "outcomes_a", outcomes_a)
@@ -64,25 +66,24 @@ class CorrelationTable:
         if not np.all(np.isfinite(probs)):
             raise ValueError("probabilities must be finite")
 
-        neg_tol = resolve_tol(None)
-        for x in range(n_x):
-            for y in range(n_y):
-                block = probs[:, :, x, y]
-                ra, rb = outcomes_a[x], outcomes_b[y]
-                if np.any(block[ra:, :] != 0.0) or np.any(block[:, rb:] != 0.0):
-                    raise ValueError(
-                        f"padding beyond the declared outcomes of ({x}, {y}) "
-                        "must be exactly zero"
-                    )
-                live = block[:ra, :rb]
-                if live.min() < -neg_tol:
-                    raise ValueError(
-                        f"negative probability {live.min()!r} at settings ({x}, {y})"
-                    )
-                if abs(live.sum() - 1.0) > _DISTRIBUTION_TOL:
-                    raise ValueError(
-                        f"probabilities at settings ({x}, {y}) sum to {live.sum()!r}"
-                    )
+        # live[a, b, x, y]: outcome a of setting x and b of setting y exist
+        live = ((np.arange(probs.shape[0])[:, None] < outcomes_a)[:, None, :, None]
+                & (np.arange(probs.shape[1])[:, None] < outcomes_b)[None, :, None, :])
+        padding = np.any((probs != 0.0) & ~live, axis=(0, 1))
+        negative = np.where(live, probs, np.inf).min(axis=(0, 1)) < -resolve_tol(None)
+        total = np.where(live, probs, 0.0).sum(axis=(0, 1))
+        failing = np.argwhere(padding | negative | (np.abs(total - 1.0) > _DISTRIBUTION_TOL))
+        if failing.size:
+            x, y = (int(i) for i in failing[0])
+            # quote the pair's own sum: the masked total may differ in the last bit
+            pair = probs[:outcomes_a[x], :outcomes_b[y], x, y]
+            if padding[x, y]:
+                raise ValueError(f"padding beyond the declared outcomes of ({x}, {y}) "
+                                 "must be exactly zero")
+            if negative[x, y]:
+                raise ValueError(f"negative probability {float(pair.min())!r} "
+                                 f"at settings ({x}, {y})")
+            raise ValueError(f"probabilities at settings ({x}, {y}) sum to {float(pair.sum())!r}")
 
         # No-signalling: each side's marginal must not depend on the far setting.
         marg_a = probs.sum(axis=1)  # (a, x, y)
@@ -104,28 +105,32 @@ class CorrelationTable:
         return self.probs.shape[3]
 
 
+def _effect_stack(meas: Sequence[Measurement], dim: int, side: str) -> np.ndarray:
+    """The settings' effects in one zero-padded (settings, outcomes, dim) array."""
+    stack = np.zeros((len(meas), max(m.n_outcomes for m in meas), dim))
+    for x, m in enumerate(meas):
+        if m.model.dim != dim:
+            raise ValueError(f"{side}-side measurement does not fit the {side} system")
+        stack[x, :m.n_outcomes] = m.effects
+    return stack
+
+
 def correlations_from_state(state: JointState,
                             meas_a: Sequence[Measurement],
                             meas_b: Sequence[Measurement]) -> CorrelationTable:
-    """Tabulate joint probabilities of the given local measurements on a state."""
-    meas_a = list(meas_a)
-    meas_b = list(meas_b)
+    """Tabulate joint probabilities of the given local measurements on a state.
+
+    One stacked product gives every block ``(effects_a[x] @ M) @ effects_b[y].T``;
+    zero-padded outcomes give exact zeros.
+    """
     if not meas_a or not meas_b:
         raise ValueError("need at least one measurement per side")
-    for m in meas_a:
-        if m.model.dim != state.model_a.dim:
-            raise ValueError("first-side measurement does not fit the first system")
-    for m in meas_b:
-        if m.model.dim != state.model_b.dim:
-            raise ValueError("second-side measurement does not fit the second system")
-    outcomes_a = tuple(m.n_outcomes for m in meas_a)
-    outcomes_b = tuple(m.n_outcomes for m in meas_b)
-    probs = np.zeros((max(outcomes_a), max(outcomes_b), len(meas_a), len(meas_b)))
-    for x, ma in enumerate(meas_a):
-        left = ma.effects @ state.matrix
-        for y, mb in enumerate(meas_b):
-            probs[:outcomes_a[x], :outcomes_b[y], x, y] = left @ mb.effects.T
-    return CorrelationTable(probs, outcomes_a, outcomes_b)
+    stack_a = _effect_stack(meas_a, state.model_a.dim, "first")
+    stack_b = _effect_stack(meas_b, state.model_b.dim, "second")
+    blocks = (stack_a @ state.matrix)[:, None] @ stack_b.transpose(0, 2, 1)
+    return CorrelationTable(blocks.transpose(2, 3, 0, 1),
+                            tuple(m.n_outcomes for m in meas_a),
+                            tuple(m.n_outcomes for m in meas_b))
 
 
 def ray_settings(model: ModelSpec, k: int,
@@ -142,22 +147,20 @@ def correlator(table: CorrelationTable, x: int, y: int) -> float:
     return float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
 
 
-def chsh(table: CorrelationTable, x0: int = 0, x1: int = 1,
-         y0: int = 0, y1: int = 1) -> float:
-    """|E(x0,y0) + E(x0,y1) + E(x1,y0) - E(x1,y1)|."""
+def chsh(table: CorrelationTable) -> float:
+    """|E(0,0) + E(0,1) + E(1,0) - E(1,1)| on settings 0 and 1 of each side."""
     return abs(
-        correlator(table, x0, y0) + correlator(table, x0, y1)
-        + correlator(table, x1, y0) - correlator(table, x1, y1)
+        correlator(table, 0, 0) + correlator(table, 0, 1)
+        + correlator(table, 1, 0) - correlator(table, 1, 1)
     )
 
 
-def uffink(table: CorrelationTable, x0: int = 0, x1: int = 1,
-           y0: int = 0, y1: int = 1) -> float:
-    """Quadratic combination (E(x0,y0) + E(x1,y0))^2 + (E(x0,y1) - E(x1,y1))^2."""
-    e00 = correlator(table, x0, y0)
-    e01 = correlator(table, x0, y1)
-    e10 = correlator(table, x1, y0)
-    e11 = correlator(table, x1, y1)
+def uffink(table: CorrelationTable) -> float:
+    """Quadratic combination (E(0,0) + E(1,0))^2 + (E(0,1) - E(1,1))^2."""
+    e00 = correlator(table, 0, 0)
+    e01 = correlator(table, 0, 1)
+    e10 = correlator(table, 1, 0)
+    e11 = correlator(table, 1, 1)
     return (e00 + e10) ** 2 + (e01 - e11) ** 2
 
 
@@ -365,15 +368,9 @@ def chsh_max_closed_form(n: int) -> float:
 # -- distillation -------------------------------------------------------------
 
 
-def _pattern_table(predicate: Callable[[int, int, int, int], bool]) -> CorrelationTable:
-    """Dichotomic 2x2-setting table putting weight 1/2 on a winning pattern."""
-    probs = np.zeros((2, 2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            for x in range(2):
-                for y in range(2):
-                    if predicate(a, b, x, y):
-                        probs[a, b, x, y] = 0.5
+def _pattern_table(predicate: Callable[..., np.ndarray]) -> CorrelationTable:
+    """Dichotomic 2x2-setting table, weight 1/2 where ``predicate`` holds on its indices."""
+    probs = np.where(predicate(*np.indices((2, 2, 2, 2))), 0.5, 0.0)
     return CorrelationTable(probs, (2, 2), (2, 2))
 
 

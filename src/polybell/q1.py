@@ -150,7 +150,7 @@ def certificate_from_inner_product_state(state: JointState,
     cert = Q1Certificate(gamma, spectrum, outcomes_a, outcomes_b)
     if not cert.psd(tol):
         raise ArithmeticError(
-            f"certificate unexpectedly not PSD (min eigenvalue {spectrum[0]!r})"
+            f"certificate unexpectedly not PSD (min eigenvalue {float(spectrum[0])!r})"
         )
     return cert
 
@@ -220,26 +220,23 @@ class ConditionReport:
 
 
 def q1_necessary_conditions(table: CorrelationTable,
-                            x0: int = 0, x1: int = 1, y0: int = 0, y1: int = 1,
                             tol: float | None = None) -> ConditionReport:
-    """Screen a dichotomic 2x2 sub-table against the Q1 necessary bounds."""
+    """Screen settings 0 and 1 of each side against the Q1 necessary bounds."""
     tol = resolve_tol(tol)
     e = np.array([
-        [correlator(table, x0, y0), correlator(table, x0, y1)],
-        [correlator(table, x1, y0), correlator(table, x1, y1)],
+        [correlator(table, 0, 0), correlator(table, 0, 1)],
+        [correlator(table, 1, 0), correlator(table, 1, 1)],
     ])
-    chsh_best = 0.0
-    for signs in range(16):
-        s = [1 - 2 * ((signs >> k) & 1) for k in range(4)]
-        if s[0] * s[1] * s[2] * s[3] != -1:
-            continue
-        chsh_best = max(chsh_best,
-                        s[0] * e[0, 0] + s[1] * e[0, 1] + s[2] * e[1, 0] + s[3] * e[1, 1])
+    (e00, e01), (e10, e11) = e
+    # the 8 relabellings with an odd number of minus signs: one minus sign
+    # in each of 4 places, and the negation of each
+    chsh_best = max(abs(-e00 + e01 + e10 + e11), abs(e00 - e01 + e10 + e11),
+                    abs(e00 + e01 - e10 + e11), abs(e00 + e01 + e10 - e11))
     uffink_best = max(
-        (e[0, 0] + e[1, 0]) ** 2 + (e[0, 1] - e[1, 1]) ** 2,
-        (e[0, 0] - e[1, 0]) ** 2 + (e[0, 1] + e[1, 1]) ** 2,
-        (e[0, 0] + e[0, 1]) ** 2 + (e[1, 0] - e[1, 1]) ** 2,
-        (e[0, 0] - e[0, 1]) ** 2 + (e[1, 0] + e[1, 1]) ** 2,
+        (e00 + e10) ** 2 + (e01 - e11) ** 2,
+        (e00 - e10) ** 2 + (e01 + e11) ** 2,
+        (e00 + e01) ** 2 + (e10 - e11) ** 2,
+        (e00 - e01) ** 2 + (e10 + e11) ** 2,
     )
     return ConditionReport(
         chsh_value=float(chsh_best),

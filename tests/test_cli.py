@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -200,7 +201,8 @@ def test_polygon_rejects_a_model_that_fails_validation(capsys, monkeypatch):
     monkeypatch.setattr(cli, "polygon", lambda n: broken)
     assert run(["polygon", "--n", "5"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: broken failed validation: state 0 has unit pairing")
+    assert captured.err.startswith(
+        "error: broken failed validation: state 0 has unit pairing 1.5, expected 1;")
     assert captured.out == ""
 
 
@@ -355,3 +357,23 @@ print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
     result = run_python("-c", script)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {"codes": [0] * 10, "scipy": False}
+
+
+def readme_commands() -> list[str]:
+    """The `polybell ...` lines of README's "Command line" code block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("polybell ")]
+
+
+def test_readme_has_command_examples():
+    assert len(readme_commands()) >= 10
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line)
+    assert run(argv[1:]) == 0, capsys.readouterr().err

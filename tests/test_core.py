@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,16 @@ def test_measurement_must_resolve_unit():
         Measurement(np.array([[0.5, 0.0, 0.5], [-0.5, 0.0, 0.4]]), m)
 
 
+def test_measurement_takes_tol_without_storing_it():
+    m = square_model()
+    effects = np.array([[0.5, 0.0, 0.5], [-0.5, 0.0, 0.5 + 1e-6]])
+    with pytest.raises(ValueError, match="sum to the unit"):
+        Measurement(effects, m)
+    meas = Measurement(effects, m, tol=1e-5)
+    assert "tol" not in {f.name for f in fields(meas)}
+    assert "tol" not in vars(meas)
+
+
 def test_measurement_rejects_improper_outcome():
     m = square_model()
     with pytest.raises(ValueError, match="outcome 0 is not a proper effect"):
@@ -174,6 +187,17 @@ def test_json_roundtrip_keeps_ray_flags():
     back = ModelSpec.from_json(flagged.to_json())
     assert back.ray_extremal.tolist() == [True, True, False, False]
     assert back.ray_effects.shape == (2, 3)
+
+
+def test_from_json_rejects_a_model_that_fails_validation():
+    m = square_model()
+    data = m.to_dict()
+    data["extremal_states"][0] = [1.0, 1.0, 1.5]
+    with pytest.raises(ValueError, match=r"^square failed validation: state 0 has unit "
+                                         r"pairing 1\.5, expected 1(;|$)"):
+        ModelSpec.from_dict(data)
+    with pytest.raises(ValueError, match="failed validation"):
+        ModelSpec.from_json(json.dumps(data))
 
 
 def test_simplex_model_is_classical():

@@ -6,7 +6,8 @@ import pytest
 import sympy as sp
 
 from polybell import correlations
-from polybell.core import Measurement, simplex_model
+from polybell.bipartite import JointState
+from polybell.core import DEFAULT_TOL, Measurement, simplex_model
 from polybell.correlations import (
     TSIRELSON_BOUND,
     CorrelationTable,
@@ -23,7 +24,7 @@ from polybell.correlations import (
     ray_settings,
     uffink,
 )
-from polybell.house import house_joint_state
+from polybell.house import house_demo_measurements, house_joint_state
 from polybell.polygon import max_entangled, polygon, polygon_radius
 
 from helpers import (
@@ -73,10 +74,163 @@ def test_table_rejects_negative_and_unnormalized():
     probs = np.full((2, 2, 1, 1), 0.25)
     probs[0, 0, 0, 0] = -0.1
     probs[1, 1, 0, 0] = 0.6
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^negative probability -0\.1 at settings \(0, 0\)$"):
         CorrelationTable(probs, (2,), (2,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^probabilities at settings \(0, 0\) sum to 1\.2$"):
         CorrelationTable(np.full((2, 2, 1, 1), 0.3), (2,), (2,))
+    padded = np.zeros((3, 2, 1, 1))
+    padded[:2, :, 0, 0] = 0.25
+    padded[2, 0, 0, 0] = 1e-300
+    with pytest.raises(ValueError, match=r"^padding beyond the declared outcomes of "
+                                         r"\(0, 0\) must be exactly zero$"):
+        CorrelationTable(padded, (2,), (2,))
+
+
+def correlations_reference(state, meas_a, meas_b) -> np.ndarray:
+    """The per-pair loop that filled the table before the stacked product."""
+    outcomes_a = [m.n_outcomes for m in meas_a]
+    outcomes_b = [m.n_outcomes for m in meas_b]
+    probs = np.zeros((max(outcomes_a), max(outcomes_b), len(meas_a), len(meas_b)))
+    for x, ma in enumerate(meas_a):
+        left = ma.effects @ state.matrix
+        for y, mb in enumerate(meas_b):
+            probs[:outcomes_a[x], :outcomes_b[y], x, y] = left @ mb.effects.T
+    return probs
+
+
+def table_error_reference(probs, outcomes_a, outcomes_b) -> str | None:
+    """The per-pair checks that ran before the masked reductions.
+
+    Returns the message the first failing check raises, or None when every
+    pair passes; the first pair in row-major order wins, and within a pair
+    padding is checked before negativity and negativity before the sum.
+    """
+    for x in range(probs.shape[2]):
+        for y in range(probs.shape[3]):
+            block = probs[:, :, x, y]
+            ra, rb = outcomes_a[x], outcomes_b[y]
+            if np.any(block[ra:, :] != 0.0) or np.any(block[:, rb:] != 0.0):
+                return (f"padding beyond the declared outcomes of ({x}, {y}) "
+                        "must be exactly zero")
+            live = block[:ra, :rb]
+            if live.min() < -DEFAULT_TOL:
+                return f"negative probability {float(live.min())!r} at settings ({x}, {y})"
+            if abs(live.sum() - 1.0) > 1e-10:
+                return f"probabilities at settings ({x}, {y}) sum to {float(live.sum())!r}"
+    return None
+
+
+def table_error(probs, outcomes_a, outcomes_b) -> str | None:
+    try:
+        CorrelationTable(probs, outcomes_a, outcomes_b)
+    except ValueError as exc:
+        if "far setting" not in str(exc):
+            return str(exc)
+    return None
+
+
+def _mixed_outcome_tables():
+    tri = simplex_model(3)
+    three = Measurement(np.eye(3), tri)
+    two = Measurement(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), tri)
+    classical = JointState(np.diag([0.5, 0.25, 0.25]), tri, tri)
+    state = max_entangled(7)
+    rays = ray_settings(state.model_a, 7)
+    e0, unit = state.model_a.ray_effects[0], state.model_a.unit_effect
+    split = Measurement(np.stack([e0, (unit - e0) / 2.0, (unit - e0) / 2.0]), state.model_a)
+    return [
+        (classical, [three, two, three], [two, three]),
+        (state, [split, rays[1], split, rays[4]], rays[2:5] + [split]),
+    ]
+
+
+def _bitwise_cases():
+    cases = []
+    for n in range(3, 65):
+        state = max_entangled(n)
+        rays = ray_settings(state.model_a, state.model_a.ray_effects.shape[0])
+        # every ray on the first side; a reversed subset on the second
+        cases.append(pytest.param(state, rays, rays[::-1][:max(1, n // 3)], id=f"maxent{n}"))
+    house = house_joint_state()
+    cases.append(pytest.param(house, *house_demo_measurements(), id="house-demo"))
+    house_rays = ray_settings(house.model_a, 5)
+    cases.append(pytest.param(house, house_rays, house_rays, id="house-rays"))
+    for k, case in enumerate(_mixed_outcome_tables()):
+        cases.append(pytest.param(*case, id=f"mixed{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("state, meas_a, meas_b", _bitwise_cases())
+def test_stacked_table_is_bitwise_the_pair_loop(state, meas_a, meas_b):
+    t = correlations_from_state(state, meas_a, meas_b)
+    ref = correlations_reference(state, meas_a, meas_b)
+    assert t.probs.shape == ref.shape
+    assert np.array_equal(t.probs, ref)
+    assert np.array_equal(np.signbit(t.probs), np.signbit(ref))
+
+
+def _bad_tables():
+    rng = np.random.default_rng(1215)
+    good = correlations_from_state(*_mixed_outcome_tables()[0])
+    counts = (good.outcomes_a, good.outcomes_b)
+    tables = []
+    # one earlier pair valid, a later pair failing every check at once
+    every = good.probs.copy()
+    every[2, 2, 1, 1] = 0.5      # padding: setting 1 of the first side has 2 outcomes
+    every[0, 0, 1, 1] = -0.2     # negative
+    every[1, 0, 2, 0] = 0.7      # a later pair, unnormalized
+    tables.append(every)
+    # negativity and sum at the same pair, padding only at a later one
+    neg_sum = good.probs.copy()
+    neg_sum[0, 1, 0, 1] = -0.3
+    neg_sum[2, 2, 1, 1] = 0.1
+    tables.append(neg_sum)
+    # the sum alone, on the last pair
+    last = good.probs.copy()
+    last[0, 0, 2, 1] += 1e-9
+    tables.append(last)
+    # negative within the tolerance passes; just beyond it fails
+    for excess in (0.5, 2.0):
+        edge = good.probs.copy()
+        edge[0, 0, 0, 0] -= excess * DEFAULT_TOL
+        edge[1, 0, 0, 0] += excess * DEFAULT_TOL
+        tables.append(edge)
+    for _ in range(60):
+        probs = good.probs.copy()
+        for _ in range(rng.integers(1, 4)):
+            a, b = rng.integers(3), rng.integers(3)
+            x, y = rng.integers(3), rng.integers(2)
+            probs[a, b, x, y] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, 0)
+        tables.append(probs)
+    return [(p, *counts) for p in tables]
+
+
+def test_table_rejects_the_first_failing_pair_like_the_loop():
+    seen = set()
+    for probs, outcomes_a, outcomes_b in _bad_tables():
+        want = table_error_reference(probs, outcomes_a, outcomes_b)
+        assert table_error(probs, outcomes_a, outcomes_b) == want
+        seen.add(None if want is None else want.split()[0])
+    # every check, and a table that passes them all, is among the cases
+    assert seen == {None, "padding", "negative", "probabilities"}
+    every = _bad_tables()[0]
+    assert table_error(*every) == ("padding beyond the declared outcomes of (1, 1) "
+                                   "must be exactly zero")
+    assert table_error(*_bad_tables()[1]) == "negative probability -0.3 at settings (0, 1)"
+
+
+def test_table_checks_do_not_loop_over_setting_pairs(monkeypatch):
+    # one reduction call per table, whatever its size; a per-pair loop
+    # would call it 256 times more often for 16 times the settings
+    state = max_entangled(256)
+    rays = ray_settings(state.model_a, 256)
+    original, calls, counts = np.any, [], []
+    monkeypatch.setattr(np, "any", lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    for k in (16, 256):
+        calls.clear()
+        correlations_from_state(state, rays[:k], rays[:k])
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_mixed_outcome_counts_pad_with_zeros():
@@ -84,8 +238,6 @@ def test_mixed_outcome_counts_pad_with_zeros():
     three = Measurement(np.eye(3), tri)
     two = Measurement(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), tri)
     state_matrix = np.diag([0.5, 0.25, 0.25])
-    from polybell.bipartite import JointState
-
     t = correlations_from_state(JointState(state_matrix, tri, tri),
                                 [three, two], [three])
     assert t.outcomes_a == (3, 2)
@@ -99,8 +251,6 @@ def test_mixed_outcome_counts_pad_with_zeros():
 def test_correlator_requires_two_outcomes():
     tri = simplex_model(3)
     three = Measurement(np.eye(3), tri)
-    from polybell.bipartite import JointState
-
     t = correlations_from_state(JointState(np.diag([1, 0, 0.0]), tri, tri),
                                 [three], [three])
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 
 from polybell.bipartite import JointState, pull_back_measurement, push_local_map
 from polybell.core import Measurement, dichotomic_measurement, simplex_model
-from polybell.correlations import correlations_from_state, ray_settings
+from polybell.correlations import correlations_from_state, correlator, ray_settings
 from polybell.polygon import max_entangled, polygon
 from polybell.q1 import (
     Q1Certificate,
@@ -17,7 +17,7 @@ from polybell.q1 import (
 )
 from polybell.selfdual import rotation_about_axis
 
-from helpers import pr_box_table
+from helpers import deterministic_table, pr_box_table
 
 
 def certificate_reference(state, meas_a, meas_b):
@@ -165,6 +165,36 @@ def test_necessary_conditions_quantum_like_pass():
     assert report.verdict == "undetermined"
     assert report.chsh_ok and report.uffink_ok
     assert report.to_dict()["verdict"] == "undetermined"
+
+
+def chsh_relabelled_reference(table) -> float:
+    """The 16-pattern sign loop the screen used to run, kept as its oracle."""
+    e = np.array([[correlator(table, x, y) for y in range(2)] for x in range(2)])
+    best = 0.0
+    for signs in range(16):
+        s = [1 - 2 * ((signs >> k) & 1) for k in range(4)]
+        if s[0] * s[1] * s[2] * s[3] != -1:
+            continue
+        best = max(best, s[0] * e[0, 0] + s[1] * e[0, 1] + s[2] * e[1, 0] + s[3] * e[1, 1])
+    return float(best)
+
+
+def test_screen_chsh_is_bitwise_the_sign_loop():
+    rng = np.random.default_rng(1012)
+    tables = [pr_box_table()] + [
+        deterministic_table(aa, bb)
+        for aa in itertools.product((0, 1), repeat=2)
+        for bb in itertools.product((0, 1), repeat=2)
+    ]
+    for n in range(3, 40):
+        state = max_entangled(n)
+        rays = ray_settings(state.model_a, n)
+        for _ in range(4):
+            i = rng.choice(n, size=4)
+            tables.append(correlations_from_state(state, [rays[i[0]], rays[i[1]]],
+                                                  [rays[i[2]], rays[i[3]]]))
+    for table in tables:
+        assert q1_necessary_conditions(table).chsh_value == chsh_relabelled_reference(table)
 
 
 def test_pushforward_certificate_roundtrip():

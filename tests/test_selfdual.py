@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -36,8 +37,12 @@ def strong_witness_reference(isomorphisms, tol=1e-9):
 
 
 def twin(model: ModelSpec) -> ModelSpec:
-    """A new model object with the same arrays, so it shares no search."""
-    return ModelSpec.from_dict(model.to_dict())
+    """A new model object with the same arrays, so it shares no search.
+
+    Built by the constructor, not ``from_dict``: some tests turn or shrink
+    the states on purpose, and ``from_dict`` rejects such models.
+    """
+    return dataclasses.replace(model)
 
 
 # An orthogonal change of coordinates that turns some rays of every polygon
