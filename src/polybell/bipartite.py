@@ -12,15 +12,12 @@ non-member matrices can be represented and analyzed.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ModelSpec, Measurement, _model_gap, resolve_tol
-
-JOINT_STATE_SCHEMA_VERSION = 1
 
 # Singular values below this fraction of the largest count as zero when
 # :func:`is_extremal` ranks the active constraints.
@@ -70,18 +67,6 @@ class JointState:
         norm = float(np.linalg.norm(m))
         min_eig = float(np.linalg.eigvalsh((m + m.T) / 2.0)[0])
         return gap, asymmetry, norm, min_eig
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": JOINT_STATE_SCHEMA_VERSION,
-            "model_A": self.model_a.name,
-            "model_B": self.model_b.name,
-            "matrix": self.matrix.tolist(),
-        }
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def normalization(state: JointState) -> float:

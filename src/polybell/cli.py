@@ -1,10 +1,11 @@
 """Command-line frontend: model emission, Bell scans, certificates, demos.
 
 Exit codes: 0 success, 1 validation or computation failure, 2 usage error.
-All JSON output carries a schema_version field and sorted keys; CSV floats
-are rendered with %.12g. Setting labels in human-readable and JSON output
-are 1-based (matching the way the models are usually drawn), while the
-Python API stays 0-based.
+Each subcommand returns a JSON payload and its text rendering and prints
+nothing; ``run`` writes one of the two to stdout. All JSON output carries a
+schema_version field and sorted keys; CSV floats are rendered with %.12g.
+Setting labels in human-readable and JSON output are 1-based (matching the
+way the models are usually drawn), while the Python API stays 0-based.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import IO, Callable
 import numpy as np
 
 from . import house as house_mod
-from .core import DEFAULT_TOL, ModelSpec, resolve_tol, validate_model
+from .bipartite import is_inner_product_state
+from .core import DEFAULT_TOL, ModelSpec, dichotomic_measurement, resolve_tol, validate_model
 from .correlations import (
     TSIRELSON_BOUND,
     chained,
@@ -82,10 +84,7 @@ def _parse_model(spec: str, check_size: Callable[[int], None]) -> ModelSpec:
 
 
 def _csv_row(values) -> str:
-    cells = []
-    for v in values:
-        cells.append(f"{v:.12g}" if isinstance(v, float) else str(v))
-    return ",".join(cells)
+    return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in values)
 
 
 def _check_size(n: int, limit: int, what: str, name: str = "n") -> None:
@@ -115,33 +114,30 @@ def _chsh_rows(n_from: int, n_to: int, tol: float) -> list[dict]:
     return rows
 
 
-def _write_chsh_csv(rows: list[dict], stream: IO[str]) -> None:
+def _chsh_csv(rows: list[dict]) -> str:
+    """The CSV table of ``rows``: a header line, then one line per n, no final newline."""
     columns = ["n", "parity", "S_bruteforce", "S_analytic", "residue_class"]
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(_csv_row([row[c] for c in columns]) + "\n")
+    return "\n".join([",".join(columns)]
+                     + [_csv_row([row[c] for c in columns]) for row in rows])
 
 
-def _cmd_polygon(args: argparse.Namespace) -> int:
+def _cmd_polygon(args: argparse.Namespace) -> tuple[dict, str]:
     _check_size(args.n, MAX_MODEL_N, "model validation")
     model = polygon(args.n)
     report = validate_model(model, args.tol)
     if not report.ok:
         raise ValueError(f"{model.name} failed validation: {report.summary()}")
+    payload = model.to_dict()
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(model.to_json(indent=2) + "\n")
-        print(f"wrote {args.emit}")
-    elif args.json:
-        print(model.to_json(indent=2))
-    else:
-        ray_count = int(np.sum(model.ray_extremal))
-        print(f"{model.name}: {model.n_states} states, {model.n_effects} effects "
-              f"({ray_count} ray-extremal), dim {model.dim}")
-    return 0
+            _dump_json(payload, fh)
+        return payload, f"wrote {args.emit}"
+    ray_count = int(np.sum(model.ray_extremal))
+    return payload, (f"{model.name}: {model.n_states} states, {model.n_effects} effects "
+                     f"({ray_count} ray-extremal), dim {model.dim}")
 
 
-def _cmd_chsh_max(args: argparse.Namespace) -> int:
+def _cmd_chsh_max(args: argparse.Namespace) -> tuple[dict, str]:
     if args.n is None:
         n_from = 3 if args.n_from is None else args.n_from
         n_to = 52 if args.n_to is None else args.n_to
@@ -152,19 +148,17 @@ def _cmd_chsh_max(args: argparse.Namespace) -> int:
     if n_from < 3 or n_to < n_from:
         raise ValueError("need 3 <= n-from <= n-to")
     _check_size(n_to, MAX_SCAN_N, "CHSH scan")
-    rows = _chsh_rows(n_from, n_to, resolve_tol(args.tol))
-    if args.json:
-        _dump_json({"rows": rows, "tsirelson": TSIRELSON_BOUND}, sys.stdout)
-    elif args.out:
+    rows = _chsh_rows(n_from, n_to, args.tol)
+    payload = {"rows": rows, "tsirelson": TSIRELSON_BOUND}
+    text = _chsh_csv(rows)
+    if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_chsh_csv(rows, fh)
-        print(f"wrote {args.out}")
-    else:
-        _write_chsh_csv(rows, sys.stdout)
-    return 0
+            fh.write(text + "\n")
+        text = f"wrote {args.out}"
+    return payload, text
 
 
-def _cmd_chained(args: argparse.Namespace) -> int:
+def _cmd_chained(args: argparse.Namespace) -> tuple[dict, str]:
     n, big_n = args.n, args.N
     _check_size(n, MAX_MODEL_N, "model size")
     _check_size(big_n, MAX_SETTINGS, "chained settings", "N")
@@ -173,24 +167,21 @@ def _cmd_chained(args: argparse.Namespace) -> int:
     if n < big_n:
         raise ValueError("polygon needs at least one ray per setting")
     state = max_entangled(n)
-    meas = [ray_settings(state.model_a, big_n, tol=args.tol)] * 2
-    table = correlations_from_state(state, meas[0], meas[1])
-    value = chained(table, big_n)
-    if args.json:
-        _dump_json({
-            "n": n,
-            "N": big_n,
-            "value": value,
-            "local_bound": chained_local_bound(big_n),
-            "algebraic_maximum": 2 * big_n,
-        }, sys.stdout)
-    else:
-        print(f"chained value for N={big_n} settings on the {n}-gon: "
-              f"{round(value, 12)} (local bound {chained_local_bound(big_n)})")
-    return 0
+    meas = ray_settings(state.model_a, big_n, tol=args.tol)
+    value = chained(correlations_from_state(state, meas, meas), big_n)
+    local_bound = chained_local_bound(big_n)
+    payload = {
+        "n": n,
+        "N": big_n,
+        "value": value,
+        "local_bound": local_bound,
+        "algebraic_maximum": 2 * big_n,
+    }
+    return payload, (f"chained value for N={big_n} settings on the {n}-gon: "
+                     f"{round(value, 12)} (local bound {local_bound})")
 
 
-def _cmd_distill(args: argparse.Namespace) -> int:
+def _cmd_distill(args: argparse.Namespace) -> tuple[dict, str]:
     _check_size(args.n, MAX_MODEL_N, "model size")
     eps, p_box, p_corr = distill_decompose(args.n)
     state = max_entangled(args.n)
@@ -200,17 +191,14 @@ def _cmd_distill(args: argparse.Namespace) -> int:
         ray_settings(state.model_b, 2, tol=args.tol),
     )
     e10 = correlator(table, 1, 0)
-    if args.json:
-        _dump_json({
-            "n": args.n,
-            "eps": eps,
-            "E_2_1": e10,
-            "p_box": p_box.probs.tolist(),
-            "p_corr": p_corr.probs.tolist(),
-        }, sys.stdout)
-    else:
-        print(f"n={args.n}: eps = {eps:.12g}, correlator E(2,1) = {e10:.12g}")
-    return 0
+    payload = {
+        "n": args.n,
+        "eps": eps,
+        "E_2_1": e10,
+        "p_box": p_box.probs.tolist(),
+        "p_corr": p_corr.probs.tolist(),
+    }
+    return payload, f"n={args.n}: eps = {eps:.12g}, correlator E(2,1) = {e10:.12g}"
 
 
 def _check_q1_size(n: int, settings: int | None) -> None:
@@ -227,7 +215,7 @@ def _check_q1_size(n: int, settings: int | None) -> None:
         _check_size(settings, MAX_SETTINGS, "certificate settings", "settings")
 
 
-def _cmd_q1_cert(args: argparse.Namespace) -> int:
+def _cmd_q1_cert(args: argparse.Namespace) -> tuple[dict, str]:
     if args.model == "house" and args.settings is not None:
         raise argparse.ArgumentError(None, "--settings applies to odd polygons only")
     model = _parse_model(args.model, lambda n: _check_q1_size(n, args.settings))
@@ -236,78 +224,64 @@ def _cmd_q1_cert(args: argparse.Namespace) -> int:
         meas_a, meas_b = house_mod.house_demo_measurements()
     else:
         state = max_entangled(model.n_states)
-        meas_a = meas_b = ray_settings(model, 2 if args.settings is None else args.settings)
-
-    from .bipartite import is_inner_product_state
+        if model.n_states % 2:
+            k = 2 if args.settings is None else args.settings
+            meas_a = meas_b = ray_settings(model, k, tol=args.tol)
+        else:
+            # only the scan's argmax pair per side is screened
+            _, (i0, i1, j0, j1) = chsh_max_over_settings(state)
+            meas_a = [dichotomic_measurement(model, i, tol=args.tol) for i in (i0, i1)]
+            meas_b = [dichotomic_measurement(model, j, tol=args.tol) for j in (j0, j1)]
 
     if is_inner_product_state(state, args.tol).is_inner_product:
         cert = certificate_from_inner_product_state(state, meas_a, meas_b, args.tol)
-        payload = cert.to_dict()
-        text = f"verdict: {cert.verdict(args.tol)} (min eigenvalue {cert.eigen_spectrum[0]:.3e})"
-    else:
-        if model.name == "house":
-            table = correlations_from_state(state, meas_a, meas_b)
-        else:
-            _, (i0, i1, j0, j1) = chsh_max_over_settings(state)
-            rays = ray_settings(model, model.n_states)
-            table = correlations_from_state(
-                state, [rays[i0], rays[i1]], [rays[j0], rays[j1]]
-            )
-        report = q1_necessary_conditions(table, tol=args.tol)
-        payload = {"gamma": None, "spectrum": None, **report.to_dict()}
-        text = (f"verdict: {report.verdict} "
-                f"(CHSH {report.chsh_value:.6g} vs {report.chsh_bound:.6g}, "
-                f"quadratic {report.uffink_value:.6g} vs {report.uffink_bound:.6g})")
-    if args.json:
-        _dump_json(payload, sys.stdout)
-    else:
-        print(text)
-    return 0
+        return cert.to_dict(), (f"verdict: {cert.verdict(args.tol)} "
+                                f"(min eigenvalue {cert.eigen_spectrum[0]:.3e})")
+    report = q1_necessary_conditions(correlations_from_state(state, meas_a, meas_b),
+                                     tol=args.tol)
+    return {"gamma": None, "spectrum": None, **report.to_dict()}, (
+        f"verdict: {report.verdict} "
+        f"(CHSH {report.chsh_value:.6g} vs {report.chsh_bound:.6g}, "
+        f"quadratic {report.uffink_value:.6g} vs {report.uffink_bound:.6g})")
 
 
-def _cmd_selfdual(args: argparse.Namespace) -> int:
+def _cmd_selfdual(args: argparse.Namespace) -> tuple[dict, str]:
     model = _parse_model(
         args.model, lambda n: _check_size(n, MAX_SELFDUAL_N, "isomorphism search"))
     report = self_duality(model, args.tol)
     witnesses = report.isomorphisms
-    if args.json:
-        _dump_json({
-            "model": model.name,
-            "weak": report.weak,
-            "strong": report.strong,
-            "witnesses": [w.tolist() for w in witnesses],
-            "strong_witness": None if report.witness is None else report.witness.tolist(),
-            "witness_asymmetry": report.witness_asymmetry,
-            "witness_min_eigenvalue": report.witness_min_eigenvalue,
-            "candidates_tried": report.candidates,
-            "candidates_rejected": report.rejected,
-        }, sys.stdout)
-    else:
-        print(f"{model.name}: weakly self-dual: {'yes' if report.weak else 'no'} "
-              f"({len(witnesses)} isomorphisms); strongly self-dual: "
-              f"{'yes' if report.strong else 'no'}")
-    return 0
+    payload = {
+        "model": model.name,
+        "weak": report.weak,
+        "strong": report.strong,
+        "witnesses": [w.tolist() for w in witnesses],
+        "strong_witness": None if report.witness is None else report.witness.tolist(),
+        "witness_asymmetry": report.witness_asymmetry,
+        "witness_min_eigenvalue": report.witness_min_eigenvalue,
+        "candidates_tried": report.candidates,
+        "candidates_rejected": report.rejected,
+    }
+    return payload, (f"{model.name}: weakly self-dual: {'yes' if report.weak else 'no'} "
+                     f"({len(witnesses)} isomorphisms); strongly self-dual: "
+                     f"{'yes' if report.strong else 'no'}")
 
 
-def _cmd_house(args: argparse.Namespace) -> int:
+def _cmd_house(args: argparse.Namespace) -> tuple[dict, str]:
     value, table = house_mod.house_uffink_demo()
     chsh_value = chsh(table)
     report = q1_necessary_conditions(table, tol=args.tol)
-    if args.json:
-        _dump_json({
-            "uffink": value,
-            "chsh": chsh_value,
-            "tsirelson": TSIRELSON_BOUND,
-            "verdict": report.verdict,
-        }, sys.stdout)
-    else:
-        print(f"quadratic correlator value: {value}")
-        print(f"CHSH value: {round(chsh_value, 12)} (Tsirelson {TSIRELSON_BOUND:.12g})")
-        if report.verdict == "not-in-Q1":
-            print("verdict: not in Q1 (quadratic bound exceeded, CHSH bound respected)")
-        else:
-            print(f"verdict: {report.verdict}")
-    return 0
+    payload = {
+        "uffink": value,
+        "chsh": chsh_value,
+        "tsirelson": TSIRELSON_BOUND,
+        "verdict": report.verdict,
+    }
+    verdict = report.verdict
+    if verdict == "not-in-Q1":
+        verdict = "not in Q1 (quadratic bound exceeded, CHSH bound respected)"
+    return payload, (f"quadratic correlator value: {value}\n"
+                     f"CHSH value: {round(chsh_value, 12)} (Tsirelson {TSIRELSON_BOUND:.12g})\n"
+                     f"verdict: {verdict}")
 
 
 def _add_tol(p: argparse.ArgumentParser) -> None:
@@ -385,14 +359,19 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        resolve_tol(args.tol)
-        return args.func(args)
+        args.tol = resolve_tol(args.tol)
+        payload, text = args.func(args)
     except argparse.ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        _dump_json(payload, sys.stdout)
+    else:
+        print(text)
+    return 0
 
 
 def main() -> None:

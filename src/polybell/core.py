@@ -7,8 +7,27 @@ play either role depending on context. A :class:`ModelSpec` bundles the
 extremal states, the extremal effects, and the unit effect of one system;
 a :class:`Measurement` is a finite list of effects resolving the unit.
 
-Numerical comparisons use a single global tolerance (:data:`DEFAULT_TOL`);
-every checking function accepts a per-call ``tol`` override.
+Tolerances. A function's ``tol`` parameter covers the comparisons that
+function makes; :func:`resolve_tol` turns ``None`` into :data:`DEFAULT_TOL`
+(1e-9) and rejects negative, infinite and nan values. Other thresholds are
+fixed and take no ``tol``:
+
+- :class:`~polybell.correlations.CorrelationTable` checks negativity at
+  ``DEFAULT_TOL``, and the outcome sums and no-signalling at 1e-10.
+- Self-checks of computed results use 1e-12 (the distilled correlator, the
+  delta decomposition, the pushforward correlations) and 1e-10 (the
+  distillation identity, the house's 17/4); the house's CHSH check and the
+  isomorphism residual and determinant use 1e-9, and isomorphisms are
+  deduplicated after rounding to 8 decimals.
+- Rank cutoffs, relative to the largest singular value, are 1e-12 in
+  :func:`validate_model`, 1e-10 in the isomorphism search and 1e-8 in
+  :func:`~polybell.bipartite.is_extremal`.
+- Positive semidefiniteness is tested at three scales: the smallest
+  eigenvalue against ``-tol`` times the Frobenius norm in
+  :func:`~polybell.bipartite.is_inner_product_state`, against ``-tol``
+  absolute on the unit-Frobenius T in :func:`~polybell.selfdual.self_duality`,
+  and against ``-tol`` times the largest |eigenvalue| in
+  :meth:`~polybell.q1.Q1Certificate.psd`.
 """
 
 from __future__ import annotations
@@ -268,9 +287,10 @@ class Measurement:
     def n_outcomes(self) -> int:
         return self.effects.shape[0]
 
-    def outcome_probabilities(self, state) -> np.ndarray:
-        """Probability of each outcome on ``state`` (sums to u . state)."""
-        return self.effects @ np.asarray(state, dtype=float)
+
+# dataclasses leave the InitVar's default behind as a class attribute, where
+# ``meas.tol`` would read None; the generated ``__init__`` keeps its own copy
+del Measurement.tol
 
 
 def dichotomic_measurement(model: ModelSpec, ray_index: int,

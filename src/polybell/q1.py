@@ -23,7 +23,6 @@ certificate's own matrix and spectrum are computed on every call.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,10 +95,6 @@ class Q1Certificate:
             "free_entries_source": "from-state",
             "verdict": self.verdict(),
         }
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def certificate_from_inner_product_state(state: JointState,

@@ -206,13 +206,6 @@ def test_joint_state_shape_check():
         JointState(np.eye(2), m, m)
 
 
-def test_joint_state_serialization():
-    st_ = max_entangled(4)
-    data = st_.to_dict()
-    assert data["schema_version"] >= 1
-    assert np.asarray(data["matrix"]).shape == (3, 3)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     weights=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5),

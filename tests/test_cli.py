@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,8 +12,9 @@ import pytest
 import polybell
 from polybell import cli, selfdual
 from polybell.cli import MAX_SCAN_N, run
-from polybell.core import DEFAULT_TOL, ModelSpec, _model_gap
-from polybell.polygon import polygon
+from polybell.core import DEFAULT_TOL, ModelSpec, _model_gap, resolve_tol
+from polybell.correlations import chsh_max_over_settings, ray_settings
+from polybell.polygon import max_entangled, polygon
 
 
 # The child imports the same polybell as this process, installed or not.
@@ -218,18 +220,35 @@ def test_polygon_tol_reaches_validation(monkeypatch, capsys):
 @pytest.mark.parametrize("args, calls", [
     (["chained", "--n", "12", "--N", "6"], 1),
     (["distill", "--n", "8"], 2),
-], ids=["chained", "distill"])
+    (["q1-cert", "--model", "polygon:7"], 1),
+    # the even screen builds the scan's two settings per side, one by one
+    (["q1-cert", "--model", "polygon:6"], 4),
+], ids=["chained", "distill", "q1-cert-odd", "q1-cert-even"])
 def test_tol_reaches_ray_settings(args, calls, monkeypatch, capsys):
-    original = cli.ray_settings
     seen = []
+    for name in ("ray_settings", "dichotomic_measurement"):
+        def recording(model, k, tol=None, original=getattr(cli, name)):
+            seen.append(tol)
+            return original(model, k, tol=tol)
 
-    def recording(model, k, tol=None):
-        seen.append(tol)
-        return original(model, k, tol=tol)
-
-    monkeypatch.setattr(cli, "ray_settings", recording)
+        monkeypatch.setattr(cli, name, recording)
     assert run([*args, "--tol", "0.001"]) == 0
     assert seen == [0.001] * calls
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 16])
+def test_q1_cert_even_screen_table_is_the_all_rays_table(n, monkeypatch, capsys):
+    original = cli.correlations_from_state
+    tables = []
+    monkeypatch.setattr(cli, "correlations_from_state",
+                        lambda *args: tables.append(original(*args)) or tables[-1])
+    assert run(["q1-cert", "--model", f"polygon:{n}"]) == 0
+    state = max_entangled(n)
+    _, (i0, i1, j0, j1) = chsh_max_over_settings(state)
+    rays = ray_settings(state.model_a, n)
+    expected = original(state, [rays[i0], rays[i1]], [rays[j0], rays[j1]])
+    (table,) = tables
+    assert table.probs.tobytes() == expected.probs.tobytes()
 
 
 def test_chsh_max_checks_scan_against_closed_form_within_tol(monkeypatch, capsys):
@@ -377,3 +396,97 @@ def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argv = shlex.split(line)
     assert run(argv[1:]) == 0, capsys.readouterr().err
+
+
+# One call per subcommand, with the headline numbers that text and --json
+# must agree on: text -> the values it shows, payload -> the same values.
+HEADLINES = {
+    "polygon": (["polygon", "--n", "7"],
+                lambda text: re.fullmatch(r"(\S+): (\d+) states, (\d+) effects .*\n", text).groups(),
+                lambda p: (p["name"], str(len(p["extremal_states"])),
+                           str(len(p["extremal_effects"])))),
+    "chsh-max": (["chsh-max", "--n-from", "3", "--n-to", "9"],
+                 lambda text: text.splitlines()[1:],
+                 lambda p: [cli._csv_row([r["n"], r["parity"], r["S_bruteforce"],
+                                          r["S_analytic"], r["residue_class"]])
+                            for r in p["rows"]]),
+    "chained": (["chained", "--n", "12", "--N", "6"],
+                lambda text: float(re.search(r"-gon: (\S+) ", text).group(1)),
+                lambda p: round(p["value"], 12)),
+    "distill": (["distill", "--n", "8"],
+                lambda text: re.search(r"eps = (\S+),", text).group(1),
+                lambda p: f"{p['eps']:.12g}"),
+    "q1-cert-odd": (["q1-cert", "--model", "polygon:7"],
+                    lambda text: text.split()[1],
+                    lambda p: p["verdict"]),
+    "q1-cert-even": (["q1-cert", "--model", "polygon:6"],
+                     lambda text: text.split()[1],
+                     lambda p: p["verdict"]),
+    "q1-cert-house": (["q1-cert", "--model", "house"],
+                      lambda text: text.split()[1],
+                      lambda p: p["verdict"]),
+    "selfdual": (["selfdual", "--model", "polygon:9"],
+                 lambda text: re.fullmatch(r"\S+: weakly self-dual: (yes|no) \((\d+) "
+                                           r"isomorphisms\); strongly self-dual: (yes|no)\n",
+                                           text).groups(),
+                 lambda p: ("yes" if p["weak"] else "no", str(len(p["witnesses"])),
+                            "yes" if p["strong"] else "no")),
+    "selfdual-house": (["selfdual", "--model", "house"],
+                       lambda text: re.search(r"\((\d+) isomorphisms", text).group(1),
+                       lambda p: str(len(p["witnesses"]))),
+    "house": (["house", "demo"],
+              lambda text: re.search(r"^CHSH value: (\S+) ", text, re.M).group(1),
+              lambda p: str(round(p["chsh"], 12))),
+}
+
+
+@pytest.mark.parametrize("name", HEADLINES)
+def test_json_output_is_one_sorted_object(name, capsys):
+    argv = HEADLINES[name][0]
+    assert run([*argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert isinstance(payload, dict)
+    assert payload["schema_version"] == 1
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", HEADLINES)
+def test_text_output_holds_no_json(name, capsys):
+    assert run(HEADLINES[name][0]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    assert not set(out) & set('{}[]"')
+    assert "schema_version" not in out
+
+
+@pytest.mark.parametrize("name", HEADLINES)
+def test_text_and_json_agree_on_headline_numbers(name, capsys):
+    argv, from_text, from_payload = HEADLINES[name]
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    assert run([*argv, "--json"]) == 0
+    assert from_text(text) == from_payload(json.loads(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("name", HEADLINES)
+def test_subcommands_return_results_and_print_nothing(name, capsys):
+    args = cli._build_parser().parse_args(HEADLINES[name][0])
+    args.tol = resolve_tol(args.tol)
+    payload, text = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert isinstance(payload, dict) and isinstance(text, str)
+
+
+def test_written_files_hold_the_printed_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for printing, writing, name in [
+        (["polygon", "--n", "7", "--json"], ["polygon", "--n", "7", "--emit"], "heptagon.json"),
+        (["chsh-max", "--n-from", "3", "--n-to", "9"],
+         ["chsh-max", "--n-from", "3", "--n-to", "9", "--out"], "chsh.csv"),
+    ]:
+        assert run(printing) == 0
+        printed = capsys.readouterr().out
+        assert run([*writing, name]) == 0
+        assert capsys.readouterr().out == f"wrote {name}\n"
+        assert (tmp_path / name).read_bytes() == printed.encode()

@@ -14,6 +14,8 @@ from polybell.core import (
     simplex_model,
     validate_model,
 )
+from polybell.correlations import ray_settings
+from polybell.polygon import polygon
 
 
 def square_model() -> ModelSpec:
@@ -104,6 +106,22 @@ def test_measurement_takes_tol_without_storing_it():
     assert "tol" not in vars(meas)
 
 
+def test_measurement_tol_is_not_readable():
+    # neither the default nor the tolerance a measurement was checked at
+    meas = ray_settings(polygon(5), 1, tol=1e-3)[0]
+    with pytest.raises(AttributeError):
+        meas.tol
+    m = square_model()
+    effects = np.array([[0.5, 0.0, 0.5], [-0.5, 0.0, 0.5]])
+    for meas in (Measurement(effects, m), Measurement(effects, m, tol=1e-5),
+                 Measurement(effects, m, 1e-5)):
+        assert meas.n_outcomes == 2
+        with pytest.raises(AttributeError):
+            meas.tol
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        Measurement(effects, m, tol=-1.0)
+
+
 def test_measurement_rejects_improper_outcome():
     m = square_model()
     with pytest.raises(ValueError, match="outcome 0 is not a proper effect"):
@@ -119,7 +137,7 @@ def test_dichotomic_measurement_outcomes():
     m = square_model()
     meas = dichotomic_measurement(m, 0)
     assert meas.n_outcomes == 2
-    p = meas.outcome_probabilities(m.extremal_states[0])
+    p = meas.effects @ m.extremal_states[0]
     np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-15)
     assert p.sum() == pytest.approx(1.0)
     with pytest.raises(ValueError):
