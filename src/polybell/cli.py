@@ -30,7 +30,7 @@ from .correlations import (
     chsh_max_over_settings,
     correlations_from_state,
     correlator,
-    distill_decompose,
+    distill_with_table,
     ray_settings,
 )
 from .polygon import max_entangled, polygon
@@ -183,13 +183,7 @@ def _cmd_chained(args: argparse.Namespace) -> tuple[dict, str]:
 
 def _cmd_distill(args: argparse.Namespace) -> tuple[dict, str]:
     _check_size(args.n, MAX_MODEL_N, "model size")
-    eps, p_box, p_corr = distill_decompose(args.n)
-    state = max_entangled(args.n)
-    table = correlations_from_state(
-        state,
-        ray_settings(state.model_a, 2, tol=args.tol),
-        ray_settings(state.model_b, 2, tol=args.tol),
-    )
+    eps, p_box, p_corr, table = distill_with_table(args.n, args.tol)
     e10 = correlator(table, 1, 0)
     payload = {
         "n": args.n,

@@ -374,21 +374,24 @@ def _pattern_table(predicate: Callable[..., np.ndarray]) -> CorrelationTable:
     return CorrelationTable(probs, (2, 2), (2, 2))
 
 
-def distill_decompose(n: int) -> tuple[float, CorrelationTable, CorrelationTable]:
+def distill_with_table(
+    n: int, tol: float | None = None,
+) -> tuple[float, CorrelationTable, CorrelationTable, CorrelationTable]:
     """Noise decomposition of the even-n entangled correlations on two settings.
 
-    With settings {e_1, u-e_1} and {e_2, u-e_2} on both sides, the measured
-    table equals ``eps * P_box + (1 - eps) * P_corr`` with
-    ``eps = 1 - cos(2 pi / n)``, where P_box is the extremal box winning
-    ``a XOR b == x AND (NOT y)`` and P_corr is the perfectly correlated local
-    table. Verifies the identity entrywise to 1e-10 and the single mixed
-    correlator E(1, 0) == 2 cos(2 pi / n) - 1 to 1e-12 before returning
-    (eps, P_box, P_corr).
+    With settings {e_1, u-e_1} and {e_2, u-e_2} on both sides, checked
+    within ``tol``, the measured table equals
+    ``eps * P_box + (1 - eps) * P_corr`` with ``eps = 1 - cos(2 pi / n)``,
+    where P_box is the extremal box winning ``a XOR b == x AND (NOT y)`` and
+    P_corr is the perfectly correlated local table. Verifies the identity
+    entrywise to 1e-10 and the single mixed correlator
+    E(1, 0) == 2 cos(2 pi / n) - 1 to 1e-12 before returning
+    (eps, P_box, P_corr, measured table).
     """
     if n < 4 or n % 2 != 0:
         raise ValueError("the decomposition applies to even n >= 4")
     state = max_entangled(n)
-    settings = ray_settings(state.model_a, 2)
+    settings = ray_settings(state.model_a, 2, tol=tol)
     table = correlations_from_state(state, settings, settings)
     eps = 1.0 - math.cos(2.0 * math.pi / n)
     p_box = _pattern_table(lambda a, b, x, y: (a ^ b) == (x & (1 - y)))
@@ -401,4 +404,9 @@ def distill_decompose(n: int) -> tuple[float, CorrelationTable, CorrelationTable
     expected = 2.0 * math.cos(2.0 * math.pi / n) - 1.0
     if abs(e10 - expected) > 1e-12:
         raise ArithmeticError(f"mixed correlator {e10!r} != {expected!r}")
-    return eps, p_box, p_corr
+    return eps, p_box, p_corr, table
+
+
+def distill_decompose(n: int) -> tuple[float, CorrelationTable, CorrelationTable]:
+    """(eps, P_box, P_corr) of :func:`distill_with_table` at the default tolerance."""
+    return distill_with_table(n)[:3]

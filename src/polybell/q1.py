@@ -17,12 +17,16 @@ block-diagonal correction that splits into pair matrices
 Every certificate first runs the inner-product test on its state. The
 test's tolerance-free invariants (model gap, asymmetry, norm, smallest
 eigenvalue) are computed once per immutable :class:`JointState` and kept on
-it; the verdict is taken on every call against that call's ``tol``. Each
-certificate's own matrix and spectrum are computed on every call.
+it; the verdict is taken on every call against that call's ``tol``. Which
+entries the override zeroes depends only on the tuple of outcome counts, so
+that layout is built once per tuple and kept. Each certificate's matrix
+``gamma``, its marginals and its spectrum are computed on every call, from
+one shared product of the effects with the state.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,8 +81,9 @@ class Q1Certificate:
     def psd(self, tol: float | None = None) -> bool:
         """Positive semidefiniteness: min eigenvalue >= -tol * max |eigenvalue|."""
         tol = resolve_tol(tol)
-        scale = float(np.abs(self.eigen_spectrum).max()) if self.eigen_spectrum.size else 0.0
-        return float(self.eigen_spectrum[0]) >= -tol * max(scale, 1e-300)
+        # ascending order: the largest |eigenvalue| sits at one of the ends
+        lowest, highest = float(self.eigen_spectrum[0]), float(self.eigen_spectrum[-1])
+        return lowest >= -tol * max(-lowest, highest, 1e-300)
 
     def verdict(self, tol: float | None = None) -> str:
         """"in-Q1" when the certificate is PSD, else "undetermined"."""
@@ -97,6 +102,23 @@ class Q1Certificate:
         }
 
 
+@functools.lru_cache(maxsize=64)
+def _override_layout(counts: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of the entries the certificate zeroes, for outcome counts ``counts``.
+
+    These are the off-diagonal entries of each measurement's diagonal block
+    in the (1 + sum(counts))-square moment matrix, row-major. They depend on
+    nothing but the counts, so each tuple's indices are built once and kept
+    read-only.
+    """
+    size = 1 + sum(counts)
+    labels = np.repeat(np.arange(len(counts)), counts)
+    rows, cols = np.nonzero((labels[:, None] == labels) & ~np.eye(size - 1, dtype=bool))
+    flat = (rows + 1) * size + cols + 1
+    flat.flags.writeable = False
+    return flat
+
+
 def certificate_from_inner_product_state(state: JointState,
                                          meas_a: Sequence[Measurement],
                                          meas_b: Sequence[Measurement],
@@ -110,7 +132,9 @@ def certificate_from_inner_product_state(state: JointState,
     ``ValueError`` when the state fails the inner-product test, since the
     construction would then be unsound. The state's inner-product
     invariants are computed once per state and compared with ``tol`` here;
-    the spectrum of every certificate is computed afresh.
+    the indices of the zeroed entries are kept per tuple of outcome counts;
+    the matrix, marginals and spectrum of every certificate are computed
+    afresh.
     """
     tol = resolve_tol(tol)
     report = is_inner_product_state(state, tol)
@@ -124,22 +148,20 @@ def certificate_from_inner_product_state(state: JointState,
     outcomes_a = tuple(m.n_outcomes for m in meas_a)
     outcomes_b = tuple(m.n_outcomes for m in meas_b)
     n_a = sum(outcomes_a)
-    m = state.matrix
     # rows: the unit, then every outcome effect, settings in order per side
     g = np.concatenate([state.model_a.unit_effect[None, :]]
                        + [x.effects for x in meas_a] + [x.effects for x in meas_b])
-    gamma = g @ m @ g.T
+    gm = g @ state.matrix
+    gamma = gm @ g.T
     gamma = (gamma + gamma.T) / 2.0
 
-    marg_a = g[1:1 + n_a] @ m @ state.model_b.unit_effect
-    marg_b = g[0] @ m @ g[1 + n_a:].T
-    # every outcome row carries its measurement's label: zero each
-    # measurement's diagonal block, then put the marginals on the diagonal
-    counts = outcomes_a + outcomes_b
-    labels = np.repeat(np.arange(len(counts)), counts)
-    outcome_block = gamma[1:, 1:]
-    outcome_block[labels[:, None] == labels] = 0.0
-    np.fill_diagonal(outcome_block, np.concatenate([marg_a, marg_b]))
+    # zero each measurement's diagonal block off its diagonal, then put the
+    # marginals on the outcome diagonal
+    flat = gamma.reshape(-1)
+    flat[_override_layout(outcomes_a + outcomes_b)] = 0.0
+    diagonal = flat[len(g) + 1::len(g) + 1]
+    diagonal[:n_a] = gm[1:1 + n_a] @ state.model_b.unit_effect
+    diagonal[n_a:] = gm[0] @ g[1 + n_a:].T
 
     spectrum = np.linalg.eigvalsh(gamma)
     cert = Q1Certificate(gamma, spectrum, outcomes_a, outcomes_b)

@@ -105,7 +105,7 @@ def test_criterion_05_inner_product_parity():
 def test_criterion_06_certificates_all_setting_pairs():
     start = time.perf_counter()
     checked = 0
-    for n in range(3, 20, 2):
+    for n in range(3, 24, 2):
         state = max_entangled(n)
         meas = ray_settings(state.model_a, n)
         for i0, i1 in itertools.combinations(range(n), 2):
@@ -129,7 +129,7 @@ def test_criterion_06_certificates_all_setting_pairs():
         )
         assert verify_delta_decomposition(state, three)
     elapsed = time.perf_counter() - start
-    assert checked == 69717
+    assert checked == 177826
     assert elapsed < 30.0, f"certificate sweep took {elapsed:.2f}s"
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import polybell
-from polybell import cli, selfdual
+from polybell import cli, correlations, selfdual
 from polybell.cli import MAX_SCAN_N, run
 from polybell.core import DEFAULT_TOL, ModelSpec, _model_gap, resolve_tol
 from polybell.correlations import chsh_max_over_settings, ray_settings
@@ -166,7 +166,7 @@ def test_model_size_caps_run_before_construction(args, message, capsys, monkeypa
     def refuse(n):
         raise AssertionError(f"a {n}-gon built past the size cap")
 
-    for name in ("polygon", "max_entangled", "distill_decompose"):
+    for name in ("polygon", "max_entangled", "distill_with_table"):
         monkeypatch.setattr(cli, name, refuse)
     assert run(args) == 1
     captured = capsys.readouterr()
@@ -219,19 +219,21 @@ def test_polygon_tol_reaches_validation(monkeypatch, capsys):
 
 @pytest.mark.parametrize("args, calls", [
     (["chained", "--n", "12", "--N", "6"], 1),
-    (["distill", "--n", "8"], 2),
+    # one settings list, built inside `distill_with_table`, serves both sides
+    (["distill", "--n", "8"], 1),
     (["q1-cert", "--model", "polygon:7"], 1),
     # the even screen builds the scan's two settings per side, one by one
     (["q1-cert", "--model", "polygon:6"], 4),
 ], ids=["chained", "distill", "q1-cert-odd", "q1-cert-even"])
 def test_tol_reaches_ray_settings(args, calls, monkeypatch, capsys):
     seen = []
-    for name in ("ray_settings", "dichotomic_measurement"):
-        def recording(model, k, tol=None, original=getattr(cli, name)):
+    for module, name in ((cli, "ray_settings"), (cli, "dichotomic_measurement"),
+                         (correlations, "ray_settings")):
+        def recording(model, k, tol=None, original=getattr(module, name)):
             seen.append(tol)
             return original(model, k, tol=tol)
 
-        monkeypatch.setattr(cli, name, recording)
+        monkeypatch.setattr(module, name, recording)
     assert run([*args, "--tol", "0.001"]) == 0
     assert seen == [0.001] * calls
 

@@ -8,6 +8,7 @@ from polybell.bipartite import JointState, pull_back_measurement, push_local_map
 from polybell.core import Measurement, dichotomic_measurement, simplex_model
 from polybell.correlations import correlations_from_state, correlator, ray_settings
 from polybell.polygon import max_entangled, polygon
+from polybell import q1
 from polybell.q1 import (
     Q1Certificate,
     certificate_from_inner_product_state,
@@ -53,6 +54,12 @@ def assert_matches_reference(cert, state, meas_a, meas_b):
     gamma, spectrum = certificate_reference(state, meas_a, meas_b)
     assert np.array_equal(cert.gamma, gamma)
     assert np.array_equal(cert.eigen_spectrum, spectrum)
+
+
+def three_of(state, dichotomic) -> Measurement:
+    """A three-outcome measurement: the first effect, and its complement split in two."""
+    unit, e0 = state.model_a.unit_effect, dichotomic.effects[0]
+    return Measurement(np.stack([e0, (unit - e0) / 2.0, (unit - e0) / 2.0]), state.model_a)
 
 
 def trit_state() -> tuple[JointState, Measurement]:
@@ -249,7 +256,7 @@ def test_gamma_shape_validation():
                       outcomes_a=(2,), outcomes_b=(2,))
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 9])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
 def test_certificate_is_bitwise_the_reference_for_every_pair(n):
     state = max_entangled(n)
     meas = ray_settings(state.model_a, n)
@@ -268,10 +275,18 @@ def test_certificate_is_bitwise_the_reference_for_other_outcome_counts():
 
     state = max_entangled(7)
     meas = ray_settings(state.model_a, 3)
-    unit, e0 = state.model_a.unit_effect, meas[0].effects[0]
-    three = Measurement(np.stack([e0, (unit - e0) / 2.0, (unit - e0) / 2.0]), state.model_a)
+    three = three_of(state, meas[0])
     for meas_a, meas_b in (([three], [three]), ([three, meas[1]], [meas[2], three]),
                            ([meas[1]], [meas[2], meas[0], three])):
+        cert = certificate_from_inner_product_state(state, meas_a, meas_b)
+        assert cert.outcomes_a == tuple(m.n_outcomes for m in meas_a)
+        assert_matches_reference(cert, state, meas_a, meas_b)
+
+    # five and seven settings per side, in different orders on the two sides
+    state = max_entangled(11)
+    meas = ray_settings(state.model_a, 11)
+    for meas_a, meas_b in ((meas[:5], meas[6:1:-1]), (meas[:7], meas[:3:-1]),
+                           (meas[2:9], [meas[3], three_of(state, meas[5]), *meas[:5]])):
         cert = certificate_from_inner_product_state(state, meas_a, meas_b)
         assert cert.outcomes_a == tuple(m.n_outcomes for m in meas_a)
         assert_matches_reference(cert, state, meas_a, meas_b)
@@ -316,3 +331,71 @@ def test_state_spectrum_is_computed_once_per_state(monkeypatch):
                                              [meas[j0], meas[j1]])
     assert shapes.count(state.matrix.shape) == 1
     assert shapes.count((9, 9)) == 100
+
+
+def test_override_layout_is_built_once_per_outcome_counts(monkeypatch):
+    state = max_entangled(7)
+    meas = ray_settings(state.model_a, 7)
+    original = np.repeat
+    builds = []
+    monkeypatch.setattr(np, "repeat", lambda *args, **kwargs: builds.append(args[1])
+                        or original(*args, **kwargs))
+    q1._override_layout.cache_clear()
+    pairs = list(itertools.combinations(range(7), 2))
+    for (i0, i1), (j0, j1) in itertools.islice(itertools.product(pairs, pairs), 100):
+        certificate_from_inner_product_state(state, [meas[i0], meas[i1]],
+                                             [meas[j0], meas[j1]])
+    assert builds == [(2, 2, 2, 2)]
+    info = q1._override_layout.cache_info()
+    assert (info.misses, info.hits) == (1, 99)
+    # another outcome-count tuple builds its own layout, once
+    for _ in range(3):
+        certificate_from_inner_product_state(state, meas[:3], [three_of(state, meas[1])])
+    assert builds == [(2, 2, 2, 2), (2, 2, 2, 3)]
+    layout = q1._override_layout((2, 2, 2, 3))
+    assert not layout.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        layout[0] = 0
+
+
+def psd_reference(spectrum, tol) -> bool:
+    """The rule before it read the scale off the ends: the scale is max |eigenvalue|."""
+    scale = float(np.abs(spectrum).max())
+    return bool(float(spectrum[0]) >= -tol * max(scale, 1e-300))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e12])
+def test_certificate_psd_flips_where_the_lowest_eigenvalue_crosses_tol(scale):
+    # lowest = -tol * max|eigenvalue| * (1 -+ 1e-6) on every sign pattern;
+    # where the lowest end is the largest in size the flip sits at tol = 1
+    for tol in (1e-12, 1e-9, 1e-3, 0.5):
+        for factor, expected in ((1 - 1e-6, True), (1 + 1e-6, False)):
+            lowest = -tol * scale * factor
+            spectrum = np.array([lowest, 0.1 * scale, scale])
+            cert = Q1Certificate(np.diag(spectrum), spectrum, (1,), (1,))
+            assert cert.psd(tol) is expected, (tol, factor)
+    # all negative, mixed with the lower end larger, mixed with equal ends;
+    # one object per spectrum, asked in both orders
+    for spectrum in (np.array([-scale, -0.5 * scale, -0.1 * scale]),
+                     np.array([-scale, 0.0, 0.5 * scale]),
+                     np.array([-scale, 0.0, scale])):
+        cert = Q1Certificate(np.diag(spectrum), spectrum, (1,), (1,))
+        for factor, expected in ((1 + 1e-6, True), (1 - 1e-6, False), (1 + 1e-6, True)):
+            assert cert.psd(factor) is expected, (spectrum, factor)
+            assert cert.verdict(factor) == ("in-Q1" if expected else "undetermined")
+    positive = np.array([0.1 * scale, 0.5 * scale, scale])
+    cert = Q1Certificate(np.diag(positive), positive, (1,), (1,))
+    assert all(cert.psd(tol) for tol in (0.0, 1e-9, 0.5, 2.0))
+
+
+def test_certificate_psd_is_the_max_abs_rule():
+    rng = np.random.default_rng(1215)
+    for _ in range(2000):
+        size = int(rng.integers(1, 7))
+        shift = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0])
+        spectrum = np.sort(rng.normal(size=1 + 2 * size) + shift)
+        cert = Q1Certificate(np.diag(spectrum), spectrum, (size,), (size,))
+        margin = float(-spectrum[0] / np.abs(spectrum).max())
+        for tol in (0.0, 1e-9, 0.3, abs(margin), abs(margin) * (1 + 1e-6),
+                    abs(margin) * (1 - 1e-6)):
+            assert cert.psd(tol) is psd_reference(spectrum, tol)
