@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelSpec, Measurement, _model_gap, resolve_tol
+from .core import ModelSpec, Measurement, _model_gap, psd_at, resolve_tol
 
 # Singular values below this fraction of the largest count as zero when
 # :func:`is_extremal` ranks the active constraints.
@@ -53,20 +53,19 @@ class JointState:
     def _inner_product_margins(self) -> tuple[float, float, float, float]:
         """Tolerance-free numbers behind :func:`is_inner_product_state`.
 
-        The model gap (see ``core._model_gap``), ``max |M - M^T|``, the
-        Frobenius norm of ``M`` and the smallest eigenvalue of
-        ``(M + M^T) / 2``. The state is immutable, so they are computed on
-        first use and kept; each caller compares them with its own ``tol``.
-        The last three are nan when ``M`` is not square (the gap is then inf).
+        The model gap (see ``core._model_gap``), ``max |M - M^T|`` and the
+        smallest and largest eigenvalues of ``(M + M^T) / 2``. The state is
+        immutable, so they are computed on first use and kept; each caller
+        compares them with its own ``tol``. The last three are nan when
+        ``M`` is not square (the gap is then inf).
         """
         gap = _model_gap(self.model_a, self.model_b)
         m = self.matrix
         if m.shape[0] != m.shape[1]:
             return gap, math.nan, math.nan, math.nan
         asymmetry = float(np.abs(m - m.T).max())
-        norm = float(np.linalg.norm(m))
-        min_eig = float(np.linalg.eigvalsh((m + m.T) / 2.0)[0])
-        return gap, asymmetry, norm, min_eig
+        spectrum = np.linalg.eigvalsh((m + m.T) / 2.0)
+        return gap, asymmetry, float(spectrum[0]), float(spectrum[-1])
 
 
 def normalization(state: JointState) -> float:
@@ -129,8 +128,7 @@ class InnerProductReport:
     """Result of the inner-product test: symmetry and positive semidefiniteness.
 
     ``asymmetry`` is the max-abs entry of ``M - M^T``; ``min_eigenvalue`` is
-    the smallest eigenvalue of the symmetrized matrix; ``matrix_norm`` is the
-    Frobenius norm used for the relative PSD threshold; ``model_gap`` is the
+    the smallest eigenvalue of the symmetrized matrix; ``model_gap`` is the
     largest entry difference between the two systems, which passed the
     similarity check against ``tol``.
     """
@@ -139,7 +137,6 @@ class InnerProductReport:
     psd: bool
     asymmetry: float
     min_eigenvalue: float
-    matrix_norm: float
     model_gap: float
 
     @property
@@ -154,24 +151,23 @@ def is_inner_product_state(state: JointState,
     Such states are symmetric under swapping the effect arguments and
     non-negative on all squares ``(e, e)``; for the matrix form this is
     symmetry of ``M`` plus positive semidefiniteness of ``(M + M^T) / 2``
-    (threshold relative to the Frobenius norm of ``M``).
+    (by :func:`~polybell.core.psd_at`).
 
-    The tolerance-free invariants (model gap, asymmetry, norm, smallest
-    eigenvalue) are computed once per immutable :class:`JointState`; the
+    The tolerance-free invariants (model gap, asymmetry, the two ends of
+    the spectrum) are computed once per immutable :class:`JointState`; the
     verdict is taken on every call against this call's ``tol``.
 
     Raises ``ValueError`` when the two systems are not similar within ``tol``.
     """
     tol = resolve_tol(tol)
-    gap, asymmetry, norm, min_eig = state._inner_product_margins
+    gap, asymmetry, min_eig, max_eig = state._inner_product_margins
     if gap > tol:
         raise ValueError("inner-product test requires two similar systems")
     return InnerProductReport(
         symmetric=asymmetry <= tol,
-        psd=min_eig >= -tol * max(norm, 1e-300),
+        psd=psd_at(min_eig, max_eig, tol),
         asymmetry=asymmetry,
         min_eigenvalue=min_eig,
-        matrix_norm=norm,
         model_gap=gap,
     )
 

@@ -229,8 +229,8 @@ def _cmd_q1_cert(args: argparse.Namespace) -> tuple[dict, str]:
 
     if is_inner_product_state(state, args.tol).is_inner_product:
         cert = certificate_from_inner_product_state(state, meas_a, meas_b, args.tol)
-        return cert.to_dict(), (f"verdict: {cert.verdict(args.tol)} "
-                                f"(min eigenvalue {cert.eigen_spectrum[0]:.3e})")
+        return cert.to_dict(args.tol), (f"verdict: {cert.verdict(args.tol)} "
+                                        f"(min eigenvalue {cert.eigen_spectrum[0]:.3e})")
     report = q1_necessary_conditions(correlations_from_state(state, meas_a, meas_b),
                                      tol=args.tol)
     return {"gamma": None, "spectrum": None, **report.to_dict()}, (
@@ -254,6 +254,7 @@ def _cmd_selfdual(args: argparse.Namespace) -> tuple[dict, str]:
         "witness_min_eigenvalue": report.witness_min_eigenvalue,
         "candidates_tried": report.candidates,
         "candidates_rejected": report.rejected,
+        "witness_rejected": report.witness_rejected,
     }
     return payload, (f"{model.name}: weakly self-dual: {'yes' if report.weak else 'no'} "
                      f"({len(witnesses)} isomorphisms); strongly self-dual: "

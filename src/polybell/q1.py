@@ -15,19 +15,26 @@ block-diagonal correction that splits into pair matrices
 ``p * [[1, -1], [-1, 1]]`` with ``p >= 0``, hence stays PSD.
 
 Every certificate first runs the inner-product test on its state. The
-test's tolerance-free invariants (model gap, asymmetry, norm, smallest
-eigenvalue) are computed once per immutable :class:`JointState` and kept on
+test's tolerance-free invariants (model gap, asymmetry, the two ends of the
+spectrum) are computed once per immutable :class:`JointState` and kept on
 it; the verdict is taken on every call against that call's ``tol``. Which
 entries the override zeroes depends only on the tuple of outcome counts, so
 that layout is built once per tuple and kept. Each certificate's matrix
-``gamma``, its marginals and its spectrum are computed on every call, from
-one shared product of the effects with the state.
+``gamma`` and its marginals are computed on every call, from one shared
+product of the effects with the state.
+
+A :class:`Q1Certificate` computes its spectrum from its own ``gamma`` and
+takes none from its caller, so its verdict cannot disagree with its matrix.
+A batched builder of many certificates' spectra (one stacked ``eigvalsh``)
+must keep that property: build every certificate through this constructor,
+or keep the stacked matrices and the spectra computed from them together
+behind one private builder.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +45,7 @@ from .bipartite import (
     pull_back_measurement,
     push_local_map,
 )
-from .core import Measurement, resolve_tol
+from .core import Measurement, psd_at, resolve_tol
 from .correlations import (
     TSIRELSON_BOUND,
     CorrelationTable,
@@ -55,41 +62,49 @@ UFFINK_BOUND = 4.0
 class Q1Certificate:
     """A candidate moment matrix with its spectrum.
 
-    ``gamma`` is the symmetric moment matrix and ``eigen_spectrum`` its
-    eigenvalues in ascending order, both numpy float arrays; construction
-    checks their shapes against the outcome counts and makes them read-only
-    in place, without a copy. ``outcomes_a``/``outcomes_b`` record how the
-    flat outcome labels split into measurements (one count per setting).
+    ``gamma`` is the symmetric moment matrix, a numpy float array;
+    construction checks its shape against the outcome counts and its exact
+    symmetry, makes it read-only in place, without a copy, and computes
+    ``eigen_spectrum``, its eigenvalues in ascending order (read-only).
+    ``outcomes_a``/``outcomes_b`` record how the flat outcome labels split
+    into measurements (one count per setting).
     :func:`certificate_from_inner_product_state` is the one constructor the
     library calls; its free entries come from the state's bilinear pairing.
     """
 
     gamma: np.ndarray
-    eigen_spectrum: np.ndarray
     outcomes_a: tuple[int, ...]
     outcomes_b: tuple[int, ...]
+    eigen_spectrum: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         n = 1 + sum(self.outcomes_a) + sum(self.outcomes_b)
         if self.gamma.shape != (n, n):
             raise ValueError(f"gamma must be {n}x{n} for these outcome counts")
-        if self.eigen_spectrum.shape != (n,):
-            raise ValueError("eigen spectrum length must match gamma")
+        # eigvalsh reads one triangle, so an asymmetric gamma would get the
+        # spectrum of another matrix. Row-major against column-major bytes
+        # is the cheap test; values decide when the bytes differ, as they
+        # do where 0.0 mirrors -0.0.
+        if (self.gamma.tobytes() != self.gamma.tobytes(order="F")
+                and not np.array_equal(self.gamma, self.gamma.T)):
+            raise ValueError("gamma must be symmetric")
         self.gamma.flags.writeable = False
-        self.eigen_spectrum.flags.writeable = False
+        spectrum = np.linalg.eigvalsh(self.gamma)
+        spectrum.flags.writeable = False
+        object.__setattr__(self, "eigen_spectrum", spectrum)
 
     def psd(self, tol: float | None = None) -> bool:
-        """Positive semidefiniteness: min eigenvalue >= -tol * max |eigenvalue|."""
-        tol = resolve_tol(tol)
+        """Positive semidefiniteness at ``tol``, by :func:`~polybell.core.psd_at`."""
         # ascending order: the largest |eigenvalue| sits at one of the ends
-        lowest, highest = float(self.eigen_spectrum[0]), float(self.eigen_spectrum[-1])
-        return lowest >= -tol * max(-lowest, highest, 1e-300)
+        return psd_at(float(self.eigen_spectrum[0]), float(self.eigen_spectrum[-1]),
+                      resolve_tol(tol))
 
     def verdict(self, tol: float | None = None) -> str:
         """"in-Q1" when the certificate is PSD, else "undetermined"."""
         return "in-Q1" if self.psd(tol) else "undetermined"
 
-    def to_dict(self) -> dict:
+    def to_dict(self, tol: float | None = None) -> dict:
+        """The certificate as JSON data, with its verdict at ``tol``."""
         return {
             "schema_version": CERTIFICATE_SCHEMA_VERSION,
             "gamma": self.gamma.tolist(),
@@ -98,7 +113,7 @@ class Q1Certificate:
             "outcomes_B": list(self.outcomes_b),
             # schema 1 keeps the key; every certificate is built from a state
             "free_entries_source": "from-state",
-            "verdict": self.verdict(),
+            "verdict": self.verdict(tol),
         }
 
 
@@ -133,8 +148,8 @@ def certificate_from_inner_product_state(state: JointState,
     construction would then be unsound. The state's inner-product
     invariants are computed once per state and compared with ``tol`` here;
     the indices of the zeroed entries are kept per tuple of outcome counts;
-    the matrix, marginals and spectrum of every certificate are computed
-    afresh.
+    the matrix and marginals of every certificate are computed afresh, and
+    the certificate computes its own spectrum.
     """
     tol = resolve_tol(tol)
     report = is_inner_product_state(state, tol)
@@ -163,11 +178,11 @@ def certificate_from_inner_product_state(state: JointState,
     diagonal[:n_a] = gm[1:1 + n_a] @ state.model_b.unit_effect
     diagonal[n_a:] = gm[0] @ g[1 + n_a:].T
 
-    spectrum = np.linalg.eigvalsh(gamma)
-    cert = Q1Certificate(gamma, spectrum, outcomes_a, outcomes_b)
+    cert = Q1Certificate(gamma, outcomes_a, outcomes_b)
     if not cert.psd(tol):
         raise ArithmeticError(
-            f"certificate unexpectedly not PSD (min eigenvalue {float(spectrum[0])!r})"
+            "certificate unexpectedly not PSD "
+            f"(min eigenvalue {float(cert.eigen_spectrum[0])!r})"
         )
     return cert
 

@@ -52,8 +52,9 @@ tolerance-free margins (nullity, sign, ``||T||``, smallest scale, residual,
 determinant, deduplication key) are kept per model object, so each model
 is searched once however many calls and tolerances follow; every call
 takes its verdicts against its own ``tol``. :func:`self_duality` reports the
-isomorphisms, the strong witness with its margins, and how many candidates
-were tried and rejected by each rule.
+isomorphisms, the strong witness with its margins, how many candidates
+were tried and rejected by each rule, and how many isomorphisms each
+witness rule turned away.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipartite import JointState, in_max_tensor_product
-from .core import ModelSpec, resolve_tol
+from .core import ModelSpec, psd_at, resolve_tol
 
 EXHAUSTIVE_RAY_CAP = 10
 
@@ -314,9 +315,12 @@ class SelfDualityReport:
 
     ``isomorphisms`` is :func:`find_cone_isomorphisms` at the same ``tol``.
     ``witness`` is the first of them, in canonical order, with
-    ``max |T - T^T| <= tol`` and smallest eigenvalue of ``(T + T^T) / 2``
-    at least ``-tol``; ``witness_asymmetry`` and ``witness_min_eigenvalue``
-    are those two numbers (all three None when no witness exists).
+    ``max |T - T^T| <= tol`` (the rule "asymmetry") and ``(T + T^T) / 2``
+    PSD at ``tol`` by :func:`~polybell.core.psd_at` (the rule "psd");
+    ``witness_asymmetry`` and ``witness_min_eigenvalue`` are its asymmetry
+    and smallest eigenvalue (all three None when no witness exists).
+    ``witness_rejected`` counts the isomorphisms that fail the witness
+    test, each under the first of the two rules it fails.
     ``candidates`` counts the bijections tried and ``rejected`` the ones
     each rule turned away: ``nullity`` (the solve's null space is not
     one-dimensional), ``sign`` (the ray scales do not share a sign),
@@ -332,6 +336,7 @@ class SelfDualityReport:
     witness_min_eigenvalue: float | None
     candidates: int
     rejected: dict[str, int]
+    witness_rejected: dict[str, int]
 
     @property
     def weak(self) -> bool:
@@ -349,8 +354,11 @@ def self_duality(model: ModelSpec, tol: float | None = None) -> SelfDualityRepor
     accepted, rejected = _accept(candidates, tol)
     stack = candidates.transforms[accepted]
     asymmetry = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
-    min_eig = np.linalg.eigvalsh((stack + stack.transpose(0, 2, 1)) / 2.0)[:, 0]
-    hits = np.flatnonzero((asymmetry <= tol) & (min_eig >= -tol))
+    spectra = np.linalg.eigvalsh((stack + stack.transpose(0, 2, 1)) / 2.0)
+    min_eig = spectra[:, 0]
+    symmetric = asymmetry <= tol
+    psd = psd_at(min_eig, spectra[:, -1], tol)
+    hits = np.flatnonzero(symmetric & psd)
     first = hits[0] if hits.size else None
     return SelfDualityReport(
         isomorphisms=list(stack),
@@ -359,6 +367,8 @@ def self_duality(model: ModelSpec, tol: float | None = None) -> SelfDualityRepor
         witness_min_eigenvalue=None if first is None else float(min_eig[first]),
         candidates=candidates.norm.size,
         rejected=rejected,
+        witness_rejected={"asymmetry": int(np.count_nonzero(~symmetric)),
+                          "psd": int(np.count_nonzero(symmetric & ~psd))},
     )
 
 
@@ -366,9 +376,9 @@ def is_strongly_self_dual(model: ModelSpec,
                           tol: float | None = None) -> tuple[bool, np.ndarray | None]:
     """(True, witness) when a symmetric PSD cone isomorphism exists.
 
-    The witness is the first isomorphism in canonical order with
-    max |T - T^T| <= tol and minimum eigenvalue >= -tol; see
-    :func:`self_duality` for the margins behind the verdict.
+    The witness is the first isomorphism in canonical order that is
+    symmetric within ``tol`` and PSD at ``tol``; see :func:`self_duality`
+    for the margins behind the verdict.
     """
     report = self_duality(model, tol)
     return report.strong, report.witness

@@ -138,7 +138,8 @@ def test_model_gap_verdict_follows_tol():
 def test_psd_verdict_follows_tol():
     tri = simplex_model(3)
     matrix = np.diag([0.5, 0.3, -1e-5])
-    margin = 1e-5 / np.linalg.norm(matrix)
+    # the lowest eigenvalue against the larger end of the spectrum in size
+    margin = 1e-5 / 0.5
     for order in flip_orders(margin):
         st_ = JointState(matrix, tri, tri)
         for tol, expected in order:

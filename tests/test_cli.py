@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polybell
@@ -15,6 +16,7 @@ from polybell.cli import MAX_SCAN_N, run
 from polybell.core import DEFAULT_TOL, ModelSpec, _model_gap, resolve_tol
 from polybell.correlations import chsh_max_over_settings, ray_settings
 from polybell.polygon import max_entangled, polygon
+from polybell.q1 import Q1Certificate
 
 
 # The child imports the same polybell as this process, installed or not.
@@ -310,6 +312,20 @@ def test_q1_cert_settings_reach_odd_certificate(capsys):
     assert json.loads(capsys.readouterr().out)["outcomes_A"] == [2, 2]
 
 
+@pytest.mark.parametrize("tol, verdict", [("1e-9", "undetermined"), ("1e-3", "in-Q1")])
+def test_q1_cert_json_and_text_give_one_verdict_at_tol(tol, verdict, monkeypatch, capsys):
+    # lowest eigenvalue -1e-6 against highest 1: PSD from tol = 1e-6 on
+    def near_boundary(state, meas_a, meas_b, tol=None):
+        return Q1Certificate(np.diag([-1e-6, 1.0, 1.0]), (1,), (1,))
+
+    monkeypatch.setattr(cli, "certificate_from_inner_product_state", near_boundary)
+    argv = ["q1-cert", "--model", "polygon:7", "--tol", tol]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith(f"verdict: {verdict} ")
+    assert run([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+
+
 def test_q1_cert_screen_for_even():
     caught = json.loads(run_cli("q1-cert", "--model", "polygon:6", "--json").stdout)
     assert caught["gamma"] is None
@@ -344,6 +360,21 @@ def test_selfdual_json_counts_candidates(model, tried, rejected, isomorphisms, c
     assert payload["strong"] is True
     assert 0.0 <= payload["witness_asymmetry"] <= 1e-9
     assert payload["witness_min_eigenvalue"] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("model, tol, asymmetry, psd", [
+    # rotations are asymmetric, reflections symmetric and indefinite
+    ("polygon:8", None, 8, 8),
+    ("polygon:7", "1e-16", 6, 7),
+    ("house", "0", 0, 1),
+], ids=["polygon-8", "polygon-7", "house"])
+def test_selfdual_json_counts_witness_rejections(model, tol, asymmetry, psd, capsys):
+    argv = ["selfdual", "--model", model, "--json"]
+    assert run(argv if tol is None else [*argv, "--tol", tol]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["witness_rejected"] == {"asymmetry": asymmetry, "psd": psd}
+    # one isomorphism at most passes both rules, and the 8-gon has none
+    assert asymmetry + psd + payload["strong"] == len(payload["witnesses"])
 
 
 def test_distill_json():

@@ -6,6 +6,7 @@ import pytest
 
 from polybell.core import (
     DEFAULT_TOL,
+    ROUNDING_TOL,
     Measurement,
     ModelSpec,
     _model_gap,
@@ -44,6 +45,12 @@ def square_model() -> ModelSpec:
 def test_resolve_tol():
     assert resolve_tol(None) == DEFAULT_TOL
     assert resolve_tol(1e-6) == 1e-6
+    # tolerances below the rounding floor are raised to it; no others move
+    assert ROUNDING_TOL == 64 * np.finfo(float).eps
+    for tol in (0.0, 0, 1e-300, 1e-17, 1e-16, 1e-15, ROUNDING_TOL * (1 - 1e-6)):
+        assert resolve_tol(tol) == ROUNDING_TOL
+    for tol in (ROUNDING_TOL, ROUNDING_TOL * (1 + 1e-6), 1e-12, 1e-9, 0.5, 3.0):
+        assert resolve_tol(tol) == tol
     with pytest.raises(ValueError):
         resolve_tol(-1e-9)
     for bad in (float("inf"), float("nan")):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polybell.bipartite import JointState, pull_back_measurement, push_local_map
-from polybell.core import Measurement, dichotomic_measurement, simplex_model
+from polybell.core import ROUNDING_TOL, Measurement, dichotomic_measurement, simplex_model
 from polybell.correlations import correlations_from_state, correlator, ray_settings
 from polybell.polygon import max_entangled, polygon
 from polybell import q1
@@ -132,10 +132,36 @@ def test_certificate_rejects_even_polygon():
 
 
 def test_supplied_gamma_verdict():
+    # the certificate computes its spectrum and takes none from its caller,
+    # so an indefinite gamma is not PSD, whatever order its diagonal is in
     bad = np.diag([1.0, -1.0, 1.0])
-    cert = Q1Certificate(bad, np.linalg.eigvalsh(bad), (1,), (1,))
-    assert not cert.psd()
+    cert = Q1Certificate(bad, (1,), (1,))
+    assert np.array_equal(cert.eigen_spectrum, np.linalg.eigvalsh(bad))
+    assert cert.psd() is False
     assert cert.verdict() == "undetermined"
+    assert cert.to_dict()["spectrum"] == [-1.0, 1.0, 1.0]
+    with pytest.raises(TypeError):
+        Q1Certificate(bad, np.array([1.0, -1.0, 1.0]), (1,), (1,))
+
+
+def test_certificate_rejects_an_asymmetric_gamma():
+    # eigvalsh would read the lower triangle only: the identity's spectrum
+    # for a matrix that is not PSD
+    gamma = np.array([[1.0, 0.0, 0.0], [-5.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        Q1Certificate(gamma, (1,), (1,))
+    # equal values are symmetric, even where their bits differ
+    gamma = np.eye(3)
+    gamma[1, 0] = -0.0
+    assert Q1Certificate(gamma, (1,), (1,)).psd()
+
+
+def test_certificate_payload_verdict_follows_tol():
+    # lowest -1e-6 against highest 1: PSD from tol = 1e-6 on
+    cert = Q1Certificate(np.diag([-1e-6, 1.0, 1.0]), (1,), (1,))
+    for tol, verdict in ((None, "undetermined"), (1e-9, "undetermined"),
+                         (1e-3, "in-Q1"), (1e-9, "undetermined")):
+        assert cert.to_dict(tol)["verdict"] == verdict == cert.verdict(tol), tol
 
 
 def test_delta_decomposition_dichotomic():
@@ -244,16 +270,15 @@ def test_certificate_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
     # a supplied matrix is made read-only in place, not copied
-    supplied, spectrum = np.eye(3), np.ones(3)
-    cert = Q1Certificate(supplied, spectrum, (1,), (1,))
-    assert cert.gamma is supplied and cert.eigen_spectrum is spectrum
-    assert not supplied.flags.writeable and not spectrum.flags.writeable
+    supplied = np.eye(3)
+    cert = Q1Certificate(supplied, (1,), (1,))
+    assert cert.gamma is supplied and np.array_equal(cert.eigen_spectrum, np.ones(3))
+    assert not supplied.flags.writeable and not cert.eigen_spectrum.flags.writeable
 
 
 def test_gamma_shape_validation():
     with pytest.raises(ValueError):
-        Q1Certificate(gamma=np.eye(4), eigen_spectrum=np.ones(4),
-                      outcomes_a=(2,), outcomes_b=(2,))
+        Q1Certificate(gamma=np.eye(4), outcomes_a=(2,), outcomes_b=(2,))
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
@@ -359,7 +384,11 @@ def test_override_layout_is_built_once_per_outcome_counts(monkeypatch):
 
 
 def psd_reference(spectrum, tol) -> bool:
-    """The rule before it read the scale off the ends: the scale is max |eigenvalue|."""
+    """The rule before it read the scale off the ends: the scale is max |eigenvalue|.
+
+    Tolerances below the rounding floor count as the floor, as in the library.
+    """
+    tol = max(tol, ROUNDING_TOL)
     scale = float(np.abs(spectrum).max())
     return bool(float(spectrum[0]) >= -tol * max(scale, 1e-300))
 
@@ -372,19 +401,19 @@ def test_certificate_psd_flips_where_the_lowest_eigenvalue_crosses_tol(scale):
         for factor, expected in ((1 - 1e-6, True), (1 + 1e-6, False)):
             lowest = -tol * scale * factor
             spectrum = np.array([lowest, 0.1 * scale, scale])
-            cert = Q1Certificate(np.diag(spectrum), spectrum, (1,), (1,))
+            cert = Q1Certificate(np.diag(spectrum), (1,), (1,))
             assert cert.psd(tol) is expected, (tol, factor)
     # all negative, mixed with the lower end larger, mixed with equal ends;
     # one object per spectrum, asked in both orders
     for spectrum in (np.array([-scale, -0.5 * scale, -0.1 * scale]),
                      np.array([-scale, 0.0, 0.5 * scale]),
                      np.array([-scale, 0.0, scale])):
-        cert = Q1Certificate(np.diag(spectrum), spectrum, (1,), (1,))
+        cert = Q1Certificate(np.diag(spectrum), (1,), (1,))
         for factor, expected in ((1 + 1e-6, True), (1 - 1e-6, False), (1 + 1e-6, True)):
             assert cert.psd(factor) is expected, (spectrum, factor)
             assert cert.verdict(factor) == ("in-Q1" if expected else "undetermined")
     positive = np.array([0.1 * scale, 0.5 * scale, scale])
-    cert = Q1Certificate(np.diag(positive), positive, (1,), (1,))
+    cert = Q1Certificate(np.diag(positive), (1,), (1,))
     assert all(cert.psd(tol) for tol in (0.0, 1e-9, 0.5, 2.0))
 
 
@@ -394,7 +423,7 @@ def test_certificate_psd_is_the_max_abs_rule():
         size = int(rng.integers(1, 7))
         shift = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0])
         spectrum = np.sort(rng.normal(size=1 + 2 * size) + shift)
-        cert = Q1Certificate(np.diag(spectrum), spectrum, (size,), (size,))
+        cert = Q1Certificate(np.diag(spectrum), (size,), (size,))
         margin = float(-spectrum[0] / np.abs(spectrum).max())
         for tol in (0.0, 1e-9, 0.3, abs(margin), abs(margin) * (1 + 1e-6),
                     abs(margin) * (1 - 1e-6)):

@@ -7,7 +7,7 @@ import pytest
 
 from polybell import selfdual
 from polybell.bipartite import in_max_tensor_product, is_inner_product_state
-from polybell.core import ModelSpec
+from polybell.core import ROUNDING_TOL, ModelSpec
 from polybell.house import house_model
 from polybell.polygon import max_entangled, polygon
 from polybell.selfdual import (
@@ -26,11 +26,18 @@ def _key(t: np.ndarray) -> tuple:
 
 
 def strong_witness_reference(isomorphisms, tol=1e-9):
-    """The first isomorphism with max |T - T^T| <= tol and min eigenvalue >= -tol."""
+    """The first isomorphism with max |T - T^T| <= tol and a PSD symmetric part.
+
+    PSD means a smallest eigenvalue of at least -tol times the largest
+    |eigenvalue|. Tolerances below the rounding floor count as the floor, as
+    in the library.
+    """
+    tol = max(tol, ROUNDING_TOL)
     for t in isomorphisms:
         if np.abs(t - t.T).max() > tol:
             continue
-        if np.linalg.eigvalsh((t + t.T) / 2.0)[0] < -tol:
+        spectrum = np.linalg.eigvalsh((t + t.T) / 2.0)
+        if spectrum[0] < -tol * np.abs(spectrum).max():
             continue
         return t
     return None
@@ -345,6 +352,9 @@ def test_report_counts_every_candidate_once(model):
         assert list(report.rejected) == ["nullity", "sign", "scale", "residual",
                                          "determinant", "duplicate"]
         assert sum(report.rejected.values()) + len(report.isomorphisms) == report.candidates
+        # on these models at most one isomorphism passes both witness rules
+        assert list(report.witness_rejected) == ["asymmetry", "psd"]
+        assert sum(report.witness_rejected.values()) + report.strong == len(report.isomorphisms)
     # the pyramid's 120 bijections include ones with a wide null space and
     # ones whose scales change sign
     report = self_duality(square_pyramid_model())

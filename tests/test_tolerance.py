@@ -1,0 +1,120 @@
+"""The tolerance policy: the rounding floor, the one PSD rule, and its list.
+
+Tolerances below the floor must give the paper's verdicts, the PSD rule
+must be the max-|eigenvalue| rule on floats and arrays alike, and every
+threshold constant in the package must be quoted in the ``core`` docstring.
+"""
+
+import ast
+import importlib
+import json
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import polybell
+from polybell import core
+from polybell.cli import run
+from polybell.core import ROUNDING_TOL, psd_at
+from polybell.correlations import TSIRELSON_BOUND
+from polybell.polygon import polygon
+from polybell.selfdual import self_duality
+
+TINY_TOLS = ("0", "1e-17", "1e-16", "1e-15")
+
+
+def psd_reference(lowest, highest, tol) -> bool:
+    """The rule as the ``core`` docstring states it, with a max of the two ends."""
+    return lowest >= -tol * max(abs(lowest), abs(highest))
+
+
+def test_psd_rule_is_the_max_abs_rule_on_floats_and_arrays():
+    rng = np.random.default_rng(1104)
+    ends = np.sort(rng.normal(size=(4000, 2)) * 10.0 ** rng.integers(-5, 5, size=(4000, 1))
+                   + rng.choice([-1.0, 0.0, 1.0], size=(4000, 1)), axis=1)
+    for tol in (ROUNDING_TOL, 1e-9, 0.3, 1.0, 2.0):
+        verdicts = psd_at(ends[:, 0], ends[:, 1], tol)
+        assert verdicts.dtype == bool
+        for (lowest, highest), verdict in zip(ends.tolist(), verdicts.tolist()):
+            one = psd_at(lowest, highest, tol)
+            assert type(one) is bool
+            assert one is verdict is psd_reference(lowest, highest, tol)
+
+
+# (argv, check of the JSON payload): the paper's verdict on the 7-gon, the
+# 8-gon and the house, for every subcommand that applies
+PAPER_VERDICTS = [
+    (["polygon", "--n", "7"], lambda p: p["name"] == "polygon-7"),
+    (["polygon", "--n", "8"], lambda p: p["name"] == "polygon-8"),
+    (["chsh-max", "--n", "7"], lambda p: p["rows"][0]["S_bruteforce"] < TSIRELSON_BOUND - 0.05),
+    (["chsh-max", "--n", "8"],
+     lambda p: abs(p["rows"][0]["S_bruteforce"] - TSIRELSON_BOUND) <= 1e-12),
+    (["chained", "--n", "8", "--N", "4"], lambda p: abs(p["value"] - 8.0) <= 1e-12),
+    (["distill", "--n", "8"],
+     lambda p: abs(p["eps"] - (1.0 - math.cos(math.pi / 4.0))) <= 1e-15),
+    (["q1-cert", "--model", "polygon:7"], lambda p: p["verdict"] == "in-Q1"),
+    (["q1-cert", "--model", "polygon:8"], lambda p: p["verdict"] == "undetermined"),
+    (["q1-cert", "--model", "house"], lambda p: p["verdict"] == "not-in-Q1"),
+    (["selfdual", "--model", "polygon:7"], lambda p: p["weak"] and p["strong"]),
+    (["selfdual", "--model", "polygon:8"], lambda p: p["weak"] and not p["strong"]),
+    (["selfdual", "--model", "house"], lambda p: p["weak"] and p["strong"]),
+    (["house"], lambda p: p["verdict"] == "not-in-Q1"),
+]
+
+
+@pytest.mark.parametrize("tol", TINY_TOLS)
+@pytest.mark.parametrize("argv, check", PAPER_VERDICTS,
+                         ids=[" ".join(argv) for argv, _ in PAPER_VERDICTS])
+def test_paper_verdicts_hold_below_the_rounding_floor(argv, check, tol, capsys):
+    code = run([*argv, "--json", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert check(json.loads(captured.out)), captured.out
+
+
+def test_odd_polygons_are_strongly_self_dual_at_tol_zero():
+    for n in range(3, 130):
+        report = self_duality(polygon(n), 0.0)
+        assert report.weak
+        assert report.strong == (n % 2 == 1), n
+
+
+# module-level names that hold a fixed threshold
+THRESHOLD_NAME = re.compile(r"_?[A-Z][A-Z_]*_(TOL|CUTOFF)")
+
+
+def _threshold_constants() -> dict[str, float]:
+    """Every module-level ``*_TOL``/``*_CUTOFF`` assignment in the package.
+
+    Keyed by the name the ``core`` docstring quotes: the bare name for
+    ``core``'s own constants, ``module.NAME`` for the others.
+    """
+    found = {}
+    for path in sorted(Path(polybell.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"polybell.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                if isinstance(target, ast.Name) and THRESHOLD_NAME.fullmatch(target.id):
+                    key = target.id if path.stem == "core" else f"{path.stem}.{target.id}"
+                    found[key] = getattr(module, target.id)
+    return found
+
+
+def test_every_threshold_constant_is_quoted_in_the_core_docstring():
+    constants = _threshold_constants()
+    assert set(constants) == {
+        "DEFAULT_TOL", "ROUNDING_TOL", "correlations._DISTRIBUTION_TOL",
+        "correlations._NO_SIGNALLING_TOL", "selfdual._RESIDUAL_TOL",
+        "selfdual._RANK_CUTOFF", "bipartite._RANK_CUTOFF",
+    }
+    doc = " ".join(core.__doc__.split())
+    for name, value in constants.items():
+        quoted = re.findall(rf"``{re.escape(name)}`` = ([0-9][0-9.e+-]*[0-9])", doc)
+        assert quoted, f"{name} is not quoted with its value"
+        # quoted to two significant digits
+        assert all(float(q) == float(f"{value:.2g}") for q in quoted), (name, quoted, value)
