@@ -160,16 +160,27 @@ def is_inner_product_state(state: JointState,
     Raises ``ValueError`` when the two systems are not similar within ``tol``.
     """
     tol = resolve_tol(tol)
-    gap, asymmetry, min_eig, max_eig = state._inner_product_margins
-    if gap > tol:
-        raise ValueError("inner-product test requires two similar systems")
+    symmetric, psd = _inner_product_rules(state, tol)
+    gap, asymmetry, min_eig, _ = state._inner_product_margins
     return InnerProductReport(
-        symmetric=asymmetry <= tol,
-        psd=psd_at(min_eig, max_eig, tol),
+        symmetric=symmetric,
+        psd=psd,
         asymmetry=asymmetry,
         min_eigenvalue=min_eig,
         model_gap=gap,
     )
+
+
+def _inner_product_rules(state: JointState, tol: float) -> tuple[bool, bool]:
+    """The (symmetric, psd) verdicts of :func:`is_inner_product_state`, without its report.
+
+    ``tol`` is a resolved tolerance. Raises the same ``ValueError`` when the
+    two systems are not similar within ``tol``.
+    """
+    gap, asymmetry, min_eig, max_eig = state._inner_product_margins
+    if gap > tol:
+        raise ValueError("inner-product test requires two similar systems")
+    return asymmetry <= tol, psd_at(min_eig, max_eig, tol)
 
 
 def _check_local_map(tau: np.ndarray, model: ModelSpec, tol: float) -> None:
@@ -182,7 +193,8 @@ def _check_local_map(tau: np.ndarray, model: ModelSpec, tol: float) -> None:
     if tau.shape != (model.dim, model.dim):
         raise ValueError(f"local map must be {model.dim}x{model.dim}, got {tau.shape}")
     u = model.unit_effect
-    if not np.allclose(u @ tau, u, atol=tol, rtol=0.0):
+    # "not <=" so that a nan in tau fails the check; tau is not checked finite
+    if not float(np.abs(u @ tau - u).max()) <= tol:
         raise ValueError("local map does not preserve the unit functional")
     images = model.extremal_states @ tau.T  # rows: tau(omega_i)
     pairings = images @ model.extremal_effects.T

@@ -6,11 +6,17 @@ nothing; ``run`` writes one of the two to stdout. All JSON output carries a
 schema_version field and sorted keys; CSV floats are rendered with %.12g.
 Setting labels in human-readable and JSON output are 1-based (matching the
 way the models are usually drawn), while the Python API stays 0-based.
+
+The argument parser is built once per process, on the first call rather
+than at import, and every later ``run`` reuses it, so a repeated in-process
+call pays only for parsing and its own work. Callers must not mutate what
+``_build_parser()`` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import IO, Callable
@@ -284,7 +290,9 @@ def _add_tol(p: argparse.ArgumentParser) -> None:
                    help=f"numeric tolerance override (default {DEFAULT_TOL:g})")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``polybell`` parser, built on first use and kept; do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="polybell",
         description="Polygon and house models, Bell functionals, certificates.",

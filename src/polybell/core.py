@@ -309,7 +309,7 @@ class Measurement:
         object.__setattr__(self, "effects", effects)
         tol = resolve_tol(tol)
         total = effects.sum(axis=0)
-        if not np.allclose(total, self.model.unit_effect, atol=tol, rtol=0.0):
+        if not float(np.abs(total - self.model.unit_effect).max()) <= tol:
             raise ValueError("measurement effects do not sum to the unit effect")
         p = self.model.extremal_states @ effects.T  # (states, outcomes)
         improper = np.flatnonzero(((p < -tol) | (p > 1.0 + tol)).any(axis=0))

@@ -227,26 +227,28 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
     n_a, n_b = e.shape
     step = max(1, _SCAN_BLOCK_ELEMENTS // (n_a * n_b))
 
-    # Pass 1, over blocks of j0: B's extremes per (j0, j1) and, per i0, the
-    # best |S| over (i1, j0, j1).
+    # Pass 1, over blocks of j0: max B per (j0, j1) and, per i0, the best |S|
+    # over (i1, j0, j1). Float subtraction is exactly antisymmetric and
+    # addition exactly commutative, so B[i, j1, j0] = -B[i, j0, j1] and
+    # A[i, j1, j0] = A[i, j0, j1]: min B is -(max B).T, and the (j1, j0)
+    # term -(A[i] + min B) is -A[i] + max B at (j0, j1). Over all (j0, j1)
+    # the best is therefore max(|A[i]| + max B), bitwise, as rounding is
+    # monotone.
     b_max = np.empty((n_b, n_b))
-    b_min = np.empty((n_b, n_b))
     row_best = np.full(n_a, -np.inf)
     for lo in range(0, n_b, step):
         js = slice(lo, lo + step)
         a = e[:, js, None] + e[:, None, :]  # a[i, j0, j1] = A[i]
         b = e[:, js, None] - e[:, None, :]  # b[i, j0, j1] = B[i]
         b_max[js] = b.max(axis=0)
-        b_min[js] = b.min(axis=0)
-        # a becomes max(A[i] + max B, -(A[i] + min B)), built in place: the
-        # plain expression's temporaries made the n = 128 scan 2.5x slower
-        np.add(a, b_min[js], out=b)
-        np.negative(b, out=b)
+        # in place: the plain expression's temporaries made the n = 128
+        # scan 2.5x slower
+        np.abs(a, out=a)
         a += b_max[js]
-        np.maximum(a, b, out=a)
         np.maximum(row_best, a.max(axis=(1, 2)), out=row_best)
     i0 = int(np.argmax(row_best))
     best = float(row_best[i0])
+    b_min = -b_max.T
 
     # Pass 2: the (j0, j1) that reach the maximum with this i0, then the
     # first i1 that reaches it on any of them, in chunks of the same budget.

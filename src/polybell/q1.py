@@ -14,14 +14,15 @@ diagonal blocks as required. The override differs from the pairing by a
 block-diagonal correction that splits into pair matrices
 ``p * [[1, -1], [-1, 1]]`` with ``p >= 0``, hence stays PSD.
 
-Every certificate first runs the inner-product test on its state. The
-test's tolerance-free invariants (model gap, asymmetry, the two ends of the
-spectrum) are computed once per immutable :class:`JointState` and kept on
-it; the verdict is taken on every call against that call's ``tol``. Which
-entries the override zeroes depends only on the tuple of outcome counts, so
-that layout is built once per tuple and kept. Each certificate's matrix
-``gamma`` and its marginals are computed on every call, from one shared
-product of the effects with the state.
+A certificate reads the inner-product test's tolerance-free margins
+(model gap, asymmetry, the two ends of the spectrum), which are computed
+once per immutable :class:`JointState` and kept on it, and compares them
+with its call's ``tol`` through the test's own rules; the full
+:class:`~polybell.bipartite.InnerProductReport` is built only to word the
+error when the state fails. Which entries the override zeroes depends only
+on the tuple of outcome counts, so that layout is built once per tuple and
+kept. Each certificate's matrix ``gamma`` and its marginals are computed on
+every call, from one shared product of the effects with the state.
 
 A :class:`Q1Certificate` computes its spectrum from its own ``gamma`` and
 takes none from its caller, so its verdict cannot disagree with its matrix.
@@ -41,6 +42,7 @@ import numpy as np
 
 from .bipartite import (
     JointState,
+    _inner_product_rules,
     is_inner_product_state,
     pull_back_measurement,
     push_local_map,
@@ -145,23 +147,27 @@ def certificate_from_inner_product_state(state: JointState,
     diagonal measurement block to (marginals on the diagonal, zeros between
     distinct outcomes), and checks the result stays PSD. Raises
     ``ValueError`` when the state fails the inner-product test, since the
-    construction would then be unsound. The state's inner-product
-    invariants are computed once per state and compared with ``tol`` here;
-    the indices of the zeroed entries are kept per tuple of outcome counts;
-    the matrix and marginals of every certificate are computed afresh, and
-    the certificate computes its own spectrum.
+    construction would then be unsound (or the similarity error of
+    :func:`~polybell.bipartite.is_inner_product_state` when the two systems
+    differ). The state's inner-product margins are computed once per state
+    and compared with ``tol`` here; the indices of the zeroed entries are
+    kept per tuple of outcome counts; the matrix and marginals of every
+    certificate are computed afresh, and the certificate computes its own
+    spectrum.
     """
     tol = resolve_tol(tol)
-    report = is_inner_product_state(state, tol)
-    if not report.is_inner_product:
+    symmetric, psd = _inner_product_rules(state, tol)
+    if not (symmetric and psd):
+        report = is_inner_product_state(state, tol)
         raise ValueError(
             "certificate construction needs an inner-product state "
             f"(asymmetry {report.asymmetry!r}, min eigenvalue {report.min_eigenvalue!r})"
         )
     if not meas_a or not meas_b:
         raise ValueError("need at least one measurement")
-    outcomes_a = tuple(m.n_outcomes for m in meas_a)
-    outcomes_b = tuple(m.n_outcomes for m in meas_b)
+    counts = [m.n_outcomes for side in (meas_a, meas_b) for m in side]
+    outcomes_a = tuple(counts[:len(meas_a)])
+    outcomes_b = tuple(counts[len(meas_a):])
     n_a = sum(outcomes_a)
     # rows: the unit, then every outcome effect, settings in order per side
     g = np.concatenate([state.model_a.unit_effect[None, :]]
@@ -179,10 +185,11 @@ def certificate_from_inner_product_state(state: JointState,
     diagonal[n_a:] = gm[0] @ g[1 + n_a:].T
 
     cert = Q1Certificate(gamma, outcomes_a, outcomes_b)
-    if not cert.psd(tol):
+    spectrum = cert.eigen_spectrum
+    if not psd_at(float(spectrum[0]), float(spectrum[-1]), tol):
         raise ArithmeticError(
             "certificate unexpectedly not PSD "
-            f"(min eigenvalue {float(cert.eigen_spectrum[0])!r})"
+            f"(min eigenvalue {float(spectrum[0])!r})"
         )
     return cert
 

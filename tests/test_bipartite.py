@@ -169,6 +169,36 @@ def test_push_local_map_rejects_non_unital():
         push_local_map(st_, 0.9 * np.eye(3))
 
 
+def _near_unital(d: float) -> np.ndarray:
+    # halfway to the maximally mixed state, plus d at (2, 0): the unit
+    # (0, 0, 1) maps to (d, 0, 1) exactly, and the cone maps well inside itself
+    tau = np.diag([0.5, 0.5, 1.0])
+    tau[2, 0] = d
+    return tau
+
+
+def test_push_local_map_unit_check_flips_at_tol():
+    st_ = max_entangled(7)
+    for tol in (1e-12, 1e-9, 1e-6, 1e-3):
+        for factor, accepted in ((1 - 1e-6, True), (1 + 1e-6, False), (1.0, True)):
+            tau = _near_unital(tol * factor)
+            if accepted:
+                assert push_local_map(st_, tau, tol).matrix.shape == (3, 3)
+            else:
+                with pytest.raises(ValueError, match="unit functional"):
+                    push_local_map(st_, tau, tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_push_local_map_rejects_a_non_finite_map_at_the_unit_check(bad):
+    st_ = max_entangled(7)
+    for row, col in ((2, 0), (0, 0), (1, 2)):
+        tau = _near_unital(0.0)
+        tau[row, col] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unit functional"):
+            push_local_map(st_, tau)
+
+
 def test_adjoint_effect_duality():
     # a pulled-back effect is the adjoint tau^T e: (tau^T e) . omega == e . (tau omega)
     m = polygon(7)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -429,6 +430,74 @@ def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argv = shlex.split(line)
     assert run(argv[1:]) == 0, capsys.readouterr().err
+
+
+# README's command lines plus a usage error (exit 2), a validation error
+# (exit 1) and --help (exit 0).
+REPEATED_CALLS = ([shlex.split(line)[1:] for line in readme_commands()]
+                  + [["polygon", "--frobnicate"], ["polygon", "--n", "2"], ["--help"]])
+
+
+def _take_files(directory: Path) -> dict[str, bytes]:
+    """The files ``directory`` holds, by name, removed as they are read."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        files[path.name] = path.read_bytes()
+        path.unlink()
+    return files
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    # help text wraps at the terminal width; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh_dir, here = tmp_path / "fresh", tmp_path / "here"
+    fresh_dir.mkdir()
+    here.mkdir()
+    fresh = []
+    for argv in REPEATED_CALLS:
+        result = run_cli(*argv, cwd=fresh_dir)
+        fresh.append((result.returncode, result.stdout, result.stderr,
+                      _take_files(fresh_dir)))
+    assert [r[0] for r in fresh].count(2) == 1 and [r[0] for r in fresh].count(1) == 1
+    monkeypatch.chdir(here)
+    order = list(range(len(REPEATED_CALLS)))
+    # forward then backward: every call twice, --help twice in a row
+    for k in order + order[::-1]:
+        code = run(REPEATED_CALLS[k])
+        out, err = capsys.readouterr()
+        assert (code, out, err, _take_files(here)) == fresh[k], REPEATED_CALLS[k]
+
+
+def test_many_runs_build_the_parser_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    try:
+        for argv in REPEATED_CALLS[:3] * 10 + [REPEATED_CALLS[-1]]:
+            run(argv)
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 30)
+        per_build = len(built)
+        cli._build_parser.__wrapped__()  # one uncached build, for its count
+        assert len(built) == 2 * per_build
+        assert built[0] == "polybell"
+    finally:
+        cli._build_parser.cache_clear()
+    capsys.readouterr()
+
+
+def test_importing_the_cli_builds_no_parser():
+    result = run_python("-c", "from polybell import cli; "
+                              "print(cli._build_parser.cache_info().currsize)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
 
 
 # One call per subcommand, with the headline numbers that text and --json

@@ -113,6 +113,43 @@ def test_measurement_takes_tol_without_storing_it():
     assert "tol" not in vars(meas)
 
 
+def test_measurement_unit_check_flips_at_tol():
+    # the effects sum to the unit plus d on a coordinate where the unit is
+    # 0, so the excess is exactly d; d = tol * (1 -+ 1e-6) sits on either
+    # side of the bound and d = tol on it (accepted, as under allclose); both
+    # effects stay well inside the proper range
+    m = square_model()
+    for tol in (1e-12, 1e-9, 1e-6, 1e-3):
+        for factor, accepted in ((1 - 1e-6, True), (1 + 1e-6, False), (1.0, True)):
+            d = tol * factor
+            effects = np.array([[0.25, d, 0.5], [-0.25, 0.0, 0.5]])
+            if accepted:
+                assert Measurement(effects, m, tol=tol).n_outcomes == 2
+            else:
+                with pytest.raises(ValueError, match="sum to the unit"):
+                    Measurement(effects, m, tol=tol)
+
+
+def test_measurement_unit_check_is_the_allclose_rule():
+    # the check it replaced, on seeded sums around the bound on every coordinate
+    m = square_model()
+    rng = np.random.default_rng(1012)
+    for _ in range(500):
+        tol = float(10.0 ** rng.uniform(-12, -3))
+        shift = rng.uniform(-2.0, 2.0, size=3) * tol
+        effects = np.array([[0.5, 0.0, 0.5], [-0.5, 0.0, 0.5]])
+        effects[1] += shift * (rng.uniform(size=3) < 0.7)
+        total = effects.sum(axis=0)
+        expected = bool(np.allclose(total, m.unit_effect, atol=tol, rtol=0.0))
+        try:
+            Measurement(effects, m, tol=tol)
+        except ValueError as exc:
+            # an improper outcome is checked after the unit, which passed
+            assert ("sum to the unit" in str(exc)) is not expected, str(exc)
+        else:
+            assert expected
+
+
 def test_measurement_tol_is_not_readable():
     # neither the default nor the tolerance a measurement was checked at
     meas = ray_settings(polygon(5), 1, tol=1e-3)[0]

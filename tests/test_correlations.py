@@ -359,9 +359,10 @@ def _rectangular_states():
 
 @pytest.mark.parametrize(
     "state",
-    [max_entangled(n) for n in range(3, 61)] + [house_joint_state()]
+    [max_entangled(n) for n in (*range(3, 61), 64, 96)] + [house_joint_state()]
     + _rectangular_states(),
-    ids=[f"maxent{n}" for n in range(3, 61)] + ["house", "rand5x8", "product5x8"],
+    ids=[f"maxent{n}" for n in (*range(3, 61), 64, 96)]
+    + ["house", "rand5x8", "product5x8"],
 )
 def test_scan_is_bitwise_the_quartic_scan(state):
     value, idx = chsh_max_over_settings(state)

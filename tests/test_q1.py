@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from polybell.bipartite import JointState, pull_back_measurement, push_local_map
+from polybell import bipartite
+from polybell.bipartite import (
+    JointState,
+    is_inner_product_state,
+    pull_back_measurement,
+    push_local_map,
+)
 from polybell.core import ROUNDING_TOL, Measurement, dichotomic_measurement, simplex_model
 from polybell.correlations import correlations_from_state, correlator, ray_settings
 from polybell.polygon import max_entangled, polygon
@@ -129,6 +135,87 @@ def test_certificate_rejects_even_polygon():
     for tol in (None, 1e-9, 1e-6, 1e-3, None):
         with pytest.raises(ValueError, match="inner-product"):
             certificate_from_inner_product_state(state, meas, meas, tol)
+
+
+def count_inner_product_reports(monkeypatch) -> list:
+    """Record every InnerProductReport built from here on."""
+    built = []
+    original = bipartite.InnerProductReport.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(bipartite.InnerProductReport, "__init__", counting)
+    return built
+
+
+def test_certificate_success_builds_no_inner_product_report(monkeypatch):
+    built = count_inner_product_reports(monkeypatch)
+    for n in (3, 5, 7):
+        state = max_entangled(n)
+        meas = ray_settings(state.model_a, 2)
+        for tol in (None, 0.0, 1e-3):
+            certificate_from_inner_product_state(state, meas, meas, tol)
+    assert built == []
+    # the counter sees the report that words a failure
+    even = max_entangled(8)
+    with pytest.raises(ValueError, match="inner-product"):
+        certificate_from_inner_product_state(even, meas, meas)
+    assert len(built) == 1
+
+
+def test_certificate_error_text_for_a_non_inner_product_state():
+    state = max_entangled(8)
+    meas = ray_settings(state.model_a, 2)
+    m = state.matrix
+    asymmetry = float(np.abs(m - m.T).max())
+    lowest = float(np.linalg.eigvalsh((m + m.T) / 2.0)[0])
+    expected = ("certificate construction needs an inner-product state "
+                f"(asymmetry {asymmetry!r}, min eigenvalue {lowest!r})")
+    for tol in (None, 0.0, 1e-3):
+        with pytest.raises(ValueError) as info:
+            certificate_from_inner_product_state(state, meas, meas, tol)
+        assert str(info.value) == expected
+
+
+def test_certificate_on_dissimilar_systems_raises_the_similarity_error():
+    # the 5-gon's matrix is an inner-product state of the 5-gon with itself,
+    # so only the similarity test can reject it against the 7-gon
+    state = JointState(max_entangled(5).matrix, polygon(5), polygon(7))
+    meas_a = ray_settings(polygon(5), 2)
+    meas_b = ray_settings(polygon(7), 2)
+    for tol in (None, 0.0, 1e-3):
+        with pytest.raises(ValueError, match="requires two similar systems"):
+            certificate_from_inner_product_state(state, meas_a, meas_b, tol)
+
+
+@pytest.mark.parametrize("kind", ["asymmetry", "psd"])
+def test_certificate_verdict_is_the_inner_product_verdict_at_tol(kind):
+    # a state that fails the test at tol = margin * (1 - 1e-6) and passes it
+    # at margin * (1 + 1e-6), one margin per rule
+    base = max_entangled(7)
+    if kind == "asymmetry":
+        matrix = base.matrix + 1e-6 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                                                [0.0, 0.0, 0.0]])
+    else:
+        matrix = base.matrix - (np.linalg.eigvalsh(base.matrix)[0] + 1e-6) * np.eye(3)
+    state = JointState(matrix, base.model_a, base.model_b)
+    gap, asymmetry, lowest, highest = state._inner_product_margins
+    margin = asymmetry if kind == "asymmetry" else -lowest / max(abs(lowest), abs(highest))
+    meas = ray_settings(state.model_a, 2)
+    for factor, passes in ((1 - 1e-6, False), (1 + 1e-6, True), (1 - 1e-6, False)):
+        tol = margin * factor
+        assert is_inner_product_state(state, tol).is_inner_product is passes
+        if passes:
+            # the override of a non-PSD pairing may itself fail the PSD check
+            try:
+                certificate_from_inner_product_state(state, meas, meas, tol)
+            except ArithmeticError:
+                assert kind == "psd"
+        else:
+            with pytest.raises(ValueError, match="inner-product state"):
+                certificate_from_inner_product_state(state, meas, meas, tol)
 
 
 def test_supplied_gamma_verdict():
