@@ -101,6 +101,17 @@ class Q1Certificate:
         return psd_at(float(self.eigen_spectrum[0]), float(self.eigen_spectrum[-1]),
                       resolve_tol(tol))
 
+    @property
+    def psd_margin(self) -> float:
+        """``lowest / max(|lowest|, |highest|)``, 0 for a zero spectrum.
+
+        The number :func:`~polybell.core.psd_at` compares with ``-tol``: the
+        certificate is PSD at ``tol`` when the margin is at least ``-tol``.
+        """
+        lowest, highest = float(self.eigen_spectrum[0]), float(self.eigen_spectrum[-1])
+        size = max(abs(lowest), abs(highest))
+        return lowest / size if size else 0.0
+
     def verdict(self, tol: float | None = None) -> str:
         """"in-Q1" when the certificate is PSD, else "undetermined"."""
         return "in-Q1" if self.psd(tol) else "undetermined"

@@ -23,19 +23,23 @@ three-dimensional cone are always in general position, since no three
 extreme points of a convex polygon are collinear. So the frame is chosen
 once per model: d + 1 effect rays spread evenly in angular order (spread
 rays keep the system well conditioned at large k; adjacent ones would not).
-Per candidate the unknowns are T plus one scale per frame ray, a 12 x 13
-homogeneous system for d = 3, and the candidate is solved only if its SVD
-null space is exactly one-dimensional. Every ray is then checked at once:
-the images ``effects @ T^T``, each ray's scale by projection onto its
-target state, and one residual. A solution is accepted when all scales
+Per candidate the unknowns are T plus one scale per frame ray. With E the
+frame's effect rays and P their target states, ``T E^T = P^T diag(s)`` has
+a solution exactly when ``P^T diag(s) N = 0``, where the columns of N span
+the null space of E^T. One SVD of E per model gives N and pinv(E^T), so a
+candidate solves only for its scales, a 3 x 4 system for a four-ray frame
+in three dimensions, and is kept only if the whole solution family is
+one-dimensional. Then ``T = P^T diag(s) pinv(E^T)``. Every ray is checked
+at once: the images ``effects @ T^T``, each ray's scale by projection onto
+its target state, and one residual. A solution is accepted when all scales
 share a sign (which fixes the sign of T), the smallest is at least
 ``tol * ||T||``, the residual of the Frobenius-normalized T is at most
 ``_RESIDUAL_TOL``, and T is invertible.
 
 Simplicial cones (k <= d) leave T underdetermined, so their frame is
-every ray. Whenever the frame is every ray and a candidate's null space is
-wider than one, the candidate is re-solved with equal-scale tie rows,
-which pick the isometry-like member of the solution family. The frame is
+every ray. Whenever the frame is every ray and a candidate's solution
+family is wider than one, its scales are re-solved with equal-scale tie
+rows, which pick the isometry-like member of the family. The frame is
 also every ray when the spread rays are not in general position, which
 happens only outside three dimensions (for example the four-dimensional
 cone over a square pyramid, a direct sum of a ray and a square cone).
@@ -43,7 +47,7 @@ cone over a square pyramid, a direct sum of a ray and a square cone).
 Candidates are solved in blocks with stacked ``np.linalg.svd`` calls, each
 block's temporaries held to about ``_BLOCK_ELEMENTS`` doubles, so memory
 is O(k) per block. A polygon model costs O(k^2) time: 2k candidates, each
-a constant-size solve plus an O(k) check (about 1 s at k = 1024 on one
+a constant-size solve plus an O(k) check (about 0.2 s at k = 1024 on one
 core). The fallback feeds ``itertools.permutations`` through the same
 blocks.
 
@@ -77,8 +81,8 @@ _RESIDUAL_TOL = 1e-9
 _RANK_CUTOFF = 1e-10
 
 # Element budget of each per-block temporary of the isomorphism search
-# (2**16 doubles = 512 KiB): the stacked frame systems and the (b, k, d)
-# ray images, targets and residuals.
+# (2**16 doubles = 512 KiB): the stacked scale systems, tie rows included,
+# and the (b, k, d) ray images, targets and residuals.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -117,14 +121,16 @@ def _permutation_blocks(n_rays: int, block: int):
         yield np.array(chunk)
 
 
-def _frame_system(effects: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The frame rays and the candidate-independent part of their system.
+def _frame_system(effects: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The frame rays and the candidate-independent part of their solve.
 
     The frame is d + 1 rays spread along ``order`` when they are in general
-    position, otherwise every ray. The system's unknowns are vec T
-    (row-major) followed by one scale per frame ray; rows
-    ``d*j .. d*j + d - 1`` read ``T e_j - s_j target_j = 0``, and the scale
-    columns are left zero for the candidate to fill in.
+    position, otherwise every ray. With E the frame's effect rays (f x d), a
+    candidate with target states P solves ``T E^T = P^T diag(s)``, which has
+    a solution exactly when ``P^T diag(s) N = 0`` for the columns of N
+    spanning the null space of E^T, and then ``T = P^T diag(s) pinv(E^T)``.
+    Returns the frame, N (f x m), pinv(E^T) (f x d) and the nullity that T
+    adds on its own, ``d * (d - rank E)``.
     """
     k, d = effects.shape
     frame = np.arange(k)
@@ -134,10 +140,10 @@ def _frame_system(effects: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, n
         sv = np.linalg.svd(subsets, compute_uv=False)
         if np.all(sv[:, -1] > _RANK_CUTOFF * np.maximum(sv[:, 0], 1.0)):
             frame = spread
-    template = np.zeros((d * frame.size, d * d + frame.size))
-    template[:, :d * d] = np.vstack(
-        [np.kron(np.eye(d), effects[ray][None, :]) for ray in frame])
-    return frame, template
+    u, sv, vt = np.linalg.svd(effects[frame])
+    rank = np.count_nonzero(sv > _RANK_CUTOFF * max(sv[0], 1.0))
+    inverse = (u[:, :rank] / sv[:rank]) @ vt[:rank]
+    return frame, u[:, rank:], inverse, d * (d - rank)
 
 
 def _null_vectors(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,30 +179,35 @@ class _Candidates:
     group: np.ndarray
 
 
-def _solve_block(effects: np.ndarray, states: np.ndarray, frame: np.ndarray,
-                 template: np.ndarray, perms: np.ndarray) -> tuple[np.ndarray, ...]:
+def _solve_block(effects: np.ndarray, states: np.ndarray, system: tuple[np.ndarray, ...],
+                 perms: np.ndarray) -> tuple[np.ndarray, ...]:
     """Solve T e_i = scale_i * state_perm(i) for a block of candidates.
 
-    A candidate is solved from its frame system when that system's null
-    space is one-dimensional; when the frame is every ray, a wider null
-    space is re-solved with the tie rows ``s_j = s_{j+1}`` added. The
-    solution is then checked on every ray at once. Returns the
-    ``_Candidates`` fields before ``group``, one entry per candidate.
+    ``system`` is :func:`_frame_system`'s. A candidate's frame scales s are
+    solved first, from the d*m x f system ``P^T diag(s) N = 0``, and are
+    kept when the whole solution family, T's own nullity included, is
+    one-dimensional; when the frame is every ray, a wider family is
+    re-solved with the tie rows ``s_j = s_{j+1}`` added. Then
+    ``T = P^T diag(s) pinv(E^T)``, scaled so that (T, s) is a unit vector,
+    is checked on every ray at once. Returns the ``_Candidates`` fields
+    before ``group``, one entry per candidate.
     """
+    frame, null, inverse, fixed = system
     k, d = effects.shape
     b, f = perms.shape[0], frame.size
-    system = np.repeat(template[None], b, axis=0)
-    scale_rows = np.arange(d * f)
-    system[:, scale_rows, d * d + scale_rows // d] = -states[perms[:, frame]].reshape(b, d * f)
-    vec, nullity = _null_vectors(system)
-    wide = nullity > 1
+    frame_targets = states[perms[:, frame]]
+    # row (r, q) reads sum_j P[j, r] N[j, q] s_j = 0
+    scale_system = np.einsum("bjr,jq->brqj", frame_targets, null).reshape(b, -1, f)
+    s, nullity = _null_vectors(scale_system)
+    wide = nullity + fixed > 1
     if f == k and wide.any():
-        ties = np.zeros((f - 1, d * d + f))
-        ties[:, d * d:] = np.eye(f - 1, f) - np.eye(f - 1, f, 1)
-        tied = np.concatenate([system[wide], np.repeat(ties[None], wide.sum(), axis=0)], axis=1)
-        vec[wide], nullity[wide] = _null_vectors(tied)
+        ties = np.eye(f - 1, f) - np.eye(f - 1, f, 1)
+        tied = np.concatenate(
+            [scale_system[wide], np.broadcast_to(ties, (wide.sum(), f - 1, f))], axis=1)
+        s[wide], nullity[wide] = _null_vectors(tied)
 
-    t = vec[:, :d * d].reshape(b, d, d)
+    t = (frame_targets * s[..., None]).transpose(0, 2, 1) @ inverse
+    t /= np.sqrt(1.0 + np.sum(t * t, axis=(1, 2)))[:, None, None]
     images = effects @ t.transpose(0, 2, 1)
     targets = states[perms]
     scales = np.sum(images * targets, axis=2) / np.sum(targets * targets, axis=2)
@@ -208,7 +219,7 @@ def _solve_block(effects: np.ndarray, states: np.ndarray, frame: np.ndarray,
     scales *= factor[:, None]
     t = t * factor[:, None, None]
     residual = np.abs(images * factor[:, None, None] - scales[..., None] * targets)
-    return (t, nullity == 1, sign, norm, scales.min(axis=1),
+    return (t, nullity + fixed == 1, sign, norm, scales.min(axis=1),
             residual.max(axis=(1, 2)) <= _RESIDUAL_TOL,
             np.abs(np.linalg.det(t)) >= 1e-9)
 
@@ -237,15 +248,15 @@ def _candidate_margins(model: ModelSpec) -> _Candidates:
             f"the exhaustive cap of {EXHAUSTIVE_RAY_CAP}"
         )
 
-    frame, template = _frame_system(
-        effects, np.arange(k) if effect_order is None else effect_order)
-    block = max(1, _BLOCK_ELEMENTS // max(template.size, k * d))
+    system = _frame_system(effects, np.arange(k) if effect_order is None else effect_order)
+    frame, null = system[:2]
+    block = max(1, _BLOCK_ELEMENTS // max((d * null.shape[1] + frame.size) * frame.size, k * d))
     if cyclic:
         blocks = _dihedral_blocks(k, effect_order, state_order, block)
     else:
         blocks = _permutation_blocks(k, block)
 
-    solved = [_solve_block(effects, states, frame, template, perms) for perms in blocks]
+    solved = [_solve_block(effects, states, system, perms) for perms in blocks]
     fields = [np.concatenate(column) for column in zip(*solved)]
     transforms, nullity, sign, _, _, residual, determinant = fields
     passing = np.flatnonzero(nullity & sign & residual & determinant)

@@ -161,10 +161,16 @@ def test_scan_size_cap(args, capsys):
     (["chained", "--n", "12", "--N", "1000000000"], "exceeds the chained settings limit"),
     (["distill", "--n", str(cli.MAX_MODEL_N + 2)], "exceeds the model size limit"),
     (["distill", "--n", "1000000000"], "exceeds the model size limit"),
+    *[([command, "--model", spec],
+       f"invalid model {spec!r}; expected polygon:<n> with an integer n")
+      for command in ("selfdual", "q1-cert")
+      for spec in ("polygon:3.0", "polygon:", "polygon:1e3", "polygon:0x10")],
 ], ids=["selfdual-huge", "selfdual-cap", "polygon-huge", "polygon-cap",
         "q1-odd-cap", "q1-odd-huge", "q1-settings-cap", "q1-settings-huge",
         "q1-settings-zero", "q1-settings-negative", "chained-cap", "chained-huge",
-        "chained-settings-cap", "chained-settings-huge", "distill-cap", "distill-huge"])
+        "chained-settings-cap", "chained-settings-huge", "distill-cap", "distill-huge",
+        *[f"{command}-{spec}" for command in ("selfdual", "q1-cert")
+          for spec in ("float", "empty", "exponent", "hex")]])
 def test_model_size_caps_run_before_construction(args, message, capsys, monkeypatch):
     def refuse(n):
         raise AssertionError(f"a {n}-gon built past the size cap")

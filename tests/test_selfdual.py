@@ -140,6 +140,58 @@ def solve_candidate_reference(effects, states, perm, tol):
     return t
 
 
+def frame_null_vectors_reference(systems):
+    """Per stacked system, its last right-singular vector and its nullity."""
+    _, sv, vt = np.linalg.svd(systems)
+    rank = np.count_nonzero(sv > selfdual._RANK_CUTOFF * np.maximum(sv[:, :1], 1.0), axis=1)
+    return vt[:, -1], systems.shape[2] - rank
+
+
+def frame_solve_reference(effects, states, frame, perms):
+    """The frame solve with T and the scales as one unknown vector.
+
+    Reference for ``selfdual._solve_block``, which solves for the scales
+    first. Per candidate the unknowns are vec T (row-major) followed by one
+    scale per frame ray, a 12 x 13 homogeneous system for a four-ray frame
+    in three dimensions; rows ``d*j .. d*j + d - 1`` read
+    ``T e_j - s_j target_j = 0``. The systems of a block are solved by one
+    stacked SVD, with the tie rows ``s_j = s_{j+1}`` added when the frame
+    is every ray and the null space is wider than one. Returns the library's
+    ``_Candidates`` fields before ``group``.
+    """
+    k, d = effects.shape
+    template = np.zeros((d * frame.size, d * d + frame.size))
+    template[:, :d * d] = np.vstack(
+        [np.kron(np.eye(d), effects[ray][None, :]) for ray in frame])
+    b, f = perms.shape[0], frame.size
+    system = np.repeat(template[None], b, axis=0)
+    scale_rows = np.arange(d * f)
+    system[:, scale_rows, d * d + scale_rows // d] = -states[perms[:, frame]].reshape(b, d * f)
+    vec, nullity = frame_null_vectors_reference(system)
+    wide = nullity > 1
+    if f == k and wide.any():
+        ties = np.zeros((f - 1, d * d + f))
+        ties[:, d * d:] = np.eye(f - 1, f) - np.eye(f - 1, f, 1)
+        tied = np.concatenate([system[wide], np.repeat(ties[None], wide.sum(), axis=0)], axis=1)
+        vec[wide], nullity[wide] = frame_null_vectors_reference(tied)
+
+    t = vec[:, :d * d].reshape(b, d, d)
+    images = effects @ t.transpose(0, 2, 1)
+    targets = states[perms]
+    scales = np.sum(images * targets, axis=2) / np.sum(targets * targets, axis=2)
+    negative = np.all(scales < 0, axis=1)
+    sign = np.all(scales > 0, axis=1) | negative
+    norm = np.linalg.norm(t, axis=(1, 2))
+    # scales of one sign imply T != 0; the others are rejected anyway
+    factor = np.where(negative, -1.0, 1.0) / np.where(sign, norm, 1.0)
+    scales *= factor[:, None]
+    t = t * factor[:, None, None]
+    residual = np.abs(images * factor[:, None, None] - scales[..., None] * targets)
+    return (t, nullity == 1, sign, norm, scales.min(axis=1),
+            residual.max(axis=(1, 2)) <= selfdual._RESIDUAL_TOL,
+            np.abs(np.linalg.det(t)) >= 1e-9)
+
+
 def find_cone_isomorphisms_reference(model, tol=1e-9, exhaustive=False):
     """The dihedral (or exhaustive) search, one reference solve per candidate."""
     effects, states = model.ray_effects, model.extremal_states
@@ -260,14 +312,13 @@ def test_kept_search_is_bitwise_a_first_search():
 
 def test_candidate_solve_runs_once_per_model(monkeypatch):
     solved = []
-    svd = np.linalg.svd
+    solve_block = selfdual._solve_block
 
-    def counting_svd(a, *args, **kwargs):
-        if a.ndim == 3 and a.shape[1:] == (12, 13):  # the stacked frame systems
-            solved.append(a.shape[0])
-        return svd(a, *args, **kwargs)
+    def counting_solve(effects, states, system, perms):
+        solved.append(perms.shape[0])  # one row per candidate
+        return solve_block(effects, states, system, perms)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(selfdual, "_solve_block", counting_solve)
     model = polygon(5)
     assert len(find_cone_isomorphisms(model)) == 10
     assert len(find_cone_isomorphisms(model, 1e-3)) == 10
@@ -283,6 +334,99 @@ def test_candidate_solve_runs_once_per_model(monkeypatch):
     assert len(find_cone_isomorphisms(turned, 1e-3)) == 10
     assert self_duality(turned).candidates == 120
     assert solved == [10, 10, 120]
+
+
+MASKS = ("nullity", "sign", "residual", "determinant")
+VALUES = ("transforms", "norm", "min_scale")
+
+
+def reference_margins(model, monkeypatch):
+    """``_candidate_margins`` with every block solved by ``frame_solve_reference``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(selfdual, "_solve_block", lambda effects, states, system, perms:
+                      frame_solve_reference(effects, states, system[0], perms))
+        return selfdual._candidate_margins(model)
+
+
+@pytest.mark.parametrize("model", [polygon(n) for n in range(3, 65)] + [house_model()],
+                         ids=lambda m: m.name)
+def test_scale_space_solve_matches_frame_solve(model, monkeypatch):
+    found = selfdual._candidate_margins(model)
+    expected = reference_margins(model, monkeypatch)
+    for name in MASKS + ("group",):
+        assert np.array_equal(getattr(found, name), getattr(expected, name)), name
+    for name in VALUES:
+        assert np.abs(getattr(found, name) - getattr(expected, name)).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("model", [square_pyramid_model(), tilted(polygon(7))],
+                         ids=lambda m: m.name)
+def test_scale_space_solve_differs_only_on_zero_scales(model, monkeypatch):
+    # an every-ray frame with tie rows, and the permutation fallback: the
+    # two solves may split on the sign of a scale that is zero up to
+    # rounding, on candidates that both reject
+    found = selfdual._candidate_margins(model)
+    expected = reference_margins(model, monkeypatch)
+    for name in ("nullity", "residual", "determinant", "group"):
+        assert np.array_equal(getattr(found, name), getattr(expected, name)), name
+    split = found.sign != expected.sign
+    zero = np.where(found.sign, np.abs(found.min_scale), np.abs(expected.min_scale))
+    assert np.all(zero[split] < ROUNDING_TOL)
+    assert np.all(found.group[split] == -1)
+    solved = found.nullity & found.sign & expected.sign
+    for name in VALUES:
+        assert np.abs(getattr(found, name)[solved]
+                      - getattr(expected, name)[solved]).max() <= 1e-12, name
+    for tol in (0.0, 1e-9, 1e-3):
+        accepted, rejected = selfdual._accept(found, tol)
+        expected_accepted, expected_rejected = selfdual._accept(expected, tol)
+        assert np.array_equal(accepted, expected_accepted)
+        assert accepted.size > 0
+        assert np.abs(found.transforms[accepted]
+                      - expected.transforms[accepted]).max() <= 1e-12
+        # a zero scale may fail the sign rule on one side and a later rule
+        # on the other; the nullity rule comes first and is shared
+        assert rejected["nullity"] == expected_rejected["nullity"]
+
+
+@pytest.mark.parametrize("model", [polygon(3), polygon(5), polygon(8), house_model(),
+                                   square_pyramid_model()], ids=lambda m: m.name)
+def test_solves_agree_on_degenerate_candidates(model):
+    # hand-made bijections that send several frame rays to one state
+    effects, states = model.ray_effects, model.extremal_states
+    k = effects.shape[0]
+    order = selfdual._cycle_order(effects)
+    system = selfdual._frame_system(effects, np.arange(k) if order is None else order)
+    frame = system[0]
+    one_state = np.zeros(k, dtype=int)
+    one_pair, two_pairs = np.arange(k), np.arange(k)
+    one_pair[frame[1]] = two_pairs[frame[1]] = frame[0]
+    two_pairs[frame[-1]] = frame[-2]
+    perms = np.stack([one_state, one_pair, two_pairs])
+    found = selfdual._solve_block(effects, states, system, perms)
+    expected = frame_solve_reference(effects, states, frame, perms)
+    assert np.array_equal(found[1], expected[1])
+    if frame.size < k:
+        # a four-ray frame in three dimensions: one state for all rays, or
+        # two for four, leaves a wider family; with one pair sent together
+        # the family is one-dimensional, a T of rank one
+        assert found[1].tolist() == [False, True, False]
+        assert np.linalg.matrix_rank(found[0][1]) == 1
+    for masks in (found[1:3] + found[5:], expected[1:3] + expected[5:]):
+        assert not np.any(np.logical_and.reduce(masks))
+
+
+def test_solves_agree_when_the_frame_does_not_span():
+    # two rays of a three-dimensional cone: T is free on the direction the
+    # frame misses, so every candidate leaves a family wider than one
+    base = polygon(5)
+    effects, states = base.ray_effects[:2], base.extremal_states[:2]
+    system = selfdual._frame_system(effects, np.arange(2))
+    assert system[3] == 3
+    perms = np.array([[0, 1], [1, 0], [0, 0]])
+    found = selfdual._solve_block(effects, states, system, perms)
+    expected = frame_solve_reference(effects, states, system[0], perms)
+    assert not found[1].any() and not expected[1].any()
 
 
 def flip_orders(margin):

@@ -19,8 +19,9 @@ import polybell
 from polybell import core
 from polybell.cli import run
 from polybell.core import ROUNDING_TOL, psd_at
-from polybell.correlations import TSIRELSON_BOUND
-from polybell.polygon import polygon
+from polybell.correlations import TSIRELSON_BOUND, ray_settings
+from polybell.polygon import max_entangled, polygon
+from polybell.q1 import Q1Certificate, certificate_from_inner_product_state
 from polybell.selfdual import self_duality
 
 TINY_TOLS = ("0", "1e-17", "1e-16", "1e-15")
@@ -80,6 +81,39 @@ def test_odd_polygons_are_strongly_self_dual_at_tol_zero():
         report = self_duality(polygon(n), 0.0)
         assert report.weak
         assert report.strong == (n % 2 == 1), n
+
+
+def _turned(spectrum: list[float]) -> np.ndarray:
+    """A symmetric matrix with this spectrum, in a basis that is not the standard one."""
+    basis, _ = np.linalg.qr(np.random.default_rng(1215).normal(size=(len(spectrum),) * 2))
+    matrix = basis @ np.diag(spectrum) @ basis.T
+    return (matrix + matrix.T) / 2.0
+
+
+@pytest.mark.parametrize("spectrum", [
+    [-1e-6, 1.0, 1.0], [-3e-4, 0.2, 5.0], [-0.3, 0.5, 2.0], [-2.0, 0.1, 1.0],
+    [-1.0, -0.5, -0.1], [-4e-9, 1e-3, 2e-3],
+])
+def test_certificate_psd_margin_is_where_the_verdict_flips(spectrum):
+    cert = Q1Certificate(_turned(spectrum), (1,), (1,))
+    margin = cert.psd_margin
+    assert margin == pytest.approx(spectrum[0] / max(abs(spectrum[0]), abs(spectrum[-1])),
+                                   rel=1e-6)
+    for order in ([(1 + 1e-6, "in-Q1"), (1 - 1e-6, "undetermined")],
+                  [(1 - 1e-6, "undetermined"), (1 + 1e-6, "in-Q1")]):
+        for factor, verdict in order:
+            assert cert.verdict(-margin * factor) == verdict, factor
+    assert "psd_margin" not in cert.to_dict()
+
+
+def test_odd_polygon_certificates_have_no_negative_margin_above_the_floor():
+    for n in (5, 7, 9):
+        state = max_entangled(n)
+        settings = ray_settings(state.model_a, 3)
+        cert = certificate_from_inner_product_state(state, settings, settings)
+        assert cert.psd_margin >= -ROUNDING_TOL
+        assert cert.verdict(0.0) == "in-Q1"
+    assert Q1Certificate(np.zeros((3, 3)), (1,), (1,)).psd_margin == 0.0
 
 
 # module-level names that hold a fixed threshold
