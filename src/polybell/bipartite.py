@@ -57,7 +57,9 @@ class JointState:
         smallest and largest eigenvalues of ``(M + M^T) / 2``. The state is
         immutable, so they are computed on first use and kept; each caller
         compares them with its own ``tol``. The last three are nan when
-        ``M`` is not square (the gap is then inf).
+        ``M`` is not square (the gap is then inf). A state over one model
+        object on both sides, such as every state induced by a cone
+        isomorphism, has gap 0.0 without an array comparison.
         """
         gap = _model_gap(self.model_a, self.model_b)
         m = self.matrix

@@ -83,11 +83,11 @@ def _parse_model(spec: str, check_size: Callable[[int], None]) -> ModelSpec:
     if spec == "house":
         return house_mod.house_model()
     if spec.startswith("polygon:"):
-        try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(
-                f"invalid model {spec!r}; expected polygon:<n> with an integer n") from None
+        digits = spec[len("polygon:"):]
+        # int() would also take signs, spaces, underscores and non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"invalid model {spec!r}; expected polygon:<n> with an integer n")
+        n = int(digits)
         check_size(n)
         return polygon(n)
     raise ValueError(f"unknown model {spec!r}; expected polygon:<n> or house")

@@ -207,7 +207,13 @@ def _model_gap(a: ModelSpec, b: ModelSpec) -> float:
     Compares the extremal states, the extremal effects and the unit effect;
     ``inf`` when the dimensions, the state or effect counts, or the
     ray-extremal flags differ. Names are ignored.
+
+    One model object against itself returns 0.0 without reading its
+    arrays. That is the value the array path computes: a ``ModelSpec``'s
+    arrays are finite and read-only, so ``x - x`` is exactly zero.
     """
+    if a is b:
+        return 0.0
     if (a.dim != b.dim or a.n_states != b.n_states or a.n_effects != b.n_effects
             or not np.array_equal(a.ray_extremal, b.ray_extremal)):
         return math.inf

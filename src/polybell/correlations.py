@@ -14,6 +14,7 @@ correlator, so for a dichotomic pair ``E = (2 e - u)_A^T M (2 f - u)_B``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -376,6 +377,17 @@ def _pattern_table(predicate: Callable[..., np.ndarray]) -> CorrelationTable:
     return CorrelationTable(probs, (2, 2), (2, 2))
 
 
+@functools.cache
+def _distill_components() -> tuple[CorrelationTable, CorrelationTable]:
+    """P_box and P_corr of :func:`distill_with_table`, built once per process.
+
+    Neither depends on n, and a table is immutable, so every call can share
+    the same two objects.
+    """
+    return (_pattern_table(lambda a, b, x, y: (a ^ b) == (x & (1 - y))),
+            _pattern_table(lambda a, b, x, y: a == b))
+
+
 def distill_with_table(
     n: int, tol: float | None = None,
 ) -> tuple[float, CorrelationTable, CorrelationTable, CorrelationTable]:
@@ -396,8 +408,7 @@ def distill_with_table(
     settings = ray_settings(state.model_a, 2, tol=tol)
     table = correlations_from_state(state, settings, settings)
     eps = 1.0 - math.cos(2.0 * math.pi / n)
-    p_box = _pattern_table(lambda a, b, x, y: (a ^ b) == (x & (1 - y)))
-    p_corr = _pattern_table(lambda a, b, x, y: a == b)
+    p_box, p_corr = _distill_components()
     combined = eps * p_box.probs + (1.0 - eps) * p_corr.probs
     err = float(np.abs(table.probs - combined).max())
     if err > 1e-10:

@@ -55,10 +55,12 @@ The search itself does not depend on ``tol``. Every candidate's T and its
 tolerance-free margins (nullity, sign, ``||T||``, smallest scale, residual,
 determinant, deduplication key) are kept per model object, so each model
 is searched once however many calls and tolerances follow; every call
-takes its verdicts against its own ``tol``. :func:`self_duality` reports the
-isomorphisms, the strong witness with its margins, how many candidates
-were tried and rejected by each rule, and how many isomorphisms each
-witness rule turned away.
+takes its verdicts against its own ``tol``. The verdicts at the last
+tolerance asked for are kept as well, so a search followed by its
+self-duality report at the same ``tol`` applies the rules once.
+:func:`self_duality` reports the isomorphisms, the strong witness with its
+margins, how many candidates were tried and rejected by each rule, and how
+many isomorphisms each witness rule turned away.
 """
 
 from __future__ import annotations
@@ -66,11 +68,11 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bipartite import JointState, in_max_tensor_product
+from .bipartite import JointState, local_positivity_margin
 from .core import ModelSpec, psd_at, resolve_tol
 
 EXHAUSTIVE_RAY_CAP = 10
@@ -166,7 +168,8 @@ class _Candidates:
     compares with its own ``tol``. ``group`` ranks each candidate's
     8-decimal key among the distinct keys of the candidates that pass every
     mask (-1 for the others), so equal ranks are duplicates and rank order
-    is canonical order.
+    is canonical order. ``accepted`` is :func:`_accept`'s slot: the last
+    tolerance asked for, with its result.
     """
 
     transforms: np.ndarray
@@ -177,6 +180,7 @@ class _Candidates:
     residual: np.ndarray
     determinant: np.ndarray
     group: np.ndarray
+    accepted: tuple | None = field(default=None, repr=False)
 
 
 def _solve_block(effects: np.ndarray, states: np.ndarray, system: tuple[np.ndarray, ...],
@@ -290,8 +294,18 @@ def _accept(candidates: _Candidates, tol: float) -> tuple[np.ndarray, dict[str, 
     first in candidate order with its key. The indices come in canonical
     (key) order. Each rejected candidate is counted under the first rule it
     fails, in the order of the returned dict.
+
+    The result depends only on the candidates, which never change, and on
+    ``tol``. So the last one is kept in the candidates' single ``accepted``
+    slot, and a repeat call at the same ``tol`` (a search followed by its
+    self-duality report, say) reads it back. The indices are read-only and
+    the dict is a fresh copy on every call, so no caller can change what
+    the next one gets.
     """
     c = candidates
+    kept = c.accepted
+    if kept is not None and kept[0] == tol:
+        return kept[1], dict(kept[2])
     rules = (("nullity", c.nullity), ("sign", c.sign),
              ("scale", (c.norm >= tol) & (c.min_scale >= tol)),
              ("residual", c.residual), ("determinant", c.determinant))
@@ -303,7 +317,10 @@ def _accept(candidates: _Candidates, tol: float) -> tuple[np.ndarray, dict[str, 
     kept = np.flatnonzero(passed)
     _, first = np.unique(c.group[kept], return_index=True)
     rejected["duplicate"] = kept.size - first.size
-    return kept[first], rejected
+    accepted = kept[first]
+    accepted.flags.writeable = False
+    object.__setattr__(c, "accepted", (tol, accepted, rejected))
+    return accepted, dict(rejected)
 
 
 def find_cone_isomorphisms(model: ModelSpec, tol: float | None = None) -> list[np.ndarray]:
@@ -403,6 +420,13 @@ def state_from_isomorphism(t, model: ModelSpec,
     ``ValueError`` when u . T u <= 0 and ``ArithmeticError`` when the result
     fails normalization or local positivity, which cannot happen for a
     genuine isomorphism.
+
+    The two checks are those of
+    :func:`~polybell.bipartite.in_max_tensor_product`, in its order. The
+    normalization ``u . M u`` is computed once, here, and positivity is
+    tested on :func:`~polybell.bipartite.local_positivity_margin` directly,
+    since a state that has passed normalization is a member exactly when
+    its margin is at least ``-tol``.
     """
     tol = resolve_tol(tol)
     t = np.asarray(t, dtype=float)
@@ -413,7 +437,7 @@ def state_from_isomorphism(t, model: ModelSpec,
     state = JointState(matrix=t.T / height, model_a=model, model_b=model)
     if abs(float(u @ state.matrix @ u) - 1.0) > tol:
         raise ArithmeticError("induced state failed normalization")
-    if not in_max_tensor_product(state, tol):
+    if not local_positivity_margin(state) >= -tol:
         raise ArithmeticError("induced state failed local positivity")
     return state
 

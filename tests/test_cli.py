@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -164,13 +165,15 @@ def test_scan_size_cap(args, capsys):
     *[([command, "--model", spec],
        f"invalid model {spec!r}; expected polygon:<n> with an integer n")
       for command in ("selfdual", "q1-cert")
-      for spec in ("polygon:3.0", "polygon:", "polygon:1e3", "polygon:0x10")],
+      for spec in ("polygon:3.0", "polygon:", "polygon:1e3", "polygon:0x10",
+                   "polygon:1_1", "polygon:+9", "polygon: 9 ", "polygon:\u0669")],
 ], ids=["selfdual-huge", "selfdual-cap", "polygon-huge", "polygon-cap",
         "q1-odd-cap", "q1-odd-huge", "q1-settings-cap", "q1-settings-huge",
         "q1-settings-zero", "q1-settings-negative", "chained-cap", "chained-huge",
         "chained-settings-cap", "chained-settings-huge", "distill-cap", "distill-huge",
         *[f"{command}-{spec}" for command in ("selfdual", "q1-cert")
-          for spec in ("float", "empty", "exponent", "hex")]])
+          for spec in ("float", "empty", "exponent", "hex", "underscore", "sign",
+                       "spaces", "arabic-indic")]])
 def test_model_size_caps_run_before_construction(args, message, capsys, monkeypatch):
     def refuse(n):
         raise AssertionError(f"a {n}-gon built past the size cap")
@@ -390,6 +393,19 @@ def test_distill_json():
     assert payload["n"] == 8
     assert payload["eps"] == pytest.approx(1.0 - math.cos(math.pi / 4), abs=1e-15)
     assert payload["E_2_1"] == pytest.approx(1.0 - 2.0 * payload["eps"], abs=1e-12)
+
+
+# sha256 of `distill --n 8 --json` stdout from before the two component
+# tables were shared between calls
+DISTILL_8_JSON_SHA256 = "2b9cf932b11dedfc956834f5a688983523aa2172817cfb43f77e4ecee0bf0cfa"
+
+
+def test_distill_json_bytes_are_unchanged_by_shared_components(capsys):
+    # the second call reads the components the first one built
+    for _ in range(2):
+        assert run(["distill", "--n", "8", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == DISTILL_8_JSON_SHA256
 
 
 def test_distill_rejects_odd():

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -16,6 +17,7 @@ from polybell.core import (
     validate_model,
 )
 from polybell.correlations import ray_settings
+from polybell.house import house_model
 from polybell.polygon import polygon
 
 
@@ -230,6 +232,36 @@ def test_models_similar_is_allclose_at_tol():
         assert (_model_gap(a, b) <= tol) == expected, (trial, tol)
         outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def model_gap_reference(a: ModelSpec, b: ModelSpec) -> float:
+    """``_model_gap`` as it was before one model object skipped its arrays."""
+    if (a.dim != b.dim or a.n_states != b.n_states or a.n_effects != b.n_effects
+            or not np.array_equal(a.ray_extremal, b.ray_extremal)):
+        return math.inf
+    return max(
+        float(np.abs(a.extremal_states - b.extremal_states).max()),
+        float(np.abs(a.extremal_effects - b.extremal_effects).max()),
+        float(np.abs(a.unit_effect - b.unit_effect).max()),
+    )
+
+
+@pytest.mark.parametrize("make", [lambda n=n: polygon(n) for n in range(3, 65)]
+                         + [house_model],
+                         ids=[f"polygon{n}" for n in range(3, 65)] + ["house"])
+def test_model_gap_of_one_object_is_the_array_gap(make):
+    model = make()
+    copy = ModelSpec.from_dict(model.to_dict())
+    gap = _model_gap(model, model)
+    assert gap == 0.0 and type(gap) is float
+    assert gap == _model_gap(model, copy) == _model_gap(copy, model)
+    assert gap == model_gap_reference(model, model) == model_gap_reference(model, copy)
+    # a copy moved off the original still has a gap, by both routes
+    states = model.extremal_states.copy()
+    states[-1, 0] += 1e-12
+    moved = ModelSpec(model.name, model.dim, states, model.extremal_effects,
+                      model.unit_effect, ray_extremal=model.ray_extremal)
+    assert _model_gap(model, moved) == model_gap_reference(model, moved) > 0.0
 
 
 def test_json_roundtrip():

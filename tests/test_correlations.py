@@ -545,6 +545,20 @@ def test_distill_component_shapes():
         assert p_corr.probs[a, b, x, y] == want_corr
 
 
+def test_distill_components_are_built_once_and_equal_a_fresh_build():
+    _, p_box, p_corr = distill_decompose(8)
+    _, box_again, corr_again = distill_decompose(12)
+    assert box_again is p_box and corr_again is p_corr
+    fresh_box = correlations._pattern_table(lambda a, b, x, y: (a ^ b) == (x & (1 - y)))
+    fresh_corr = correlations._pattern_table(lambda a, b, x, y: a == b)
+    for shared, fresh in ((p_box, fresh_box), (p_corr, fresh_corr)):
+        assert shared.probs.tobytes() == fresh.probs.tobytes()
+        assert shared.probs.dtype == fresh.probs.dtype
+        assert shared.probs.shape == fresh.probs.shape
+        assert (shared.outcomes_a, shared.outcomes_b) == (fresh.outcomes_a, fresh.outcomes_b)
+        assert not shared.probs.flags.writeable
+
+
 def test_distill_rejects_odd():
     with pytest.raises(ValueError):
         distill_decompose(7)

@@ -12,7 +12,13 @@ from polybell.bipartite import (
     push_local_map,
 )
 from polybell.core import ROUNDING_TOL, Measurement, dichotomic_measurement, simplex_model
-from polybell.correlations import correlations_from_state, correlator, ray_settings
+from polybell.correlations import (
+    TSIRELSON_BOUND,
+    CorrelationTable,
+    correlations_from_state,
+    correlator,
+    ray_settings,
+)
 from polybell.polygon import max_entangled, polygon
 from polybell import q1
 from polybell.q1 import (
@@ -285,6 +291,51 @@ def test_necessary_conditions_quantum_like_pass():
     assert report.verdict == "undetermined"
     assert report.chsh_ok and report.uffink_ok
     assert report.to_dict()["verdict"] == "undetermined"
+
+
+def correlator_table(e) -> CorrelationTable:
+    """The dichotomic 2x2-setting table with uniform marginals and correlators ``e[x][y]``."""
+    e = np.asarray(e, dtype=float)
+    same = (1.0 + e) / 4.0
+    differ = (1.0 - e) / 4.0
+    return CorrelationTable(np.array([[same, differ], [differ, same]]), (2, 2), (2, 2))
+
+
+# v - bound for both tables below, about 7e8 times ROUNDING_TOL
+SCREEN_MARGIN = 1e-5
+
+
+def test_screen_chsh_verdict_flips_at_its_margin():
+    c = (TSIRELSON_BOUND + SCREEN_MARGIN) / 4.0
+    table = correlator_table([[c, c], [c, -c]])
+    margin = q1_necessary_conditions(table).chsh_value - TSIRELSON_BOUND
+    assert margin == pytest.approx(SCREEN_MARGIN, rel=1e-9)
+    assert margin > 1e6 * ROUNDING_TOL
+    for order in ((1 + 1e-6, 1 - 1e-6), (1 - 1e-6, 1 + 1e-6)):
+        for factor in order:
+            report = q1_necessary_conditions(table, tol=margin * factor)
+            assert report.chsh_ok is (factor > 1)
+            # CHSH above 2 sqrt 2 puts the quadratic value above 4 by more
+            # (it is at least CHSH^2 / 2), so the verdict stays not-in-Q1
+            assert not report.uffink_ok
+            assert report.verdict == "not-in-Q1"
+
+
+def test_screen_quadratic_verdict_flips_at_its_margin():
+    b = math.sqrt(SCREEN_MARGIN / 4.0)
+    table = correlator_table([[1.0, b], [1.0, -b]])
+    first = q1_necessary_conditions(table)
+    margin = first.uffink_value - first.uffink_bound
+    assert first.uffink_bound == 4.0
+    assert margin == pytest.approx(SCREEN_MARGIN, rel=1e-9)
+    assert first.chsh_value < TSIRELSON_BOUND - 0.5
+    for order in ((1 + 1e-6, 1 - 1e-6), (1 - 1e-6, 1 + 1e-6)):
+        for factor in order:
+            report = q1_necessary_conditions(table, tol=margin * factor)
+            assert report.uffink_ok is (factor > 1)
+            assert report.chsh_ok
+            assert report.verdict == ("undetermined" if factor > 1 else "not-in-Q1")
+            assert list(report.to_dict()) == list(first.to_dict())
 
 
 def chsh_relabelled_reference(table) -> float:

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from polybell import selfdual
-from polybell.bipartite import in_max_tensor_product, is_inner_product_state
-from polybell.core import ROUNDING_TOL, ModelSpec
+from polybell.bipartite import (
+    JointState,
+    in_max_tensor_product,
+    is_inner_product_state,
+    local_positivity_margin,
+)
+from polybell.core import ROUNDING_TOL, ModelSpec, resolve_tol
 from polybell.house import house_model
 from polybell.polygon import max_entangled, polygon
 from polybell.selfdual import (
@@ -505,6 +510,69 @@ def test_report_counts_every_candidate_once(model):
     assert report.rejected["nullity"] > 0 and report.rejected["sign"] > 0
 
 
+def accept_reference(candidates, tol):
+    """``_accept`` as it was, applying every rule afresh on each call."""
+    c = candidates
+    rules = (("nullity", c.nullity), ("sign", c.sign),
+             ("scale", (c.norm >= tol) & (c.min_scale >= tol)),
+             ("residual", c.residual), ("determinant", c.determinant))
+    passed = np.ones(c.norm.size, dtype=bool)
+    rejected = {}
+    for rule, ok in rules:
+        rejected[rule] = int(np.count_nonzero(passed & ~ok))
+        passed &= ok
+    kept = np.flatnonzero(passed)
+    _, first = np.unique(c.group[kept], return_index=True)
+    rejected["duplicate"] = kept.size - first.size
+    return kept[first], rejected
+
+
+ALTERNATING_TOLS = (0.0, 1e-9, 0.0, 1e-3, 1e-3, 1e-9, 1e-3, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("make", [lambda: polygon(6), lambda: polygon(9), house_model,
+                                  square_pyramid_model, lambda: tilted(polygon(5))],
+                         ids=["polygon6", "polygon9", "house", "pyramid", "tilted5"])
+def test_kept_acceptance_is_the_rules_applied_afresh(make):
+    candidates = selfdual._searched(make())
+    for tol in ALTERNATING_TOLS:
+        accepted, rejected = selfdual._accept(candidates, tol)
+        expected_accepted, expected_rejected = accept_reference(candidates, tol)
+        assert accepted.tobytes() == expected_accepted.tobytes()
+        assert accepted.dtype == expected_accepted.dtype
+        assert rejected == expected_rejected
+        assert list(rejected) == list(expected_rejected)
+        # one slot: the last tolerance only
+        assert candidates.accepted[0] == tol
+
+
+def test_kept_acceptance_hands_out_fresh_results():
+    model = polygon(9)
+    first = self_duality(model)
+    isomorphisms = [t.copy() for t in first.isomorphisms]
+    rejected = dict(first.rejected)
+    # change everything a caller can reach
+    first.rejected["nullity"] = 99
+    first.rejected.clear()
+    first.isomorphisms[0][:] = 7.0
+    first.isomorphisms.reverse()
+    first.isomorphisms.pop()
+    found = find_cone_isomorphisms(model)
+    found[0][:] = -7.0
+    found.clear()
+    accepted, kept_rejected = selfdual._accept(selfdual._searched(model), resolve_tol(None))
+    kept_rejected["sign"] = 99
+    with pytest.raises(ValueError):
+        accepted[0] = 0
+    for report in (self_duality(model), self_duality(model)):
+        assert report.rejected == rejected
+        assert len(report.isomorphisms) == len(isomorphisms)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(report.isomorphisms, isomorphisms))
+        assert report.witness.tobytes() == strong_witness_reference(isomorphisms).tobytes()
+    assert all(x.tobytes() == y.tobytes()
+               for x, y in zip(find_cone_isomorphisms(model), isomorphisms))
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_polygon_isomorphism_family_size(n):
     isos = find_cone_isomorphisms(polygon(n))
@@ -593,6 +661,94 @@ def test_half_step_rotation_induces_entangled_state_even():
     m = polygon(4)
     st = state_from_isomorphism(rotation_about_axis(math.pi / 4), m)
     np.testing.assert_allclose(st.matrix, max_entangled(4).matrix, atol=1e-12)
+
+
+def state_from_isomorphism_reference(t, model, tol=None):
+    """``state_from_isomorphism`` as it was, checking membership with
+    ``in_max_tensor_product`` (which repeats the normalization)."""
+    tol = resolve_tol(tol)
+    t = np.asarray(t, dtype=float)
+    u = model.unit_effect
+    height = float(u @ t @ u)
+    if height <= 0:
+        raise ValueError(f"u . T u = {height!r} must be positive")
+    state = JointState(matrix=t.T / height, model_a=model, model_b=model)
+    if abs(float(u @ state.matrix @ u) - 1.0) > tol:
+        raise ArithmeticError("induced state failed normalization")
+    if not in_max_tensor_product(state, tol):
+        raise ArithmeticError("induced state failed local positivity")
+    return state
+
+
+def outcome(build, *args):
+    """The matrix ``build(*args)`` returns, or the type and message it raises."""
+    try:
+        return build(*args).matrix.tobytes()
+    except (ValueError, ArithmeticError) as error:
+        return type(error), str(error)
+
+
+def test_induced_states_are_bitwise_the_reference():
+    for model in [polygon(n) for n in range(3, 41)] + [house_model()]:
+        isos = find_cone_isomorphisms(model)
+        assert isos
+        for t in isos:
+            for tol in (None, 0.0):
+                state = state_from_isomorphism(t, model, tol)
+                expected = state_from_isomorphism_reference(t, model, tol)
+                assert state.matrix.tobytes() == expected.matrix.tobytes()
+                assert is_inner_product_state(state) == is_inner_product_state(expected)
+
+
+def _failing_maps():
+    """(model, map) pairs that fail ``u . T u``, normalization or positivity at small tol."""
+    five = polygon(5)
+    turned = tilted(five)
+    u = turned.unit_effect
+    # a rank-one term with u . a = 0 leaves u . T u about the same but makes
+    # the normalization round badly, and breaks positivity as well
+    lopsided = (find_cone_isomorphisms(turned)[0]
+                + 1e10 * np.outer(np.cross(u, [1.0, 0.3, 0.2]), [0.2, 1.0, 0.5]))
+    return [
+        (five, -np.eye(3)),  # u . T u < 0
+        (five, np.diag([1.0, 1.0, 0.0])),  # u . T u = 0
+        (five, rotation_about_axis(1e-3)),  # off every symmetry: positivity only
+        (polygon(8), np.eye(3)),  # the even identity is no isomorphism
+        (house_model(), rotation_about_axis(0.3)),
+        (turned, lopsided),  # normalization first, positivity after it
+    ]
+
+
+@pytest.mark.parametrize("tol", [None, 0.0, 1e-9, 1e-3])
+def test_failing_maps_raise_like_the_reference(tol):
+    errors = []
+    for model, t in _failing_maps():
+        got = outcome(state_from_isomorphism, t, model, tol)
+        assert got == outcome(state_from_isomorphism_reference, t, model, tol)
+        if isinstance(got, tuple):
+            errors.append(got)
+    assert any(message.startswith("u . T u") for _, message in errors)
+    assert (ArithmeticError, "induced state failed local positivity") in errors
+    # at 1e-3 the lopsided map's rounding passes normalization (and the
+    # small rotation passes positivity)
+    assert ((ArithmeticError, "induced state failed normalization") in errors) == (tol != 1e-3)
+
+
+def test_positivity_rule_flips_at_the_margin():
+    for model, angle in ((polygon(5), 1e-4), (polygon(7), 1e-3), (house_model(), 1e-4)):
+        t = rotation_about_axis(angle)
+        u = model.unit_effect
+        margin = local_positivity_margin(JointState(t.T / float(u @ t @ u), model, model))
+        assert -1e-3 < margin < -1e3 * ROUNDING_TOL
+        for order in ((1 + 1e-6, 1 - 1e-6), (1 - 1e-6, 1 + 1e-6)):
+            for factor in order:
+                tol = -margin * factor
+                got = outcome(state_from_isomorphism, t, model, tol)
+                assert got == outcome(state_from_isomorphism_reference, t, model, tol)
+                if factor > 1:
+                    assert isinstance(got, bytes)
+                else:
+                    assert got == (ArithmeticError, "induced state failed local positivity")
 
 
 def test_state_from_isomorphism_rejects_flipped():
