@@ -238,10 +238,18 @@ class ValidationReport:
     """Outcome of :func:`validate_model`: data, not an exception.
 
     Collecting every failure lets a caller (e.g. the CLI) print all problems
-    at once instead of stopping at the first.
+    at once instead of stopping at the first. The two margins are the
+    numbers the tolerance checks compare with ``tol``, each failing where
+    it exceeds ``tol``: ``normalization_margin`` is the largest
+    ``|u . omega - 1|`` over extremal states, and ``range_margin`` the
+    largest excess ``max(-p, p - 1)`` of a pairing ``p = e . omega`` of an
+    extremal effect with an extremal state outside [0, 1], negative when
+    every pairing lies strictly inside.
     """
 
     failures: tuple[ValidationFailure, ...] = ()
+    normalization_margin: float = 0.0
+    range_margin: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -264,7 +272,8 @@ def validate_model(model: ModelSpec, tol: float | None = None) -> ValidationRepo
     failures: list[ValidationFailure] = []
 
     norms = model.extremal_states @ model.unit_effect
-    for i in np.flatnonzero(np.abs(norms - 1.0) > tol):
+    norm_gaps = np.abs(norms - 1.0)
+    for i in np.flatnonzero(norm_gaps > tol):
         failures.append(ValidationFailure(
             code="state-not-normalized",
             message=f"state {i} has unit pairing {float(norms[i])!r}, expected 1",
@@ -272,8 +281,8 @@ def validate_model(model: ModelSpec, tol: float | None = None) -> ValidationRepo
         ))
 
     pairings = model.extremal_effects @ model.extremal_states.T  # (effects, states)
-    bad = (pairings < -tol) | (pairings > 1.0 + tol)
-    for ei, si in zip(*np.nonzero(bad)):
+    excess = np.maximum(-pairings, pairings - 1.0)
+    for ei, si in zip(*np.nonzero(excess > tol)):
         failures.append(ValidationFailure(
             code="effect-out-of-range",
             message=(
@@ -295,7 +304,9 @@ def validate_model(model: ModelSpec, tol: float | None = None) -> ValidationRepo
             ),
         ))
 
-    return ValidationReport(failures=tuple(failures))
+    return ValidationReport(failures=tuple(failures),
+                            normalization_margin=float(norm_gaps.max()),
+                            range_margin=float(excess.max()))
 
 
 @dataclass(frozen=True, eq=False)

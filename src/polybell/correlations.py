@@ -188,8 +188,11 @@ def chained_local_bound(n_settings: int) -> float:
     return 2.0 * int(n_settings) - 2.0
 
 
-# Element budget of each temporary in the CHSH scan (2**16 doubles = 512 KiB).
-_SCAN_BLOCK_ELEMENTS = 1 << 16
+# Element budget of each block temporary in the CHSH scan: 2**14 doubles,
+# 128 KiB, glibc's default threshold for serving an allocation by mmap.
+# At 2**15 the scan's temporaries made calls fault in fresh pages, and
+# n = 31..39 ran up to 38 % slower in the chsh-scan workload.
+_SCAN_BLOCK_ELEMENTS = 1 << 14
 
 
 def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, int, int]]:
@@ -218,35 +221,76 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
     them is the loop's i1, and the first (j0, j1) in row-major order on that
     (i0, i1) completes the argmax.
 
-    Cost: O(n_a n_b^2) time and O(n_b^2) memory besides temporaries of at
-    most ``_SCAN_BLOCK_ELEMENTS`` (or one n_a x n_b) doubles, against
-    O(n_a^2 n_b^2) for the loop.
+    Unordered pairs: ``A`` is bitwise symmetric in (j0, j1) and ``B``
+    bitwise antisymmetric, since fl(x + y) = fl(y + x) and
+    fl(x - y) = -fl(y - x). The two orders of a pair give
+    ``|A[i0]| + max B`` and ``|A[i0]| - min B`` at (j0, j1), and rounding is
+    monotone, so one visit that adds ``max |B|`` gives the larger of them
+    bitwise. Pass 1 therefore runs over j1 >= j0 only, and still fills the
+    whole n_b x n_b table of max B that pass 2 reads.
+
+    Cost: about n_a n_b^2 / 2 additions, subtractions and comparisons in
+    pass 1, against n_a^2 n_b^2 for the loop. Rows j0 go in blocks of about
+    equal area: with k = ceil(n_a n_b^2 / _SCAN_BLOCK_ELEMENTS) and
+    ``P = ceil(n_a n_b^2 / k)`` elements per block, a block starting at row
+    lo takes as many rows as fit P over n_a (n_b - lo) elements, and at
+    least one, so blocks grow as the triangle narrows; when the whole scan
+    fits the budget it is one block. Each temporary holds at most
+    ``T = max(_SCAN_BLOCK_ELEMENTS, n_a n_b)`` doubles, and pass 1 keeps
+    its two in one buffer that every block reuses.
+    Memory, besides a few vectors of length n_a or n_b: the n_a x n_b
+    correlators, at most six n_b x n_b arrays (in pass 2) and at most five
+    temporaries of T doubles at once (pass 1's two, or up to five in a
+    chunk of pass 2's tie search), so fewer than ``n_a n_b + 6 n_b^2 + 5 T``
+    doubles. Pass 1's buffer is freed before pass 2, so when few pairs
+    (j0, j1) reach the maximum, as on the polygon states, and n_b^2 >= T,
+    the peak is ``n_a n_b + 6 n_b^2``.
     """
     ga = 2.0 * state.model_a.ray_effects - state.model_a.unit_effect
     gb = 2.0 * state.model_b.ray_effects - state.model_b.unit_effect
     e = ga @ state.matrix @ gb.T
     n_a, n_b = e.shape
+    # pass 2 checks step * n_b candidate pairs at a time: n_a rows each,
+    # at most max(_SCAN_BLOCK_ELEMENTS, n_a * n_b) doubles in all
     step = max(1, _SCAN_BLOCK_ELEMENTS // (n_a * n_b))
+    # pass 1 spreads the budget evenly over as many blocks as the square needs
+    square = n_a * n_b * n_b
+    per_block = -(-square // -(-square // _SCAN_BLOCK_ELEMENTS))
 
-    # Pass 1, over blocks of j0: max B per (j0, j1) and, per i0, the best |S|
-    # over (i1, j0, j1). Float subtraction is exactly antisymmetric and
-    # addition exactly commutative, so B[i, j1, j0] = -B[i, j0, j1] and
+    # Pass 1, over blocks of rows j0 in [lo, hi), each against the columns
+    # j1 >= lo: max B per (j0, j1) and, per i0, the best |S| over
+    # (i1, j0, j1). Float subtraction is exactly antisymmetric and addition
+    # exactly commutative, so B[i, j1, j0] = -B[i, j0, j1] and
     # A[i, j1, j0] = A[i, j0, j1]: min B is -(max B).T, and the (j1, j0)
     # term -(A[i] + min B) is -A[i] + max B at (j0, j1). Over all (j0, j1)
     # the best is therefore max(|A[i]| + max B), bitwise, as rounding is
-    # monotone.
+    # monotone. A column j1 >= hi stands for both orders of its pair: the
+    # block fills the mirrored max B[j1, j0] from its min, and adds
+    # max(max B[j0, j1], max B[j1, j0]) = max |B| to |A| once.
     b_max = np.empty((n_b, n_b))
     row_best = np.full(n_a, -np.inf)
-    for lo in range(0, n_b, step):
-        js = slice(lo, lo + step)
-        a = e[:, js, None] + e[:, None, :]  # a[i, j0, j1] = A[i]
-        b = e[:, js, None] - e[:, None, :]  # b[i, j0, j1] = B[i]
-        b_max[js] = b.max(axis=0)
+    buf = np.empty((2, max(per_block, n_a * n_b)))
+    lo = 0
+    while lo < n_b:
+        hi = min(n_b, lo + max(1, per_block // (n_a * (n_b - lo))))
+        shape = (n_a, hi - lo, n_b - lo)
+        size = shape[0] * shape[1] * shape[2]
+        # a[i, j0 - lo, j1 - lo] = A[i] and b[i, j0 - lo, j1 - lo] = B[i]
+        a = np.add(e[:, lo:hi, None], e[:, None, lo:], out=buf[0, :size].reshape(shape))
+        b = np.subtract(e[:, lo:hi, None], e[:, None, lo:], out=buf[1, :size].reshape(shape))
+        add = b.max(axis=0)
+        b_max[lo:hi, lo:] = add
+        if hi < n_b:
+            mirrored = -b[:, :, hi - lo:].min(axis=0)
+            b_max[hi:, lo:hi] = mirrored.T
+            np.maximum(add[:, hi - lo:], mirrored, out=add[:, hi - lo:])
         # in place: the plain expression's temporaries made the n = 128
         # scan 2.5x slower
         np.abs(a, out=a)
-        a += b_max[js]
+        a += add
         np.maximum(row_best, a.max(axis=(1, 2)), out=row_best)
+        lo = hi
+    del a, b, buf
     i0 = int(np.argmax(row_best))
     best = float(row_best[i0])
     b_min = -b_max.T

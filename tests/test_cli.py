@@ -408,6 +408,27 @@ def test_distill_json_bytes_are_unchanged_by_shared_components(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == DISTILL_8_JSON_SHA256
 
 
+# sha256 of stdout from before the CHSH scan visited each unordered pair of
+# second-side settings once; even-n `q1-cert` screens the scan's argmax
+SCAN_STDOUT_SHA256 = {
+    ("chsh-max", "--n-from", "3", "--n-to", "70"):
+        "d56ff362817468ebb2b33d324335a318824ff29964ac1c1c0778125207082146",
+    ("chsh-max", "--n-from", "3", "--n-to", "70", "--json"):
+        "2f070990171d76bd6fa91f67289ed14ac8f4e67498e39139a584d1ee7022cf46",
+    ("q1-cert", "--model", "polygon:6", "--json"):
+        "ce593c218b0f6ea069709bb80df6042a4d1db9641e0259c2fd05d89d744bceaf",
+    ("q1-cert", "--model", "polygon:64", "--json"):
+        "39f946375836a241a2b3490301f84af4e7d6918adc1b378d383d6ca9bca42314",
+}
+
+
+@pytest.mark.parametrize("argv", list(SCAN_STDOUT_SHA256), ids=" ".join)
+def test_scan_output_bytes_are_unchanged_by_the_unordered_scan(argv, capsys):
+    assert run(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_STDOUT_SHA256[argv]
+
+
 def test_distill_rejects_odd():
     result = run_cli("distill", "--n", "7")
     assert result.returncode == 1

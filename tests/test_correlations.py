@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,17 +372,149 @@ def test_scan_is_bitwise_the_quartic_scan(state):
     assert idx == ref_idx
 
 
-@pytest.mark.parametrize("state", [
-    max_entangled(12),
+# The block budget of the ordered scan below, kept with it.
+_ORDERED_SCAN_BLOCK_ELEMENTS = 1 << 16
+
+
+def chsh_scan_ordered_reference(state):
+    """The previous library scan: every ordered pair (j0, j1) in blocks of j0.
+
+    Pass 1 forms A and B for all n_b columns of each block; pass 2 is the
+    library's. Kept as the reference for the value, the argmax and its
+    tie-break of the scan that visits each unordered pair once.
+    """
+    ga = 2.0 * state.model_a.ray_effects - state.model_a.unit_effect
+    gb = 2.0 * state.model_b.ray_effects - state.model_b.unit_effect
+    e = ga @ state.matrix @ gb.T
+    n_a, n_b = e.shape
+    step = max(1, _ORDERED_SCAN_BLOCK_ELEMENTS // (n_a * n_b))
+    b_max = np.empty((n_b, n_b))
+    row_best = np.full(n_a, -np.inf)
+    for lo in range(0, n_b, step):
+        js = slice(lo, lo + step)
+        a = e[:, js, None] + e[:, None, :]
+        b = e[:, js, None] - e[:, None, :]
+        b_max[js] = b.max(axis=0)
+        np.abs(a, out=a)
+        a += b_max[js]
+        np.maximum(row_best, a.max(axis=(1, 2)), out=row_best)
+    i0 = int(np.argmax(row_best))
+    best = float(row_best[i0])
+    b_min = -b_max.T
+    a0 = e[i0, :, None] + e[i0, None, :]
+    cand_j0, cand_j1 = np.nonzero(np.maximum(a0 + b_max, -(a0 + b_min)) == best)
+    reached = np.zeros(n_a, dtype=bool)
+    chunk = step * n_b
+    for lo in range(0, len(cand_j0), chunk):
+        j0s, j1s = cand_j0[lo:lo + chunk], cand_j1[lo:lo + chunk]
+        s = np.abs(a0[j0s, j1s] + (e[:, j0s] - e[:, j1s]))
+        reached |= (s == best).any(axis=1)
+    i1 = int(np.argmax(reached))
+    s = np.abs(a0 + (e[i1, :, None] - e[i1, None, :]))
+    j0, j1 = np.unravel_index(int(np.argmax(s)), s.shape)
+    return abs(best), (i0, i1, int(j0), int(j1))
+
+
+def swapped(state: JointState) -> JointState:
+    """The same state with its two sides exchanged."""
+    return JointState(state.matrix.T, state.model_b, state.model_a)
+
+
+def all_tied_state() -> JointState:
     # the maximally mixed product has all correlators 0: every quadruple
     # ties, so the argmax candidates span many chunks
-    product_state(polygon(12), polygon(12), [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]),
-], ids=["maxent12", "all-tied"])
+    return product_state(polygon(12), polygon(12), [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [*range(3, 131), 200, 256])
+def test_scan_is_bitwise_the_ordered_scan_on_entangled_states(n):
+    state = max_entangled(n)
+    assert chsh_max_over_settings(state) == chsh_scan_ordered_reference(state)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [house_joint_state(), *_rectangular_states(),
+     *(swapped(s) for s in _rectangular_states()), all_tied_state()],
+    ids=["house", "rand5x8", "product5x8", "rand8x5", "product8x5", "all-tied"],
+)
+def test_scan_is_bitwise_the_ordered_scan(state):
+    assert chsh_max_over_settings(state) == chsh_scan_ordered_reference(state)
+
+
+def test_scan_is_bitwise_the_ordered_scan_on_random_rectangular_states():
+    rng = np.random.default_rng(15)
+    for k in range(200):
+        n_a, n_b = (int(n) for n in rng.choice(np.arange(3, 17), size=2, replace=False))
+        matrix = rng.standard_normal((3, 3))
+        if k % 4 == 0:
+            # one decimal: many correlators coincide, so the tie-break decides
+            matrix = np.round(matrix, 1)
+        state = JointState(matrix, polygon(n_a), polygon(n_b))
+        assert chsh_max_over_settings(state) == chsh_scan_ordered_reference(state), k
+
+
+def scan_row_blocks(n_a: int, n_b: int, budget: int) -> list[tuple[int, int, int]]:
+    """The scan's row blocks at ``budget``: (lo, hi, rows the rule asked for)."""
+    square = n_a * n_b * n_b
+    per_block = -(-square // -(-square // budget))
+    blocks, lo = [], 0
+    while lo < n_b:
+        rows = max(1, per_block // (n_a * (n_b - lo)))
+        blocks.append((lo, min(n_b, lo + rows), rows))
+        lo = blocks[-1][1]
+    return blocks
+
+
+def scan_budgets(n_a: int, n_b: int) -> list[int]:
+    """One row per block, a ragged last block, a single block, the default.
+
+    The ragged budget is the largest that splits the rows into three or
+    more blocks and cuts the last one short at n_b.
+    """
+    one_block = n_a * n_b * n_b
+    ragged = next(b for b in range(one_block - 1, 0, -1)
+                  if len(blocks := scan_row_blocks(n_a, n_b, b)) > 2
+                  and blocks[-1][0] + blocks[-1][2] > n_b)
+    return [1, ragged, one_block, correlations._SCAN_BLOCK_ELEMENTS]
+
+
+@pytest.mark.parametrize(
+    "state",
+    [max_entangled(12), all_tied_state(), max_entangled(13), *_rectangular_states(),
+     *(swapped(s) for s in _rectangular_states())],
+    ids=["maxent12", "all-tied", "maxent13", "rand5x8", "product5x8", "rand8x5",
+         "product8x5"],
+)
 def test_scan_blocks_do_not_change_the_result(state, monkeypatch):
-    # one j0 per block and n_b candidates per chunk, against a single block
-    whole = chsh_max_over_settings(state)
-    monkeypatch.setattr(correlations, "_SCAN_BLOCK_ELEMENTS", 1)
-    assert chsh_max_over_settings(state) == whole == chsh_scan_reference(state)
+    # the triangle runs over the second side only, so both orientations of
+    # a rectangular state are split
+    n_a, n_b = state.model_a.ray_effects.shape[0], state.model_b.ray_effects.shape[0]
+    expected = chsh_scan_ordered_reference(state)
+    for budget in scan_budgets(n_a, n_b):
+        monkeypatch.setattr(correlations, "_SCAN_BLOCK_ELEMENTS", budget)
+        assert chsh_max_over_settings(state) == expected, budget
+
+
+def test_scan_memory_is_within_its_documented_bound():
+    # the docstring's figures, in bytes, with 16 (n_a + n_b) doubles for
+    # its "few vectors of length n_a or n_b"
+    budget = correlations._SCAN_BLOCK_ELEMENTS
+    for state in (all_tied_state(), max_entangled(40), max_entangled(512)):
+        n_a, n_b = state.model_a.ray_effects.shape[0], state.model_b.ray_effects.shape[0]
+        temporary = max(budget, n_a * n_b)
+        vectors = 16 * (n_a + n_b)
+        tracemalloc.start()
+        try:
+            chsh_max_over_settings(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (n_a * n_b + 6 * n_b**2 + 5 * temporary + vectors)
+    # at n = 512 few pairs (j0, j1) reach the maximum and n_b^2 >= T: the
+    # peak is the correlators and the six n_b x n_b arrays of pass 2
+    assert n_b**2 >= temporary
+    assert peak < 8 * (n_a * n_b + 6 * n_b**2 + vectors)
 
 
 def test_square_reaches_algebraic_maximum():

@@ -18,8 +18,9 @@ import pytest
 import polybell
 from polybell import core
 from polybell.cli import run
-from polybell.core import ROUNDING_TOL, psd_at
+from polybell.core import ROUNDING_TOL, ModelSpec, psd_at, validate_model
 from polybell.correlations import TSIRELSON_BOUND, ray_settings
+from polybell.house import house_model
 from polybell.polygon import max_entangled, polygon
 from polybell.q1 import Q1Certificate, certificate_from_inner_product_state
 from polybell.selfdual import self_duality
@@ -114,6 +115,64 @@ def test_odd_polygon_certificates_have_no_negative_margin_above_the_floor():
         assert cert.psd_margin >= -ROUNDING_TOL
         assert cert.verdict(0.0) == "in-Q1"
     assert Q1Certificate(np.zeros((3, 3)), (1,), (1,)).psd_margin == 0.0
+
+
+def _moved(model: ModelSpec, *, state=None, effect=None) -> ModelSpec:
+    """``model`` with one extremal state or effect replaced by ``f(old)``."""
+    states = model.extremal_states.copy()
+    effects = model.extremal_effects.copy()
+    if state is not None:
+        states[2] = state(states[2])
+    if effect is not None:
+        effects[1] = effect(effects[1])
+    return ModelSpec(model.name, model.dim, states, effects, model.unit_effect,
+                     model.ray_extremal)
+
+
+VALIDATION_MARGINS = {"normalization_margin": "state-not-normalized",
+                      "range_margin": "effect-out-of-range"}
+
+
+@pytest.mark.parametrize("model, expected", [
+    # the state's unit pairing and its pairing with a touching effect move
+    # together
+    (_moved(polygon(5), state=lambda w: w * (1 + 2e-6)),
+     {"normalization_margin": 2e-6, "range_margin": 2e-6}),
+    (_moved(polygon(5), effect=lambda e: e * (1 + 3e-5)), {"range_margin": 3e-5}),
+    # below zero on the states the effect vanished on
+    (_moved(polygon(7), effect=lambda e: e - 4e-6 * polygon(7).unit_effect),
+     {"range_margin": 4e-6}),
+], ids=["state", "effect-above-one", "effect-below-zero"])
+def test_validation_verdicts_flip_at_their_margins(model, expected):
+    report = validate_model(model, 0.0)
+    for name, code in VALIDATION_MARGINS.items():
+        margin = getattr(report, name)
+        if name not in expected:
+            # rounding noise only: no failure at any tolerance
+            assert margin < ROUNDING_TOL
+            assert code not in {f.code for f in report.failures}
+            continue
+        assert margin == pytest.approx(expected[name], rel=1e-6)
+        for factor, fails in ((1 + 1e-6, False), (1 - 1e-6, True)):
+            codes = {f.code for f in validate_model(model, margin * factor).failures}
+            assert (code in codes) == fails, (name, factor)
+
+
+def test_range_margin_is_negative_when_every_pairing_is_strictly_inside():
+    model = polygon(6)
+    # every effect mixed with u/2: pairings lie in [5e-5, 1 - 5e-5]
+    effects = (1 - 1e-4) * model.extremal_effects + 0.5e-4 * model.unit_effect
+    shrunk = ModelSpec(model.name, model.dim, model.extremal_states, effects,
+                       model.unit_effect, model.ray_extremal)
+    assert validate_model(shrunk).range_margin == pytest.approx(-5e-5, rel=1e-6)
+
+
+def test_library_models_validate_within_the_rounding_floor():
+    for model in [polygon(n) for n in (*range(3, 65), 128, 256)] + [house_model()]:
+        report = validate_model(model, 0.0)
+        assert report.ok, (model.name, report.summary())
+        assert report.normalization_margin < ROUNDING_TOL
+        assert report.range_margin < ROUNDING_TOL
 
 
 # module-level names that hold a fixed threshold
