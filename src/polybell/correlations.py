@@ -188,10 +188,11 @@ def chained_local_bound(n_settings: int) -> float:
     return 2.0 * int(n_settings) - 2.0
 
 
-# Element budget of each block temporary in the CHSH scan: 2**14 doubles,
-# 128 KiB, glibc's default threshold for serving an allocation by mmap.
-# At 2**15 the scan's temporaries made calls fault in fresh pages, and
-# n = 31..39 ran up to 38 % slower in the chsh-scan workload.
+# Element budget of each block temporary in the CHSH scan: 2**14 doubles
+# (128 KiB), set by timing the chsh-scan benchmark. In its long-running
+# process, 2**15 made n = 31..39 up to 38 % slower than the ordered scan's
+# 2**16 blocks, as calls faulted in fresh pages for their temporaries;
+# 2**14 left the median item flat and cut the slowest items by a quarter.
 _SCAN_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -236,13 +237,12 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
     lo takes as many rows as fit P over n_a (n_b - lo) elements, and at
     least one, so blocks grow as the triangle narrows; when the whole scan
     fits the budget it is one block. Each temporary holds at most
-    ``T = max(_SCAN_BLOCK_ELEMENTS, n_a n_b)`` doubles, and pass 1 keeps
-    its two in one buffer that every block reuses.
+    ``T = max(_SCAN_BLOCK_ELEMENTS, n_a n_b)`` doubles.
     Memory, besides a few vectors of length n_a or n_b: the n_a x n_b
     correlators, at most six n_b x n_b arrays (in pass 2) and at most five
     temporaries of T doubles at once (pass 1's two, or up to five in a
     chunk of pass 2's tie search), so fewer than ``n_a n_b + 6 n_b^2 + 5 T``
-    doubles. Pass 1's buffer is freed before pass 2, so when few pairs
+    doubles. Pass 1's temporaries are freed before pass 2, so when few pairs
     (j0, j1) reach the maximum, as on the polygon states, and n_b^2 >= T,
     the peak is ``n_a n_b + 6 n_b^2``.
     """
@@ -269,15 +269,12 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
     # max(max B[j0, j1], max B[j1, j0]) = max |B| to |A| once.
     b_max = np.empty((n_b, n_b))
     row_best = np.full(n_a, -np.inf)
-    buf = np.empty((2, max(per_block, n_a * n_b)))
     lo = 0
     while lo < n_b:
         hi = min(n_b, lo + max(1, per_block // (n_a * (n_b - lo))))
-        shape = (n_a, hi - lo, n_b - lo)
-        size = shape[0] * shape[1] * shape[2]
         # a[i, j0 - lo, j1 - lo] = A[i] and b[i, j0 - lo, j1 - lo] = B[i]
-        a = np.add(e[:, lo:hi, None], e[:, None, lo:], out=buf[0, :size].reshape(shape))
-        b = np.subtract(e[:, lo:hi, None], e[:, None, lo:], out=buf[1, :size].reshape(shape))
+        a = e[:, lo:hi, None] + e[:, None, lo:]
+        b = e[:, lo:hi, None] - e[:, None, lo:]
         add = b.max(axis=0)
         b_max[lo:hi, lo:] = add
         if hi < n_b:
@@ -290,7 +287,7 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
         a += add
         np.maximum(row_best, a.max(axis=(1, 2)), out=row_best)
         lo = hi
-    del a, b, buf
+    del a, b
     i0 = int(np.argmax(row_best))
     best = float(row_best[i0])
     b_min = -b_max.T

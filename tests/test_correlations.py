@@ -358,12 +358,24 @@ def _rectangular_states():
     ]
 
 
+def swapped(state: JointState) -> JointState:
+    """The same state with its two sides exchanged."""
+    return JointState(state.matrix.T, state.model_b, state.model_a)
+
+
+def all_tied_state() -> JointState:
+    # the maximally mixed product has all correlators 0: every quadruple
+    # ties, so the argmax candidates span many chunks
+    return product_state(polygon(12), polygon(12), [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+
+
 @pytest.mark.parametrize(
     "state",
     [max_entangled(n) for n in (*range(3, 61), 64, 96)] + [house_joint_state()]
-    + _rectangular_states(),
+    + _rectangular_states() + [swapped(s) for s in _rectangular_states()]
+    + [all_tied_state()],
     ids=[f"maxent{n}" for n in (*range(3, 61), 64, 96)]
-    + ["house", "rand5x8", "product5x8"],
+    + ["house", "rand5x8", "product5x8", "rand8x5", "product8x5", "all-tied"],
 )
 def test_scan_is_bitwise_the_quartic_scan(state):
     value, idx = chsh_max_over_settings(state)
@@ -413,17 +425,6 @@ def chsh_scan_ordered_reference(state):
     s = np.abs(a0 + (e[i1, :, None] - e[i1, None, :]))
     j0, j1 = np.unravel_index(int(np.argmax(s)), s.shape)
     return abs(best), (i0, i1, int(j0), int(j1))
-
-
-def swapped(state: JointState) -> JointState:
-    """The same state with its two sides exchanged."""
-    return JointState(state.matrix.T, state.model_b, state.model_a)
-
-
-def all_tied_state() -> JointState:
-    # the maximally mixed product has all correlators 0: every quadruple
-    # ties, so the argmax candidates span many chunks
-    return product_state(polygon(12), polygon(12), [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize("n", [*range(3, 131), 200, 256])
@@ -491,6 +492,7 @@ def test_scan_blocks_do_not_change_the_result(state, monkeypatch):
     # a rectangular state are split
     n_a, n_b = state.model_a.ray_effects.shape[0], state.model_b.ray_effects.shape[0]
     expected = chsh_scan_ordered_reference(state)
+    assert expected == chsh_scan_reference(state)
     for budget in scan_budgets(n_a, n_b):
         monkeypatch.setattr(correlations, "_SCAN_BLOCK_ELEMENTS", budget)
         assert chsh_max_over_settings(state) == expected, budget
