@@ -47,7 +47,7 @@ CLI_SCHEMA_VERSION = 1
 
 # Largest polygon the CHSH scan accepts. The scan holds n x n correlators
 # plus O(n^2) scratch and runs in O(n^3) time: at this size `chsh-max`
-# peaks at about 90 MB resident and takes 3 to 3.5 s on one Xeon core.
+# peaks at about 55 MB resident and takes about 3 s on one Xeon core.
 MAX_SCAN_N = 1024
 
 # Largest polygon that `polygon` builds and validates: validation pairs

@@ -189,11 +189,19 @@ def chained_local_bound(n_settings: int) -> float:
 
 
 # Element budget of each block temporary in the CHSH scan: 2**14 doubles
-# (128 KiB), set by timing the chsh-scan benchmark. In its long-running
-# process, 2**15 made n = 31..39 up to 38 % slower than the ordered scan's
-# 2**16 blocks, as calls faulted in fresh pages for their temporaries;
-# 2**14 left the median item flat and cut the slowest items by a quarter.
+# (128 KiB), set by timing the chsh-scan benchmark. Each block has one
+# temporary. In alternating runs against 2**13 and 2**15, 2**13 made the
+# slowest items 18 % slower (none of 6 runs faster), and 2**15 left them
+# flat while the median item read 5 % slower.
 _SCAN_BLOCK_ELEMENTS = 1 << 14
+
+
+def _candidate_sums(e: np.ndarray, j0s: np.ndarray,
+                    j1s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scan's A and B from correlators ``e``, one column per pair (j0s[k], j1s[k])."""
+    # take keeps the columns C-ordered, so max over rows runs along them
+    x, y = e.take(j0s, axis=1), e.take(j1s, axis=1)
+    return x + y, x - y
 
 
 def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, int, int]]:
@@ -204,109 +212,114 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
     maximum |S| and its argmax, ties broken by smallest (i0, i1, j0, j1) in
     lexicographic order. Outcome relabellings never beat this scan: a sign
     flip of one setting's correlator row is absorbed by repositioning the
-    minus sign, which the ordered scan already covers.
+    minus sign, which the ordered scan already covers. Raises ValueError
+    when either side has no ray-extremal effect.
 
     Decoupling: with correlators E and a fixed pair (j0, j1), let
     ``A[i] = E[i, j0] + E[i, j1]`` and ``B[i] = E[i, j0] - E[i, j1]``, so
-    ``S = A[i0] + B[i1]``. Rounded float addition is monotone in each
-    argument, hence ``max over i1 of |A[i0] + B[i1]|`` equals
-    ``max(A[i0] + max B, -(A[i0] + min B))`` evaluated in floats, and the
-    scan never forms the n_a x n_a pairs (i0, i1). Every S is the same float
-    expression ``(E[i0,j0] + E[i0,j1]) + (E[i1,j0] - E[i1,j1])`` as in a
-    plain quadruple loop, so the maximum is bitwise the loop's maximum.
-
-    Tie-break: the loop's first maximiser has the first i0 whose best value
-    over (i1, j0, j1) reaches the maximum, which the decoupled row maxima
-    give directly. With i0 fixed, only pairs (j0, j1) whose decoupled value
-    reaches the maximum can hold it; the first i1 that reaches it on one of
-    them is the loop's i1, and the first (j0, j1) in row-major order on that
-    (i0, i1) completes the argmax.
-
-    Unordered pairs: ``A`` is bitwise symmetric in (j0, j1) and ``B``
+    ``S = A[i0] + B[i1]``, the same float expression
+    ``(E[i0,j0] + E[i0,j1]) + (E[i1,j0] - E[i1,j1])`` as in a plain
+    quadruple loop. ``A`` is bitwise symmetric in (j0, j1) and ``B``
     bitwise antisymmetric, since fl(x + y) = fl(y + x) and
-    fl(x - y) = -fl(y - x). The two orders of a pair give
-    ``|A[i0]| + max B`` and ``|A[i0]| - min B`` at (j0, j1), and rounding is
-    monotone, so one visit that adds ``max |B|`` gives the larger of them
-    bitwise. Pass 1 therefore runs over j1 >= j0 only, and still fills the
-    whole n_b x n_b table of max B that pass 2 reads.
+    fl(x - y) = -fl(y - x), so the two orders of a pair give
+    ``|A[i0] + B[i1]|`` and ``|A[i0] - B[i1]|``. Each is at most
+    ``fl(|A[i0]| + |B[i1]|)``, and one of them equals it, because rounding
+    is monotone and symmetric. So the best |S| of an unordered pair over
+    (i0, i1) and both orders is ``fl(max |A| + max |B|)``, bitwise, and the
+    scan never forms the n_a x n_a pairs (i0, i1).
 
-    Cost: about n_a n_b^2 / 2 additions, subtractions and comparisons in
-    pass 1, against n_a^2 n_b^2 for the loop. Rows j0 go in blocks of about
-    equal area: with k = ceil(n_a n_b^2 / _SCAN_BLOCK_ELEMENTS) and
+    Tie-break: call a pair a candidate when its value reaches the maximum;
+    no other pair holds a maximiser. The loop's first maximiser has the
+    first i0 with ``fl(|A[i0]| + max |B|) = max`` on some candidate, then
+    the first i1 with ``|A[i0] + B[i1]| = max`` on some candidate in
+    either order, then the first such (j0, j1) in row-major order.
+
+    Cost: about n_a n_b^2 / 2 additions, subtractions, absolute values and
+    comparisons in pass 1, which visits each pair j0 <= j1 once, against
+    n_a^2 n_b^2 for the loop; pass 2 reads n_a rows of each candidate in
+    either order. Pass 1 takes rows j0 in blocks of about equal area: with
+    k = ceil(n_a n_b^2 / _SCAN_BLOCK_ELEMENTS) and
     ``P = ceil(n_a n_b^2 / k)`` elements per block, a block starting at row
     lo takes as many rows as fit P over n_a (n_b - lo) elements, and at
     least one, so blocks grow as the triangle narrows; when the whole scan
-    fits the budget it is one block. Each temporary holds at most
-    ``T = max(_SCAN_BLOCK_ELEMENTS, n_a n_b)`` doubles.
-    Memory, besides a few vectors of length n_a or n_b: the n_a x n_b
-    correlators, at most six n_b x n_b arrays (in pass 2) and at most five
-    temporaries of T doubles at once (pass 1's two, or up to five in a
-    chunk of pass 2's tie search), so fewer than ``n_a n_b + 6 n_b^2 + 5 T``
-    doubles. Pass 1's temporaries are freed before pass 2, so when few pairs
-    (j0, j1) reach the maximum, as on the polygon states, and n_b^2 >= T,
-    the peak is ``n_a n_b + 6 n_b^2``.
+    fits the budget it is one block. Its one temporary holds at most
+    ``T = max(_SCAN_BLOCK_ELEMENTS, n_a n_b)`` doubles. Pass 2 takes
+    ``max(1, _SCAN_BLOCK_ELEMENTS // n_a)`` candidates at a time, so each
+    of its temporaries holds at most T doubles too.
+    Memory, besides a few vectors of length n_a or n_b and numpy's two
+    iteration buffers of ``np.getbufsize()`` elements: the n_a x n_b
+    correlators and the n_b x n_b table; in pass 1 one block of at most T
+    doubles and its two maxima over i; in pass 2 the table's boolean mask,
+    two int64 indices per candidate (n_b^2 of them when every pair ties)
+    and at most five temporaries of at most T doubles. That is fewer than
+    ``n_a n_b + 3 n_b^2 + 5 T`` doubles. When few pairs reach the maximum,
+    as on the polygon states, pass 1 sets the peak at
+    ``n_a n_b + n_b^2 + T`` doubles: 3 n^2 for n_a = n_b = n >= 128.
     """
     ga = 2.0 * state.model_a.ray_effects - state.model_a.unit_effect
     gb = 2.0 * state.model_b.ray_effects - state.model_b.unit_effect
     e = ga @ state.matrix @ gb.T
     n_a, n_b = e.shape
-    # pass 2 checks step * n_b candidate pairs at a time: n_a rows each,
-    # at most max(_SCAN_BLOCK_ELEMENTS, n_a * n_b) doubles in all
-    step = max(1, _SCAN_BLOCK_ELEMENTS // (n_a * n_b))
+    if not n_a or not n_b:
+        raise ValueError(f"the {'first' if not n_a else 'second'} side has no "
+                         "ray-extremal effect to scan")
     # pass 1 spreads the budget evenly over as many blocks as the square needs
     square = n_a * n_b * n_b
     per_block = -(-square // -(-square // _SCAN_BLOCK_ELEMENTS))
 
     # Pass 1, over blocks of rows j0 in [lo, hi), each against the columns
-    # j1 >= lo: max B per (j0, j1) and, per i0, the best |S| over
-    # (i1, j0, j1). Float subtraction is exactly antisymmetric and addition
-    # exactly commutative, so B[i, j1, j0] = -B[i, j0, j1] and
-    # A[i, j1, j0] = A[i, j0, j1]: min B is -(max B).T, and the (j1, j0)
-    # term -(A[i] + min B) is -A[i] + max B at (j0, j1). Over all (j0, j1)
-    # the best is therefore max(|A[i]| + max B), bitwise, as rounding is
-    # monotone. A column j1 >= hi stands for both orders of its pair: the
-    # block fills the mirrored max B[j1, j0] from its min, and adds
-    # max(max B[j0, j1], max B[j1, j0]) = max |B| to |A| once.
-    b_max = np.empty((n_b, n_b))
-    row_best = np.full(n_a, -np.inf)
+    # j1 >= lo: table[j0, j1] = fl(max |A| + max |B|), the pair's best |S|
+    # in either order. Entries below the diagonal outside the blocks stay
+    # 0, which reaches the maximum only when every pair is at 0.
+    table = np.zeros((n_b, n_b))
     lo = 0
     while lo < n_b:
         hi = min(n_b, lo + max(1, per_block // (n_a * (n_b - lo))))
-        # a[i, j0 - lo, j1 - lo] = A[i] and b[i, j0 - lo, j1 - lo] = B[i]
-        a = e[:, lo:hi, None] + e[:, None, lo:]
-        b = e[:, lo:hi, None] - e[:, None, lo:]
-        add = b.max(axis=0)
-        b_max[lo:hi, lo:] = add
-        if hi < n_b:
-            mirrored = -b[:, :, hi - lo:].min(axis=0)
-            b_max[hi:, lo:hi] = mirrored.T
-            np.maximum(add[:, hi - lo:], mirrored, out=add[:, hi - lo:])
-        # in place: the plain expression's temporaries made the n = 128
-        # scan 2.5x slower
-        np.abs(a, out=a)
-        a += add
-        np.maximum(row_best, a.max(axis=(1, 2)), out=row_best)
+        x, y = e[:, lo:hi, None], e[:, None, lo:]
+        # one temporary, in place: fresh ones per step fault in new pages
+        t = x + y
+        np.abs(t, out=t)
+        top = t.max(axis=0)
+        np.subtract(x, y, out=t)
+        np.abs(t, out=t)
+        np.add(top, t.max(axis=0), out=table[lo:hi, lo:])
+        # free the block before the next one is made
+        del t
         lo = hi
-    del a, b
-    i0 = int(np.argmax(row_best))
-    best = float(row_best[i0])
-    b_min = -b_max.T
+    best = float(table.max())
 
-    # Pass 2: the (j0, j1) that reach the maximum with this i0, then the
-    # first i1 that reaches it on any of them, in chunks of the same budget.
-    a0 = e[i0, :, None] + e[i0, None, :]
-    cand_j0, cand_j1 = np.nonzero(np.maximum(a0 + b_max, -(a0 + b_min)) == best)
-    reached = np.zeros(n_a, dtype=bool)
-    chunk = step * n_b
-    for lo in range(0, len(cand_j0), chunk):
-        j0s, j1s = cand_j0[lo:lo + chunk], cand_j1[lo:lo + chunk]
-        s = np.abs(a0[j0s, j1s] + (e[:, j0s] - e[:, j1s]))
-        reached |= (s == best).any(axis=1)
-    i1 = int(np.argmax(reached))
-    s = np.abs(a0 + (e[i1, :, None] - e[i1, None, :]))
-    j0, j1 = np.unravel_index(int(np.argmax(s)), s.shape)
-    # abs turns a maximum of -0.0 (all correlators zero) into the loop's 0.0
-    return abs(best), (i0, i1, int(j0), int(j1))
+    # Pass 2, over the candidates in both orders, in row-major order.
+    mask = table == best
+    del table
+    mask |= mask.T
+    cand_j0, cand_j1 = np.nonzero(mask)
+    del mask
+    chunk = max(1, _SCAN_BLOCK_ELEMENTS // n_a)
+    starts = range(0, len(cand_j0), chunk)
+
+    def sums(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        return _candidate_sums(e, cand_j0[lo:lo + chunk], cand_j1[lo:lo + chunk])
+
+    # a single chunk serves both searches
+    kept = sums(0) if len(starts) == 1 else None
+
+    def first_hit(value: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple[int, int]:
+        """The first row, then candidate, where ``value(A, B)`` reaches best.
+
+        No value exceeds best, so a chunk's first maximum in row-major order
+        is its first hit; a later chunk wins only with an earlier row.
+        """
+        hit = (n_a, 0)
+        for lo in starts:
+            v = value(*(kept or sums(lo)))
+            r, c = divmod(int(v.argmax()), v.shape[1])
+            if v[r, c] == best and r < hit[0]:
+                hit = (r, lo + c)
+        return hit
+
+    i0, _ = first_hit(lambda a, b: np.abs(a) + np.abs(b).max(axis=0))
+    i1, k = first_hit(lambda a, b: np.abs(a[i0] + b))
+    return best, (i0, i1, int(cand_j0[k]), int(cand_j1[k]))
 
 
 def chsh_max_bruteforce(n: int) -> tuple[float, tuple[int, int, int, int]]:

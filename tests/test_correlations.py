@@ -8,7 +8,7 @@ import sympy as sp
 
 from polybell import correlations
 from polybell.bipartite import JointState
-from polybell.core import DEFAULT_TOL, Measurement, simplex_model
+from polybell.core import DEFAULT_TOL, Measurement, ModelSpec, simplex_model
 from polybell.correlations import (
     TSIRELSON_BOUND,
     CorrelationTable,
@@ -363,10 +363,10 @@ def swapped(state: JointState) -> JointState:
     return JointState(state.matrix.T, state.model_b, state.model_a)
 
 
-def all_tied_state() -> JointState:
+def all_tied_state(n: int = 12) -> JointState:
     # the maximally mixed product has all correlators 0: every quadruple
     # ties, so the argmax candidates span many chunks
-    return product_state(polygon(12), polygon(12), [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+    return product_state(polygon(n), polygon(n), [0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -384,16 +384,42 @@ def test_scan_is_bitwise_the_quartic_scan(state):
     assert idx == ref_idx
 
 
+def _row_best_pass_2(e, b_max, row_best, step):
+    """Pass 2 of the two reference scans below, from pass 1's max B and row bests.
+
+    The (j0, j1) that reach the maximum with the first best i0, as one
+    n_b x n_b mask; then the first i1 that reaches it on any of them, in
+    chunks of step * n_b candidates; then the first (j0, j1) on (i0, i1).
+    """
+    n_a = e.shape[0]
+    i0 = int(np.argmax(row_best))
+    best = float(row_best[i0])
+    b_min = -b_max.T
+    a0 = e[i0, :, None] + e[i0, None, :]
+    cand_j0, cand_j1 = np.nonzero(np.maximum(a0 + b_max, -(a0 + b_min)) == best)
+    reached = np.zeros(n_a, dtype=bool)
+    chunk = step * e.shape[1]
+    for lo in range(0, len(cand_j0), chunk):
+        j0s, j1s = cand_j0[lo:lo + chunk], cand_j1[lo:lo + chunk]
+        s = np.abs(a0[j0s, j1s] + (e[:, j0s] - e[:, j1s]))
+        reached |= (s == best).any(axis=1)
+    i1 = int(np.argmax(reached))
+    s = np.abs(a0 + (e[i1, :, None] - e[i1, None, :]))
+    j0, j1 = np.unravel_index(int(np.argmax(s)), s.shape)
+    return abs(best), (i0, i1, int(j0), int(j1))
+
+
 # The block budget of the ordered scan below, kept with it.
 _ORDERED_SCAN_BLOCK_ELEMENTS = 1 << 16
 
 
 def chsh_scan_ordered_reference(state):
-    """The previous library scan: every ordered pair (j0, j1) in blocks of j0.
+    """An earlier library scan: every ordered pair (j0, j1) in blocks of j0.
 
-    Pass 1 forms A and B for all n_b columns of each block; pass 2 is the
-    library's. Kept as the reference for the value, the argmax and its
-    tie-break of the scan that visits each unordered pair once.
+    Pass 1 forms A and B for all n_b columns of each block and keeps, per
+    i0, the best |S| over (i1, j0, j1). Kept as the reference for the
+    value, the argmax and its tie-break of the scans that visit each
+    unordered pair once.
     """
     ga = 2.0 * state.model_a.ray_effects - state.model_a.unit_effect
     gb = 2.0 * state.model_b.ray_effects - state.model_b.unit_effect
@@ -410,40 +436,58 @@ def chsh_scan_ordered_reference(state):
         np.abs(a, out=a)
         a += b_max[js]
         np.maximum(row_best, a.max(axis=(1, 2)), out=row_best)
-    i0 = int(np.argmax(row_best))
-    best = float(row_best[i0])
-    b_min = -b_max.T
-    a0 = e[i0, :, None] + e[i0, None, :]
-    cand_j0, cand_j1 = np.nonzero(np.maximum(a0 + b_max, -(a0 + b_min)) == best)
-    reached = np.zeros(n_a, dtype=bool)
-    chunk = step * n_b
-    for lo in range(0, len(cand_j0), chunk):
-        j0s, j1s = cand_j0[lo:lo + chunk], cand_j1[lo:lo + chunk]
-        s = np.abs(a0[j0s, j1s] + (e[:, j0s] - e[:, j1s]))
-        reached |= (s == best).any(axis=1)
-    i1 = int(np.argmax(reached))
-    s = np.abs(a0 + (e[i1, :, None] - e[i1, None, :]))
-    j0, j1 = np.unravel_index(int(np.argmax(s)), s.shape)
-    return abs(best), (i0, i1, int(j0), int(j1))
+    return _row_best_pass_2(e, b_max, row_best, step)
 
 
-@pytest.mark.parametrize("n", [*range(3, 131), 200, 256])
-def test_scan_is_bitwise_the_ordered_scan_on_entangled_states(n):
-    state = max_entangled(n)
-    assert chsh_max_over_settings(state) == chsh_scan_ordered_reference(state)
+# The block budget of the row-best scan below, kept with it.
+_ROW_BEST_SCAN_BLOCK_ELEMENTS = 1 << 14
 
 
-@pytest.mark.parametrize(
-    "state",
-    [house_joint_state(), *_rectangular_states(),
-     *(swapped(s) for s in _rectangular_states()), all_tied_state()],
-    ids=["house", "rand5x8", "product5x8", "rand8x5", "product8x5", "all-tied"],
-)
-def test_scan_is_bitwise_the_ordered_scan(state):
-    assert chsh_max_over_settings(state) == chsh_scan_ordered_reference(state)
+def chsh_scan_row_best_reference(state):
+    """The previous library scan: each unordered pair once, best |S| per i0.
+
+    Pass 1 runs over j1 >= j0 in equal-area blocks, fills the whole n_b x
+    n_b table of max B (mirroring the block's min into the rows below it)
+    and keeps, per i0, the best |S| over (i1, j0, j1). Kept as the
+    reference for the value, the argmax and its tie-break of the scan that
+    reads only the candidate pairs in pass 2.
+    """
+    ga = 2.0 * state.model_a.ray_effects - state.model_a.unit_effect
+    gb = 2.0 * state.model_b.ray_effects - state.model_b.unit_effect
+    e = ga @ state.matrix @ gb.T
+    n_a, n_b = e.shape
+    step = max(1, _ROW_BEST_SCAN_BLOCK_ELEMENTS // (n_a * n_b))
+    square = n_a * n_b * n_b
+    per_block = -(-square // -(-square // _ROW_BEST_SCAN_BLOCK_ELEMENTS))
+    b_max = np.empty((n_b, n_b))
+    row_best = np.full(n_a, -np.inf)
+    lo = 0
+    while lo < n_b:
+        hi = min(n_b, lo + max(1, per_block // (n_a * (n_b - lo))))
+        a = e[:, lo:hi, None] + e[:, None, lo:]
+        b = e[:, lo:hi, None] - e[:, None, lo:]
+        add = b.max(axis=0)
+        b_max[lo:hi, lo:] = add
+        if hi < n_b:
+            mirrored = -b[:, :, hi - lo:].min(axis=0)
+            b_max[hi:, lo:hi] = mirrored.T
+            np.maximum(add[:, hi - lo:], mirrored, out=add[:, hi - lo:])
+        np.abs(a, out=a)
+        a += add
+        np.maximum(row_best, a.max(axis=(1, 2)), out=row_best)
+        lo = hi
+    return _row_best_pass_2(e, b_max, row_best, step)
 
 
-def test_scan_is_bitwise_the_ordered_scan_on_random_rectangular_states():
+# The families on which the scan must be bitwise each earlier scan.
+_SCAN_NS = [*range(3, 131), 200, 256]
+_SCAN_STATES = [house_joint_state(), *_rectangular_states(),
+                *(swapped(s) for s in _rectangular_states()), all_tied_state()]
+_SCAN_STATE_IDS = ["house", "rand5x8", "product5x8", "rand8x5", "product8x5", "all-tied"]
+
+
+def random_scan_states():
+    """200 random states on pairs of distinct polygons 3..16, one in four tie-heavy."""
     rng = np.random.default_rng(15)
     for k in range(200):
         n_a, n_b = (int(n) for n in rng.choice(np.arange(3, 17), size=2, replace=False))
@@ -451,8 +495,63 @@ def test_scan_is_bitwise_the_ordered_scan_on_random_rectangular_states():
         if k % 4 == 0:
             # one decimal: many correlators coincide, so the tie-break decides
             matrix = np.round(matrix, 1)
-        state = JointState(matrix, polygon(n_a), polygon(n_b))
+        yield k, JointState(matrix, polygon(n_a), polygon(n_b))
+
+
+@pytest.mark.parametrize("n", _SCAN_NS)
+def test_scan_is_bitwise_the_ordered_scan_on_entangled_states(n):
+    state = max_entangled(n)
+    assert chsh_max_over_settings(state) == chsh_scan_ordered_reference(state)
+
+
+@pytest.mark.parametrize("state", _SCAN_STATES, ids=_SCAN_STATE_IDS)
+def test_scan_is_bitwise_the_ordered_scan(state):
+    assert chsh_max_over_settings(state) == chsh_scan_ordered_reference(state)
+
+
+def test_scan_is_bitwise_the_ordered_scan_on_random_rectangular_states():
+    for k, state in random_scan_states():
         assert chsh_max_over_settings(state) == chsh_scan_ordered_reference(state), k
+
+
+@pytest.mark.parametrize("n", _SCAN_NS)
+def test_scan_is_bitwise_the_row_best_scan_on_entangled_states(n):
+    state = max_entangled(n)
+    assert chsh_max_over_settings(state) == chsh_scan_row_best_reference(state)
+
+
+@pytest.mark.parametrize("state", _SCAN_STATES, ids=_SCAN_STATE_IDS)
+def test_scan_is_bitwise_the_row_best_scan(state):
+    assert chsh_max_over_settings(state) == chsh_scan_row_best_reference(state)
+
+
+def test_scan_is_bitwise_the_row_best_scan_on_random_rectangular_states():
+    for k, state in random_scan_states():
+        assert chsh_max_over_settings(state) == chsh_scan_row_best_reference(state), k
+
+
+def with_rays(model: ModelSpec, flags) -> ModelSpec:
+    """The same model with other effects flagged ray-extremal."""
+    return ModelSpec(model.name, model.dim, model.extremal_states,
+                     model.extremal_effects, model.unit_effect, flags)
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_scan_rejects_a_side_without_ray_effects(side):
+    pentagon = polygon(5)
+    none = with_rays(pentagon, np.zeros(pentagon.n_effects, dtype=bool))
+    models = (none, pentagon) if side == "first" else (pentagon, none)
+    with pytest.raises(ValueError, match=f"the {side} side has no ray-extremal effect"):
+        chsh_max_over_settings(JointState(np.eye(3), *models))
+
+
+def test_scan_with_one_ray_per_side():
+    pentagon = polygon(5)
+    one = with_rays(pentagon, np.arange(pentagon.n_effects) == 0)
+    state = JointState(np.eye(3), one, one)
+    expected = (1.9999999999999996, (0, 0, 0, 0))
+    assert chsh_max_over_settings(state) == expected
+    assert chsh_scan_reference(state) == chsh_scan_row_best_reference(state) == expected
 
 
 def scan_row_blocks(n_a: int, n_b: int, budget: int) -> list[tuple[int, int, int]]:
@@ -480,6 +579,22 @@ def scan_budgets(n_a: int, n_b: int) -> list[int]:
     return [1, ragged, one_block, correlations._SCAN_BLOCK_ELEMENTS]
 
 
+def scan_candidates(state) -> int:
+    """How many ordered pairs (j0, j1) reach the maximum, from the quartic sums.
+
+    A pair's value is its best |S| over (i0, i1) in either order, so both
+    orders of a pair count alike.
+    """
+    ga = 2.0 * state.model_a.ray_effects - state.model_a.unit_effect
+    gb = 2.0 * state.model_b.ray_effects - state.model_b.unit_effect
+    e = ga @ state.matrix @ gb.T
+    a = e[:, :, None] + e[:, None, :]
+    b = e[:, :, None] - e[:, None, :]
+    pair = np.abs(a[:, None] + b[None]).max(axis=(0, 1))
+    pair = np.maximum(pair, pair.T)
+    return int((pair == pair.max()).sum())
+
+
 @pytest.mark.parametrize(
     "state",
     [max_entangled(12), all_tied_state(), max_entangled(13), *_rectangular_states(),
@@ -493,30 +608,60 @@ def test_scan_blocks_do_not_change_the_result(state, monkeypatch):
     n_a, n_b = state.model_a.ray_effects.shape[0], state.model_b.ray_effects.shape[0]
     expected = chsh_scan_ordered_reference(state)
     assert expected == chsh_scan_reference(state)
+    chunks = []
+    sums = correlations._candidate_sums
+    monkeypatch.setattr(correlations, "_candidate_sums",
+                        lambda e, j0s, j1s: chunks.append(len(j0s)) or sums(e, j0s, j1s))
     for budget in scan_budgets(n_a, n_b):
         monkeypatch.setattr(correlations, "_SCAN_BLOCK_ELEMENTS", budget)
+        chunks.clear()
         assert chsh_max_over_settings(state) == expected, budget
+        if budget == 1:
+            # one candidate per pass-2 chunk, each read once by both
+            # searches; every state here has several candidates
+            candidates = scan_candidates(state)
+            assert candidates > 1
+            assert chunks == [1] * (2 * candidates)
+
+
+def scan_peak_bytes(state) -> int:
+    """The scan's tracemalloc peak on ``state``."""
+    tracemalloc.start()
+    try:
+        chsh_max_over_settings(state)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def documented_scan_bound(n_a: int, n_b: int, *, few_candidates: bool = False) -> int:
+    """The docstring's memory bound in bytes.
+
+    16 (n_a + n_b) doubles stand for its "few vectors of length n_a or
+    n_b", next to numpy's two iteration buffers. With few candidates, pass 1
+    sets the peak: the correlators, the table and one block temporary.
+    """
+    temporary = max(correlations._SCAN_BLOCK_ELEMENTS, n_a * n_b)
+    vectors = 16 * (n_a + n_b) + 2 * np.getbufsize()
+    if few_candidates:
+        return 8 * (n_a * n_b + n_b**2 + temporary + vectors)
+    return 8 * (n_a * n_b + 3 * n_b**2 + 5 * temporary + vectors)
 
 
 def test_scan_memory_is_within_its_documented_bound():
-    # the docstring's figures, in bytes, with 16 (n_a + n_b) doubles for
-    # its "few vectors of length n_a or n_b"
-    budget = correlations._SCAN_BLOCK_ELEMENTS
     for state in (all_tied_state(), max_entangled(40), max_entangled(512)):
         n_a, n_b = state.model_a.ray_effects.shape[0], state.model_b.ray_effects.shape[0]
-        temporary = max(budget, n_a * n_b)
-        vectors = 16 * (n_a + n_b)
-        tracemalloc.start()
-        try:
-            chsh_max_over_settings(state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * (n_a * n_b + 6 * n_b**2 + 5 * temporary + vectors)
-    # at n = 512 few pairs (j0, j1) reach the maximum and n_b^2 >= T: the
-    # peak is the correlators and the six n_b x n_b arrays of pass 2
-    assert n_b**2 >= temporary
-    assert peak < 8 * (n_a * n_b + 6 * n_b**2 + vectors)
+        peak = scan_peak_bytes(state)
+        assert peak < documented_scan_bound(n_a, n_b)
+    # at n = 512 few pairs (j0, j1) reach the maximum
+    assert peak < documented_scan_bound(n_a, n_b, few_candidates=True)
+
+
+def test_scan_splits_pass_2_when_every_pair_ties():
+    # all 65536 ordered pairs are candidates: 1024 chunks of 64 per search
+    state = all_tied_state(256)
+    assert chsh_max_over_settings(state) == chsh_scan_row_best_reference(state)
+    assert scan_peak_bytes(state) < documented_scan_bound(256, 256)
 
 
 def test_square_reaches_algebraic_maximum():
