@@ -246,15 +246,16 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
     ``T = max(_SCAN_BLOCK_ELEMENTS, n_a n_b)`` doubles. Pass 2 takes
     ``max(1, _SCAN_BLOCK_ELEMENTS // n_a)`` candidates at a time, so each
     of its temporaries holds at most T doubles too.
-    Memory, besides a few vectors of length n_a or n_b and numpy's two
-    iteration buffers of ``np.getbufsize()`` elements: the n_a x n_b
+    Memory, besides a few vectors of length n_a or n_b: the n_a x n_b
     correlators and the n_b x n_b table; in pass 1 one block of at most T
     doubles and its two maxima over i; in pass 2 the table's boolean mask,
     two int64 indices per candidate (n_b^2 of them when every pair ties)
-    and at most five temporaries of at most T doubles. That is fewer than
-    ``n_a n_b + 3 n_b^2 + 5 T`` doubles. When few pairs reach the maximum,
-    as on the polygon states, pass 1 sets the peak at
-    ``n_a n_b + n_b^2 + T`` doubles: 3 n^2 for n_a = n_b = n >= 128.
+    and at most four temporaries of at most T doubles. numpy's two
+    iteration buffers of ``np.getbufsize()`` elements, together at most
+    T doubles, come on top. That is fewer than ``n_a n_b + 3 n_b^2 + 5 T``
+    doubles. When few pairs reach the maximum, as on the polygon states,
+    pass 1 sets the peak at ``n_a n_b + n_b^2 + T`` doubles and the two
+    buffers: 3 n^2 for n_a = n_b = n >= 128.
     """
     ga = 2.0 * state.model_a.ray_effects - state.model_a.unit_effect
     gb = 2.0 * state.model_b.ray_effects - state.model_b.unit_effect
@@ -297,12 +298,6 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
     chunk = max(1, _SCAN_BLOCK_ELEMENTS // n_a)
     starts = range(0, len(cand_j0), chunk)
 
-    def sums(lo: int) -> tuple[np.ndarray, np.ndarray]:
-        return _candidate_sums(e, cand_j0[lo:lo + chunk], cand_j1[lo:lo + chunk])
-
-    # a single chunk serves both searches
-    kept = sums(0) if len(starts) == 1 else None
-
     def first_hit(value: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple[int, int]:
         """The first row, then candidate, where ``value(A, B)`` reaches best.
 
@@ -311,7 +306,7 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
         """
         hit = (n_a, 0)
         for lo in starts:
-            v = value(*(kept or sums(lo)))
+            v = value(*_candidate_sums(e, cand_j0[lo:lo + chunk], cand_j1[lo:lo + chunk]))
             r, c = divmod(int(v.argmax()), v.shape[1])
             if v[r, c] == best and r < hit[0]:
                 hit = (r, lo + c)
