@@ -28,9 +28,10 @@ _RANK_CUTOFF = 1e-8
 class JointState:
     """A bipartite state: matrix of the bilinear form on effect pairs.
 
-    Rows index the first system, columns the second. Immutable; whether the
-    matrix is actually a valid joint state is checked by
-    :func:`in_max_tensor_product`, not at construction.
+    Rows index the first system, columns the second. Immutable; construction
+    checks only that the matrix is finite and of shape
+    ``(model_a.dim, model_b.dim)``. Whether it is actually a valid joint
+    state is checked by :func:`in_max_tensor_product`.
     """
 
     matrix: np.ndarray
@@ -44,7 +45,7 @@ class JointState:
                 f"matrix shape {m.shape} does not match model dimensions "
                 f"({self.model_a.dim}, {self.model_b.dim})"
             )
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("joint state matrix has non-finite entries")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

@@ -78,10 +78,10 @@ def _dump_json(payload: dict, stream: IO[str]) -> None:
     stream.write("\n")
 
 
-def _parse_model(spec: str, check_size: Callable[[int], None]) -> ModelSpec:
-    """Build ``polygon:<n>`` or ``house``; ``check_size(n)`` runs before a polygon is built."""
+def _parse_model_size(spec: str, check_size: Callable[[int], None]) -> int | None:
+    """The n of ``polygon:<n>``, after ``check_size(n)``, or None for ``house``."""
     if spec == "house":
-        return house_mod.house_model()
+        return None
     if spec.startswith("polygon:"):
         digits = spec[len("polygon:"):]
         # int() would also take signs, spaces, underscores and non-ASCII digits
@@ -89,8 +89,14 @@ def _parse_model(spec: str, check_size: Callable[[int], None]) -> ModelSpec:
             raise ValueError(f"invalid model {spec!r}; expected polygon:<n> with an integer n")
         n = int(digits)
         check_size(n)
-        return polygon(n)
+        return n
     raise ValueError(f"unknown model {spec!r}; expected polygon:<n> or house")
+
+
+def _parse_model(spec: str, check_size: Callable[[int], None]) -> ModelSpec:
+    """Build ``polygon:<n>`` or ``house``; ``check_size(n)`` runs before a polygon is built."""
+    n = _parse_model_size(spec, check_size)
+    return house_mod.house_model() if n is None else polygon(n)
 
 
 def _csv_row(values) -> str:
@@ -222,13 +228,15 @@ def _check_q1_size(n: int, settings: int | None) -> None:
 def _cmd_q1_cert(args: argparse.Namespace) -> tuple[dict, str]:
     if args.model == "house" and args.settings is not None:
         raise argparse.ArgumentError(None, "--settings applies to odd polygons only")
-    model = _parse_model(args.model, lambda n: _check_q1_size(n, args.settings))
-    if model.name == "house":
+    n = _parse_model_size(args.model, lambda n: _check_q1_size(n, args.settings))
+    # the state carries the model, so each command builds it once
+    if n is None:
         state = house_mod.house_joint_state()
-        meas_a, meas_b = house_mod.house_demo_measurements()
+        meas_a, meas_b = house_mod._demo_measurements(state.model_a)
     else:
-        state = max_entangled(model.n_states)
-        if model.n_states % 2:
+        state = max_entangled(n)
+        model = state.model_a
+        if n % 2:
             k = 2 if args.settings is None else args.settings
             meas_a = meas_b = ray_settings(model, k, tol=args.tol)
         else:

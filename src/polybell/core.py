@@ -47,6 +47,7 @@ Other thresholds are fixed and take no ``tol``:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import InitVar, dataclass, field
@@ -95,7 +96,7 @@ def as_vector(x, *, dim: int | None = None) -> np.ndarray:
     v = np.array(x, dtype=float, copy=True)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a non-empty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite coordinates")
     if dim is not None and v.size != dim:
         raise ValueError(f"expected dimension {dim}, got {v.size}")
@@ -104,10 +105,11 @@ def as_vector(x, *, dim: int | None = None) -> np.ndarray:
 
 
 def _as_matrix(x, *, cols: int, name: str) -> np.ndarray:
+    """Coerce ``x`` to a read-only non-empty float matrix with ``cols`` finite columns."""
     m = np.array(x, dtype=float, copy=True)
     if m.ndim != 2 or m.shape[1] != cols or m.shape[0] == 0:
         raise ValueError(f"{name} must be a non-empty 2-D array with {cols} columns")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     m.flags.writeable = False
     return m
@@ -122,6 +124,11 @@ class ModelSpec:
     rays of the effect cone (some models have extremal effects that are
     positive combinations of other effects and hence not ray-extremal).
     Instances are immutable; arrays are stored read-only.
+
+    Construction checks shapes and finiteness only: a positive ``dim``,
+    non-empty finite state and effect matrices with ``dim`` columns, a
+    finite unit effect of length ``dim`` and one flag per effect (all True
+    when omitted). The semantic invariants are :func:`validate_model`'s.
     """
 
     name: str
@@ -160,10 +167,16 @@ class ModelSpec:
     def n_effects(self) -> int:
         return self.extremal_effects.shape[0]
 
-    @property
+    @functools.cached_property
     def ray_effects(self) -> np.ndarray:
-        """The ray-extremal subset of ``extremal_effects`` (rows)."""
-        return self.extremal_effects[self.ray_extremal]
+        """The ray-extremal subset of ``extremal_effects`` (rows), read-only.
+
+        The model is immutable, so the subset is taken on first use and the
+        same array is returned on every later access.
+        """
+        rays = self.extremal_effects[self.ray_extremal]
+        rays.flags.writeable = False
+        return rays
 
     def to_dict(self) -> dict:
         return {
@@ -178,14 +191,27 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelSpec":
-        """Rebuild a model; ``ValueError`` when :func:`validate_model` rejects it."""
+        """Rebuild a model; ``ValueError`` when :func:`validate_model` rejects it.
+
+        Outside input is not coerced: ``dim`` must be an integer (not a bool
+        or a float, which ``int`` would truncate) and every ``ray_extremal``
+        flag a bool (``"no"``, ``2`` and ``0.5`` would all read as True).
+        """
+        dim = data["dim"]
+        if isinstance(dim, (bool, np.bool_)) or not isinstance(dim, (int, np.integer)):
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
+        flags = data.get("ray_extremal")
+        if flags is not None:
+            flags = np.asarray(flags)
+            if flags.size and flags.dtype != bool:
+                raise ValueError("ray_extremal flags must be booleans")
         model = cls(
             name=str(data["name"]),
-            dim=int(data["dim"]),
+            dim=int(dim),
             extremal_states=data["extremal_states"],
             extremal_effects=data["extremal_effects"],
             unit_effect=data["unit_effect"],
-            ray_extremal=data.get("ray_extremal"),
+            ray_extremal=flags,
         )
         report = validate_model(model)
         if not report.ok:
@@ -313,8 +339,11 @@ def validate_model(model: ModelSpec, tol: float | None = None) -> ValidationRepo
 class Measurement:
     """A finite-outcome measurement: effects (rows) resolving the unit effect.
 
-    Construction validates that every effect is proper for ``model`` and that
-    the effects sum to the unit effect within ``tol`` (not stored).
+    Construction checks that ``effects`` is a non-empty finite matrix with
+    ``model.dim`` columns, that the effects sum to the unit effect within
+    ``tol`` (not stored), and that every effect is proper: its pairing with
+    every extremal state of ``model`` lies in [-tol, 1 + tol]. The first
+    improper outcome is the one named.
     """
 
     effects: np.ndarray
@@ -329,9 +358,11 @@ class Measurement:
         if not float(np.abs(total - self.model.unit_effect).max()) <= tol:
             raise ValueError("measurement effects do not sum to the unit effect")
         p = self.model.extremal_states @ effects.T  # (states, outcomes)
-        improper = np.flatnonzero(((p < -tol) | (p > 1.0 + tol)).any(axis=0))
-        if improper.size:
-            raise ValueError(f"measurement outcome {improper[0]} is not a proper effect")
+        # the two ends decide; the columns are read only to name an outcome
+        if p.min() < -tol or p.max() > 1.0 + tol:
+            improper = ((p < -tol) | (p > 1.0 + tol)).any(axis=0)
+            # argmax of a bool array is its first True
+            raise ValueError(f"measurement outcome {improper.argmax()} is not a proper effect")
 
     @property
     def n_outcomes(self) -> int:
@@ -353,7 +384,7 @@ def dichotomic_measurement(model: ModelSpec, ray_index: int,
             "ray-extremal effects)"
         )
     e = rays[ray_index]
-    return Measurement(np.stack([e, model.unit_effect - e]), model, tol=tol)
+    return Measurement(np.array([e, model.unit_effect - e]), model, tol=tol)
 
 
 def simplex_model(n: int) -> ModelSpec:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bipartite import JointState
-from .core import Measurement, ModelSpec, dichotomic_measurement, resolve_tol
+from .core import DEFAULT_TOL, Measurement, ModelSpec, dichotomic_measurement
 from .polygon import max_entangled, polygon
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -37,10 +37,13 @@ class CorrelationTable:
 
     The dense array is zero-padded up to the largest outcome count on each
     side; ``outcomes_a``/``outcomes_b`` record the true count per setting.
-    Construction validates that every (x, y) slice is a probability
-    distribution and that the marginals obey no-signalling. A bad table is
-    reported at its first failing pair in row-major order, checking padding,
-    then negativity, then the sum.
+    Construction checks the shape against the outcome counts and that every
+    probability is finite, then that every (x, y) slice is a probability
+    distribution: padding exactly zero, no entry below ``-DEFAULT_TOL``,
+    entries summing to 1 within ``_DISTRIBUTION_TOL``. Then it checks that
+    the marginals obey no-signalling within ``_NO_SIGNALLING_TOL``. A bad
+    table is reported at its first failing pair in row-major order,
+    checking padding, then negativity, then the sum.
     """
 
     probs: np.ndarray
@@ -64,19 +67,24 @@ class CorrelationTable:
             raise ValueError("every setting needs at least one outcome")
         if max(outcomes_a) > probs.shape[0] or max(outcomes_b) > probs.shape[1]:
             raise ValueError("probs array too small for the declared outcome counts")
-        if not np.all(np.isfinite(probs)):
+        if not np.isfinite(probs).all():
             raise ValueError("probabilities must be finite")
 
-        # live[a, b, x, y]: outcome a of setting x and b of setting y exist
-        live = ((np.arange(probs.shape[0])[:, None] < outcomes_a)[:, None, :, None]
-                & (np.arange(probs.shape[1])[:, None] < outcomes_b)[None, :, None, :])
-        padding = np.any((probs != 0.0) & ~live, axis=(0, 1))
-        negative = np.where(live, probs, np.inf).min(axis=(0, 1)) < -resolve_tol(None)
-        total = np.where(live, probs, 0.0).sum(axis=(0, 1))
-        failing = np.argwhere(padding | negative | (np.abs(total - 1.0) > _DISTRIBUTION_TOL))
-        if failing.size:
-            x, y = (int(i) for i in failing[0])
-            # quote the pair's own sum: the masked total may differ in the last bit
+        # dead[a, b, x, y]: outcome a of setting x or b of setting y is padding
+        dead = ((np.arange(probs.shape[0])[:, None] >= outcomes_a)[:, None, :, None]
+                | (np.arange(probs.shape[1])[:, None] >= outcomes_b)[None, :, None, :])
+        padding = np.any((probs != 0.0) & dead, axis=(0, 1))
+        # Where the padding passes it holds only zeros, so the whole slice
+        # sums to what its live entries sum to, and its minimum is below
+        # -DEFAULT_TOL exactly when theirs is; a pair whose padding fails
+        # reports the padding whatever its sum and minimum.
+        negative = probs.min(axis=(0, 1)) < -DEFAULT_TOL
+        total = probs.sum(axis=(0, 1))
+        failing = padding | negative | (np.abs(total - 1.0) > _DISTRIBUTION_TOL)
+        if failing.any():
+            # argmax of a bool array is its first True, in row-major order
+            x, y = divmod(int(failing.argmax()), n_y)
+            # quote the pair's own sum: the whole-slice total may differ in the last bit
             pair = probs[:outcomes_a[x], :outcomes_b[y], x, y]
             if padding[x, y]:
                 raise ValueError(f"padding beyond the declared outcomes of ({x}, {y}) "
@@ -293,7 +301,7 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
     mask = table == best
     del table
     mask |= mask.T
-    cand_j0, cand_j1 = np.nonzero(mask)
+    cand_j0, cand_j1 = mask.nonzero()
     del mask
     chunk = max(1, _SCAN_BLOCK_ELEMENTS // n_a)
     starts = range(0, len(cand_j0), chunk)

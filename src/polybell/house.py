@@ -73,7 +73,7 @@ def house_uffink_demo() -> tuple[float, CorrelationTable]:
     to stay below 2*sqrt(2).
     """
     state = house_joint_state()
-    meas_a, meas_b = house_demo_measurements()
+    meas_a, meas_b = _demo_measurements(state.model_a)
     table = correlations_from_state(state, meas_a, meas_b)
     value = uffink(table)
     if abs(value - 17.0 / 4.0) > 1e-10:
@@ -85,7 +85,11 @@ def house_uffink_demo() -> tuple[float, CorrelationTable]:
 
 def house_demo_measurements() -> tuple[list[Measurement], list[Measurement]]:
     """The demo's measurement settings, for reuse by the CLI and tests."""
-    model = house_model()
+    return _demo_measurements(house_model())
+
+
+def _demo_measurements(model: ModelSpec) -> tuple[list[Measurement], list[Measurement]]:
+    """:func:`house_demo_measurements` on a house model the caller already built."""
     return (
         [dichotomic_measurement(model, 4), dichotomic_measurement(model, 2)],
         [dichotomic_measurement(model, 1), dichotomic_measurement(model, 2)],

@@ -34,11 +34,13 @@ def polygon_radius(n: int) -> float:
 
 
 def _disc_points(radius: float, angles: np.ndarray, height: float) -> np.ndarray:
-    return np.column_stack([
-        radius * np.cos(angles),
-        radius * np.sin(angles),
-        np.full(angles.shape, height),
-    ])
+    """Rows ``(radius cos a, radius sin a, height)``, one per angle ``a``."""
+    points = np.empty((angles.size, 3))
+    points[:, 0] = np.cos(angles)
+    points[:, 1] = np.sin(angles)
+    points[:, :2] *= radius
+    points[:, 2] = height
+    return points
 
 
 def polygon(n: int) -> ModelSpec:
@@ -50,20 +52,20 @@ def polygon(n: int) -> ModelSpec:
     states = _disc_points(r, 2.0 * np.pi * labels / n, 1.0)
     unit = np.array([0.0, 0.0, 1.0])
     if n % 2 == 0:
-        effects = 0.5 * _disc_points(r, (2.0 * labels - 1.0) * np.pi / n, 1.0)
-        ray_flags = np.ones(n, dtype=bool)
+        effects = _disc_points(r, (2.0 * labels - 1.0) * np.pi / n, 1.0)
+        effects *= 0.5
     else:
-        scale = 1.0 / (1.0 + r * r)
-        rays = scale * _disc_points(r, 2.0 * np.pi * labels / n, 1.0)
-        effects = np.vstack([rays, unit - rays])
-        ray_flags = np.concatenate([np.ones(n, dtype=bool), np.zeros(n, dtype=bool)])
+        # the rays share the vertices' angles: scaled copies of the states
+        effects = np.empty((2 * n, 3))
+        rays = np.multiply(states, 1.0 / (1.0 + r * r), out=effects[:n])
+        np.subtract(unit, rays, out=effects[n:])
     return ModelSpec(
         name=f"polygon-{n}",
         dim=3,
         extremal_states=states,
         extremal_effects=effects,
         unit_effect=unit,
-        ray_extremal=ray_flags,
+        ray_extremal=np.arange(len(effects)) < n,
     )
 
 

@@ -285,6 +285,33 @@ def test_selfdual_searches_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+BUILDS_PER_COMMAND = [
+    (["q1-cert", "--model", "polygon:7"], 1),
+    (["q1-cert", "--model", "polygon:7", "--settings", "3"], 1),
+    (["q1-cert", "--model", "polygon:6"], 1),
+    (["q1-cert", "--model", "house"], 1),
+    (["house", "demo"], 1),
+    (["selfdual", "--model", "house"], 1),
+    (["selfdual", "--model", "polygon:9"], 1),
+    (["polygon", "--n", "7"], 1),
+    (["distill", "--n", "8"], 1),
+    (["chained", "--n", "12", "--N", "6"], 1),
+    (["chsh-max", "--n-from", "3", "--n-to", "12"], 10),
+]
+
+
+@pytest.mark.parametrize("args, builds", BUILDS_PER_COMMAND,
+                         ids=[" ".join(args) for args, _ in BUILDS_PER_COMMAND])
+def test_each_command_builds_each_model_once(args, builds, monkeypatch, capsys):
+    original, calls = ModelSpec.__post_init__, []
+    monkeypatch.setattr(ModelSpec, "__post_init__",
+                        lambda self: calls.append(self.name) or original(self))
+    assert run(args) == 0
+    capsys.readouterr()
+    assert len(calls) == builds
+    assert len(set(calls)) == builds
+
+
 @pytest.mark.parametrize("args", [
     ["polygon", "--n", "5"],
     ["chsh-max", "--n", "8"],

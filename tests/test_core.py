@@ -179,6 +179,44 @@ def test_measurement_rejects_improper_outcome():
         Measurement(effects, tri)
 
 
+def measurement_error_reference(effects, model, tol) -> str | None:
+    """The checks a ``Measurement`` made before its pairings' two ends decided."""
+    if not float(np.abs(effects.sum(axis=0) - model.unit_effect).max()) <= tol:
+        return "measurement effects do not sum to the unit effect"
+    p = model.extremal_states @ effects.T
+    improper = np.flatnonzero(((p < -tol) | (p > 1.0 + tol)).any(axis=0))
+    if improper.size:
+        return f"measurement outcome {improper[0]} is not a proper effect"
+    return None
+
+
+def test_measurement_verdicts_are_the_per_outcome_check():
+    rng = np.random.default_rng(1215)
+    seen = set()
+    for model in (polygon(5), polygon(8), simplex_model(3)):
+        for trial in range(200):
+            k = int(rng.integers(1, 5))
+            weights = rng.dirichlet(np.ones(k))
+            effects = np.outer(weights, model.unit_effect)
+            # move weight between outcomes along random directions, so the
+            # effects still sum to the unit but may leave [0, 1]
+            shift = rng.standard_normal((k, model.dim)) * 10.0 ** rng.uniform(-12, 0)
+            effects += shift - shift.mean(axis=0)
+            if trial % 7 == 0:
+                # and now and then off the unit by about 1e-8
+                effects[0] += rng.standard_normal(model.dim) * 1e-8
+            tol = [None, 0.0, 1e-6][trial % 3]
+            want = measurement_error_reference(effects, model, resolve_tol(tol))
+            try:
+                Measurement(effects, model, tol=tol)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, (model.name, trial)
+            seen.add(None if want is None else want.split()[1])
+    assert seen == {None, "outcome", "effects"}
+
+
 def test_dichotomic_measurement_outcomes():
     m = square_model()
     meas = dichotomic_measurement(m, 0)
@@ -292,6 +330,56 @@ def test_from_json_rejects_a_model_that_fails_validation():
         ModelSpec.from_dict(data)
     with pytest.raises(ValueError, match="failed validation"):
         ModelSpec.from_json(json.dumps(data))
+
+
+def _flagged_square_dict() -> dict:
+    data = square_model().to_dict()
+    data["ray_extremal"] = [True, True, False, False]
+    return data
+
+
+@pytest.mark.parametrize("flags", [
+    ["no", "no", "no", "no"],
+    ["no", True, True, True],
+    [2, 2, 2, 2],
+    [1, 1, 0, 0],
+    [0.5, 0.5, 0.5, 0.5],
+    [True, True, False, 0],
+], ids=["strings", "one-string", "twos", "ints", "halves", "one-int"])
+def test_from_dict_rejects_flags_that_are_not_booleans(flags):
+    data = _flagged_square_dict()
+    data["ray_extremal"] = flags
+    with pytest.raises(ValueError, match=r"^ray_extremal flags must be booleans$"):
+        ModelSpec.from_dict(data)
+    with pytest.raises(ValueError, match=r"^ray_extremal flags must be booleans$"):
+        ModelSpec.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("dim", [3.7, 3.0, True, "3", None],
+                         ids=["fraction", "float", "bool", "string", "null"])
+def test_from_dict_rejects_a_dim_that_is_not_an_integer(dim):
+    data = _flagged_square_dict()
+    data["dim"] = dim
+    with pytest.raises(ValueError, match=r"^dim must be a positive integer, got "):
+        ModelSpec.from_dict(data)
+    with pytest.raises(ValueError, match=r"^dim must be a positive integer, got "):
+        ModelSpec.from_json(json.dumps(data))
+
+
+def test_from_dict_takes_boolean_flags_and_integer_dims_of_any_type():
+    data = _flagged_square_dict()
+    for flags in ([True, True, False, False], np.array([True, True, False, False]),
+                  [np.True_, np.True_, np.False_, np.False_]):
+        for dim in (3, np.int64(3)):
+            model = ModelSpec.from_dict({**data, "ray_extremal": flags, "dim": dim})
+            assert model.dim == 3 and type(model.dim) is int
+            assert model.ray_extremal.tolist() == [True, True, False, False]
+    # a missing list still means every effect is ray-extremal
+    del data["ray_extremal"]
+    assert ModelSpec.from_dict(data).ray_extremal.tolist() == [True] * 4
+    # the constructor's own checks still speak for shape errors
+    with pytest.raises(ValueError, match="one flag per extremal effect"):
+        ModelSpec.from_dict({**data, "ray_extremal": []})
 
 
 def test_simplex_model_is_classical():

@@ -170,6 +170,40 @@ def test_stacked_table_is_bitwise_the_pair_loop(state, meas_a, meas_b):
     assert np.array_equal(np.signbit(t.probs), np.signbit(ref))
 
 
+def _padding_cases(good: CorrelationTable) -> dict[str, np.ndarray]:
+    """Tables whose padding decides the verdict, on the first mixed table.
+
+    Settings 1 of the first side and 0 of the second have two outcomes, so
+    a = 2 and b = 2 are padding at the pair (1, 0), as a = 2 is at (1, 1).
+    """
+    cases = {}
+    # padding on a pair that is also negative
+    p = good.probs.copy()
+    p[2, 0, 1, 0] = 0.1
+    p[0, 0, 1, 0] -= 0.6
+    cases["padding-and-negative"] = p
+    # negative padding
+    p = good.probs.copy()
+    p[2, 1, 1, 0] = -0.4
+    cases["negative-padding"] = p
+    # padding on a pair whose live sum is wrong
+    p = good.probs.copy()
+    p[2, 2, 1, 1] = 0.25
+    p[0, 0, 1, 1] += 0.3
+    cases["padding-and-sum"] = p
+    # padding that brings the whole slice back to 1 while the live sum is 0.8
+    p = good.probs.copy()
+    p[0, 0, 1, 0] -= 0.2
+    p[2, 1, 1, 0] = 0.2
+    cases["padding-restores-sum"] = p
+    # -0.0 is exactly zero: accepted as padding
+    p = good.probs.copy()
+    p[2, :, 1, :] = -0.0
+    p[:, 2, :, 0] = -0.0
+    cases["negative-zero-padding"] = p
+    return cases
+
+
 def _bad_tables():
     rng = np.random.default_rng(1215)
     good = correlations_from_state(*_mixed_outcome_tables()[0])
@@ -196,6 +230,7 @@ def _bad_tables():
         edge[0, 0, 0, 0] -= excess * DEFAULT_TOL
         edge[1, 0, 0, 0] += excess * DEFAULT_TOL
         tables.append(edge)
+    tables.extend(_padding_cases(good).values())
     for _ in range(60):
         probs = good.probs.copy()
         for _ in range(rng.integers(1, 4)):
@@ -218,6 +253,21 @@ def test_table_rejects_the_first_failing_pair_like_the_loop():
     assert table_error(*every) == ("padding beyond the declared outcomes of (1, 1) "
                                    "must be exactly zero")
     assert table_error(*_bad_tables()[1]) == "negative probability -0.3 at settings (0, 1)"
+    good = correlations_from_state(*_mixed_outcome_tables()[0])
+    counts = (good.outcomes_a, good.outcomes_b)
+    verdicts = {name: table_error(probs, *counts)
+                for name, probs in _padding_cases(good).items()}
+    assert verdicts.pop("negative-zero-padding") is None
+    assert verdicts == {
+        "padding-and-negative": "padding beyond the declared outcomes of (1, 0) "
+                                "must be exactly zero",
+        "negative-padding": "padding beyond the declared outcomes of (1, 0) "
+                            "must be exactly zero",
+        "padding-and-sum": "padding beyond the declared outcomes of (1, 1) "
+                           "must be exactly zero",
+        "padding-restores-sum": "padding beyond the declared outcomes of (1, 0) "
+                                "must be exactly zero",
+    }
 
 
 def test_table_checks_do_not_loop_over_setting_pairs(monkeypatch):

@@ -157,3 +157,66 @@ def test_joint_probability_closed_forms():
             want = (1.0 + r2 * math.cos(2 * math.pi * (i - j) / n)) / (1.0 + r2) ** 2
             got = m.extremal_effects[i] @ st.matrix @ m.extremal_effects[j]
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def _disc_points_reference(radius, angles, height):
+    return np.column_stack([
+        radius * np.cos(angles),
+        radius * np.sin(angles),
+        np.full(angles.shape, height),
+    ])
+
+
+def polygon_arrays_reference(n: int) -> dict[str, np.ndarray]:
+    """The arrays ``polygon(n)`` and ``max_entangled(n)`` hold, built as they
+    were before the vertex and effect arrays were filled in place."""
+    r = polygon_radius(n)
+    labels = np.arange(1, n + 1, dtype=float)
+    states = _disc_points_reference(r, 2.0 * np.pi * labels / n, 1.0)
+    unit = np.array([0.0, 0.0, 1.0])
+    if n % 2 == 0:
+        effects = 0.5 * _disc_points_reference(r, (2.0 * labels - 1.0) * np.pi / n, 1.0)
+        ray_flags = np.ones(n, dtype=bool)
+        c, s = np.cos(np.pi / n), np.sin(np.pi / n)
+        matrix = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    else:
+        scale = 1.0 / (1.0 + r * r)
+        rays = scale * _disc_points_reference(r, 2.0 * np.pi * labels / n, 1.0)
+        effects = np.vstack([rays, unit - rays])
+        ray_flags = np.concatenate([np.ones(n, dtype=bool), np.zeros(n, dtype=bool)])
+        matrix = np.eye(3)
+    return {"extremal_states": states, "extremal_effects": effects, "unit_effect": unit,
+            "ray_extremal": ray_flags, "ray_effects": effects[ray_flags], "matrix": matrix}
+
+
+@pytest.mark.parametrize("sizes", [range(3, 101), range(101, 201), range(201, 301),
+                                   (1023, 1024, 2047, 2048)],
+                         ids=["3-100", "101-200", "201-300", "large"])
+def test_polygon_arrays_are_bytewise_the_reference(sizes):
+    for n in sizes:
+        state = max_entangled(n)
+        model = state.model_a
+        assert state.model_b is model
+        got = {name: getattr(model, name) for name in
+               ("extremal_states", "extremal_effects", "unit_effect", "ray_extremal",
+                "ray_effects")}
+        got["matrix"] = state.matrix
+        built = polygon(n)
+        for name, want in polygon_arrays_reference(n).items():
+            arrays = [got[name]] if name == "matrix" else [got[name], getattr(built, name)]
+            for array in arrays:
+                assert array.dtype == want.dtype, (n, name)
+                assert array.shape == want.shape, (n, name)
+                assert array.tobytes() == want.tobytes(), (n, name)
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_ray_effects_are_read_only_and_kept(n):
+    model = polygon(n)
+    rays = model.ray_effects
+    assert rays is model.ray_effects
+    assert not rays.flags.writeable
+    with pytest.raises(ValueError):
+        rays[0, 0] = 0.0
+    # the model's arrays stay as built
+    assert rays.tobytes() == model.extremal_effects[model.ray_extremal].tobytes()
