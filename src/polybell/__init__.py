@@ -62,6 +62,7 @@ from .q1 import (
     Q1Certificate,
     certificate_from_inner_product_state,
     certificate_via_pushforward,
+    certificates_for_selections,
     q1_necessary_conditions,
     verify_delta_decomposition,
 )

@@ -125,10 +125,10 @@ class ModelSpec:
     positive combinations of other effects and hence not ray-extremal).
     Instances are immutable; arrays are stored read-only.
 
-    Construction checks shapes and finiteness only: a positive ``dim``,
-    non-empty finite state and effect matrices with ``dim`` columns, a
-    finite unit effect of length ``dim`` and one flag per effect (all True
-    when omitted). The semantic invariants are :func:`validate_model`'s.
+    Construction checks shapes and finiteness only: a positive integer
+    ``dim`` (not a bool or a float; stored as an ``int``), non-empty finite
+    state and effect matrices with ``dim`` columns, a finite unit effect of
+    length ``dim`` and one flag per effect (all True when omitted). The semantic invariants are :func:`validate_model`'s.
     """
 
     name: str
@@ -139,8 +139,13 @@ class ModelSpec:
     ray_extremal: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        # a bool or a float such as 3.0 would pass the shape checks, and a
+        # float dim would not survive a JSON round trip
+        dim = self.dim
+        if (isinstance(dim, (bool, np.bool_)) or not isinstance(dim, (int, np.integer))
+                or dim < 1):
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
+        object.__setattr__(self, "dim", int(dim))
         object.__setattr__(
             self, "extremal_states",
             _as_matrix(self.extremal_states, cols=self.dim, name="extremal_states"),
@@ -193,21 +198,27 @@ class ModelSpec:
     def from_dict(cls, data: dict) -> "ModelSpec":
         """Rebuild a model; ``ValueError`` when :func:`validate_model` rejects it.
 
-        Outside input is not coerced: ``dim`` must be an integer (not a bool
-        or a float, which ``int`` would truncate) and every ``ray_extremal``
-        flag a bool (``"no"``, ``2`` and ``0.5`` would all read as True).
+        Outside input is not coerced: the name must be a string, ``dim`` an
+        integer (not a bool or a float, which ``int`` would truncate), no
+        entry of the arrays a bool or a string (``float`` would read them as
+        numbers), and every ``ray_extremal`` flag a bool (``"no"``, ``2`` and
+        ``0.5`` would all read as True).
         """
-        dim = data["dim"]
-        if isinstance(dim, (bool, np.bool_)) or not isinstance(dim, (int, np.integer)):
-            raise ValueError(f"dim must be a positive integer, got {dim!r}")
+        name = data["name"]
+        if not isinstance(name, str):
+            raise ValueError(f"name must be a string, got {name!r}")
+        for key in ("extremal_states", "extremal_effects", "unit_effect"):
+            entries = np.asarray(data[key], dtype=object).ravel()
+            if any(isinstance(x, (bool, np.bool_, str, bytes)) for x in entries):
+                raise ValueError(f"{key} entries must be numbers, not booleans or strings")
         flags = data.get("ray_extremal")
         if flags is not None:
             flags = np.asarray(flags)
             if flags.size and flags.dtype != bool:
                 raise ValueError("ray_extremal flags must be booleans")
         model = cls(
-            name=str(data["name"]),
-            dim=int(dim),
+            name=name,
+            dim=data["dim"],
             extremal_states=data["extremal_states"],
             extremal_effects=data["extremal_effects"],
             unit_effect=data["unit_effect"],

@@ -14,6 +14,16 @@ diagonal blocks as required. The override differs from the pairing by a
 block-diagonal correction that splits into pair matrices
 ``p * [[1, -1], [-1, 1]]`` with ``p >= 0``, hence stays PSD.
 
+One construction builds that matrix, ``_moment_matrix``, and two
+consumers read it. :func:`certificate_from_inner_product_state` builds it
+for the settings it is given. :func:`certificates_for_selections` builds it
+once for all listed settings and slices out the principal submatrix of each
+selection of settings: every measurement's override is a block of its own,
+so each slice is the matrix the first consumer would build for that
+selection. By Cauchy interlacing the lowest eigenvalue of a principal
+submatrix is at least that of the whole matrix, so if the matrix over all
+listed settings is PSD, so is every sub-selection's.
+
 A certificate reads the inner-product test's tolerance-free margins
 (model gap, asymmetry, the two ends of the spectrum), which are computed
 once per immutable :class:`JointState` and kept on it, and compares them
@@ -26,19 +36,22 @@ every call, from one shared product of the effects with the state.
 
 A :class:`Q1Certificate` computes its spectrum from its own ``gamma`` and
 takes none from its caller, so its verdict cannot disagree with its matrix.
-A batched builder of many certificates' spectra (one stacked ``eigvalsh``)
-must keep that property: build every certificate through this constructor,
-or keep the stacked matrices and the spectra computed from them together
-behind one private builder.
+Both consumers keep that property through one private builder,
+``_certificates``: it runs the constructor's shape and symmetry checks on
+one matrix or a stack of them, takes their spectra in one call and pairs
+each matrix with the spectrum computed from it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg import _umath_linalg
 
 from .bipartite import (
     JointState,
@@ -59,6 +72,48 @@ CERTIFICATE_SCHEMA_VERSION = 1
 
 UFFINK_BOUND = 4.0
 
+# the most matrix entries :func:`certificates_for_selections` stacks at once
+# (512 KiB of doubles)
+_SELECTION_BLOCK_ELEMENTS = 2**16
+
+
+def _no_convergence(err: str, flag: int) -> None:
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _spectra(gammas: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, or of each in a stack.
+
+    The LAPACK kernel behind ``np.linalg.eigvalsh``, reading the lower
+    triangle, without the wrapper's input checks: for float64 input the
+    result is bitwise that of ``np.linalg.eigvalsh``. Raises the same
+    ``LinAlgError`` when LAPACK does not converge, as on a nan entry, and
+    emits no warning.
+    """
+    return _umath_linalg.eigvalsh_lo(gammas, signature="d->d")
+
+
+def _frozen_spectra(gammas: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Check ``gammas``, make it read-only in place, return its read-only spectra.
+
+    ``gammas`` is one matrix or a stack of them and must have ``shape``.
+    Each matrix must be exactly symmetric: eigvalsh reads one triangle, so
+    an asymmetric one would get the spectrum of another matrix. Bytes
+    against the bytes of the transpose is the cheap test; values decide
+    when the bytes differ, as they do where 0.0 mirrors -0.0.
+    """
+    if gammas.shape != shape:
+        raise ValueError(f"gamma must be {shape[-2]}x{shape[-1]} for these outcome counts")
+    mirrored = gammas.swapaxes(-1, -2)
+    if gammas.tobytes() != mirrored.tobytes() and not np.array_equal(gammas, mirrored):
+        raise ValueError("gamma must be symmetric")
+    gammas.setflags(write=False)
+    spectra = _spectra(gammas)
+    spectra.setflags(write=False)
+    return spectra
+
 
 @dataclass(frozen=True, eq=False)
 class Q1Certificate:
@@ -70,8 +125,9 @@ class Q1Certificate:
     ``eigen_spectrum``, its eigenvalues in ascending order (read-only).
     ``outcomes_a``/``outcomes_b`` record how the flat outcome labels split
     into measurements (one count per setting).
-    :func:`certificate_from_inner_product_state` is the one constructor the
-    library calls; its free entries come from the state's bilinear pairing.
+    :func:`certificate_from_inner_product_state` and
+    :func:`certificates_for_selections` build the library's certificates;
+    their free entries come from the state's bilinear pairing.
     """
 
     gamma: np.ndarray
@@ -81,19 +137,7 @@ class Q1Certificate:
 
     def __post_init__(self) -> None:
         n = 1 + sum(self.outcomes_a) + sum(self.outcomes_b)
-        if self.gamma.shape != (n, n):
-            raise ValueError(f"gamma must be {n}x{n} for these outcome counts")
-        # eigvalsh reads one triangle, so an asymmetric gamma would get the
-        # spectrum of another matrix. Row-major against column-major bytes
-        # is the cheap test; values decide when the bytes differ, as they
-        # do where 0.0 mirrors -0.0.
-        if (self.gamma.tobytes() != self.gamma.tobytes(order="F")
-                and not np.array_equal(self.gamma, self.gamma.T)):
-            raise ValueError("gamma must be symmetric")
-        self.gamma.flags.writeable = False
-        spectrum = np.linalg.eigvalsh(self.gamma)
-        spectrum.flags.writeable = False
-        object.__setattr__(self, "eigen_spectrum", spectrum)
+        object.__setattr__(self, "eigen_spectrum", _frozen_spectra(self.gamma, (n, n)))
 
     def psd(self, tol: float | None = None) -> bool:
         """Positive semidefiniteness at ``tol``, by :func:`~polybell.core.psd_at`."""
@@ -130,6 +174,34 @@ class Q1Certificate:
         }
 
 
+def _certificates(gammas: np.ndarray, outcomes_a: tuple[int, ...],
+                  outcomes_b: tuple[int, ...], tol: float) -> list[Q1Certificate]:
+    """Certificates for one moment matrix, or one per matrix of a stack.
+
+    ``gammas`` is a matrix this module built, or a stack of them, all with
+    the outcome counts ``outcomes_a``/``outcomes_b``. It passes the checks
+    of the :class:`Q1Certificate` constructor, and each certificate keeps
+    its matrix with the spectrum computed from it here (read-only views
+    into a stack and its spectra). ``tol`` is a resolved tolerance; raises
+    ``ArithmeticError`` at the first matrix that is not PSD at it.
+    """
+    size = 1 + sum(outcomes_a) + sum(outcomes_b)
+    spectra = _frozen_spectra(gammas, gammas.shape[:-2] + (size, size))
+    pairs = zip(gammas, spectra) if gammas.ndim == 3 else [(gammas, spectra)]
+    certs = []
+    for gamma, spectrum in pairs:
+        lowest = float(spectrum[0])
+        if not psd_at(lowest, float(spectrum[-1]), tol):
+            raise ArithmeticError(
+                f"certificate unexpectedly not PSD (min eigenvalue {lowest!r})")
+        # the constructor's checks and spectrum are done above
+        cert = object.__new__(Q1Certificate)
+        vars(cert).update(gamma=gamma, outcomes_a=outcomes_a, outcomes_b=outcomes_b,
+                          eigen_spectrum=spectrum)
+        certs.append(cert)
+    return certs
+
+
 @functools.lru_cache(maxsize=64)
 def _override_layout(counts: tuple[int, ...]) -> np.ndarray:
     """Flat indices of the entries the certificate zeroes, for outcome counts ``counts``.
@@ -145,6 +217,49 @@ def _override_layout(counts: tuple[int, ...]) -> np.ndarray:
     flat = (rows + 1) * size + cols + 1
     flat.flags.writeable = False
     return flat
+
+
+def _require_inner_product_state(state: JointState, tol: float) -> None:
+    """Raise unless ``state`` passes the inner-product test at the resolved ``tol``."""
+    symmetric, psd = _inner_product_rules(state, tol)
+    if not (symmetric and psd):
+        report = is_inner_product_state(state, tol)
+        raise ValueError(
+            "certificate construction needs an inner-product state "
+            f"(asymmetry {report.asymmetry!r}, min eigenvalue {report.min_eigenvalue!r})"
+        )
+
+
+def _moment_matrix(state: JointState, meas_a: Sequence[Measurement],
+                   meas_b: Sequence[Measurement]
+                   ) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """The certificate's matrix for these settings, and the outcome counts per side.
+
+    Rows and columns run over the unit, then every outcome effect, settings
+    in order on each side. Entries pair the effects under the state,
+    symmetrised; each measurement's diagonal block then holds its marginals
+    on the diagonal and zeros off it.
+    """
+    if not meas_a or not meas_b:
+        raise ValueError("need at least one measurement")
+    effects = [m.effects for m in meas_a]
+    outcomes_a = tuple([len(e) for e in effects])
+    n_a = sum(outcomes_a)
+    effects += [m.effects for m in meas_b]
+    counts = tuple([len(e) for e in effects])
+    g = np.concatenate((state.model_a.unit_effect[None, :], *effects))
+    gm = g @ state.matrix
+    gamma = gm @ g.T
+    gamma = (gamma + gamma.T) / 2.0
+
+    # zero each measurement's diagonal block off its diagonal, then put the
+    # marginals on the outcome diagonal (a stride of size + 1 in flat)
+    flat = gamma.reshape(-1)
+    flat[_override_layout(counts)] = 0.0
+    step = len(g) + 1
+    flat[step:step * (n_a + 1):step] = gm[1:1 + n_a] @ state.model_b.unit_effect
+    flat[step * (n_a + 1)::step] = gm[0] @ g[1 + n_a:].T
+    return gamma, outcomes_a, counts[len(outcomes_a):]
 
 
 def certificate_from_inner_product_state(state: JointState,
@@ -163,46 +278,120 @@ def certificate_from_inner_product_state(state: JointState,
     differ). The state's inner-product margins are computed once per state
     and compared with ``tol`` here; the indices of the zeroed entries are
     kept per tuple of outcome counts; the matrix and marginals of every
-    certificate are computed afresh, and the certificate computes its own
-    spectrum.
+    certificate are computed afresh, and the certificate's spectrum is
+    computed from its own matrix.
     """
     tol = resolve_tol(tol)
-    symmetric, psd = _inner_product_rules(state, tol)
-    if not (symmetric and psd):
-        report = is_inner_product_state(state, tol)
-        raise ValueError(
-            "certificate construction needs an inner-product state "
-            f"(asymmetry {report.asymmetry!r}, min eigenvalue {report.min_eigenvalue!r})"
-        )
-    if not meas_a or not meas_b:
-        raise ValueError("need at least one measurement")
-    counts = [m.n_outcomes for side in (meas_a, meas_b) for m in side]
-    outcomes_a = tuple(counts[:len(meas_a)])
-    outcomes_b = tuple(counts[len(meas_a):])
-    n_a = sum(outcomes_a)
-    # rows: the unit, then every outcome effect, settings in order per side
-    g = np.concatenate([state.model_a.unit_effect[None, :]]
-                       + [x.effects for x in meas_a] + [x.effects for x in meas_b])
-    gm = g @ state.matrix
-    gamma = gm @ g.T
-    gamma = (gamma + gamma.T) / 2.0
+    _require_inner_product_state(state, tol)
+    gamma, outcomes_a, outcomes_b = _moment_matrix(state, meas_a, meas_b)
+    return _certificates(gamma, outcomes_a, outcomes_b, tol)[0]
 
-    # zero each measurement's diagonal block off its diagonal, then put the
-    # marginals on the outcome diagonal
-    flat = gamma.reshape(-1)
-    flat[_override_layout(outcomes_a + outcomes_b)] = 0.0
-    diagonal = flat[len(g) + 1::len(g) + 1]
-    diagonal[:n_a] = gm[1:1 + n_a] @ state.model_b.unit_effect
-    diagonal[n_a:] = gm[0] @ g[1 + n_a:].T
 
-    cert = Q1Certificate(gamma, outcomes_a, outcomes_b)
-    spectrum = cert.eigen_spectrum
-    if not psd_at(float(spectrum[0]), float(spectrum[-1]), tol):
-        raise ArithmeticError(
-            "certificate unexpectedly not PSD "
-            f"(min eigenvalue {float(spectrum[0])!r})"
-        )
-    return cert
+def certificates_for_selections(state: JointState, meas_a: Sequence[Measurement],
+                                meas_b: Sequence[Measurement],
+                                selections: Iterable[tuple[Sequence[int], Sequence[int]]],
+                                tol: float | None = None) -> Iterator[Q1Certificate]:
+    """Certificates for many selections of settings, from one moment matrix.
+
+    Each selection is a pair ``(settings_a, settings_b)`` of integer
+    indices into ``meas_a`` and ``meas_b``, non-empty and without repeats
+    on each side; every selection lists the same number of settings on the
+    first side, and on the second. Yields, in order, one certificate per
+    selection, bitwise the one :func:`certificate_from_inner_product_state`
+    builds from ``[meas_a[i] for i in settings_a]`` and ``[meas_b[j] for j
+    in settings_b]`` at ``tol``; a state that one rejects, so does this.
+
+    The matrix over all of ``meas_a`` and ``meas_b`` is built once, and the
+    inner-product test is run once, before this returns. Each selection's
+    matrix is its principal submatrix. Selections are read in chunks, and
+    the matrices sliced and their spectra taken in stacks of at most
+    ``_SELECTION_BLOCK_ELEMENTS`` entries (or of one matrix, where a single
+    one is larger); a chunk of selections fills about one stack. So the
+    memory held at once, however many selections there are, is the full
+    matrix plus one stack: its matrices, twice their bytes again for the
+    symmetry check, and per matrix its indices, spectrum and certificate
+    object (under 1.5 KiB), as long as the caller drops each certificate
+    it has checked. A selection's errors are raised when its chunk is
+    read, before any of the chunk's certificates is yielded.
+    """
+    tol = resolve_tol(tol)
+    _require_inner_product_state(state, tol)
+    gamma, outcomes_a, outcomes_b = _moment_matrix(state, meas_a, meas_b)
+    return _sliced(gamma, outcomes_a, outcomes_b, iter(selections), tol)
+
+
+def _sliced(gamma: np.ndarray, outcomes_a: tuple[int, ...], outcomes_b: tuple[int, ...],
+            selections: Iterator[tuple[Sequence[int], Sequence[int]]],
+            tol: float) -> Iterator[Q1Certificate]:
+    """The generator behind :func:`certificates_for_selections`.
+
+    Settings are numbered over both sides, the second side's after the
+    first's. A run of selections whose settings have the same outcome
+    counts, position by position, shares stacks.
+    """
+    counts = np.array(outcomes_a + outcomes_b)
+    starts = np.cumsum(counts) - counts + 1  # each setting's first row in gamma
+    # a chunk is as many selections as fill one stack of the last run's
+    # matrices; the first chunk is one selection
+    widths, limit = None, 1
+    while chunk := list(itertools.islice(selections, limit)):
+        settings, widths = _chunk_settings(chunk, len(outcomes_a), len(outcomes_b), widths)
+        width_a = widths[0]
+        while len(settings):
+            per_setting = counts[settings]
+            same = (per_setting == per_setting[0]).all(axis=1)
+            run = len(settings) if same.all() else int(same.argmin())
+            first = per_setting[0]
+            size = 1 + int(first.sum())
+            limit = max(1, _SELECTION_BLOCK_ELEMENTS // size**2)
+            run = min(run, limit)
+            # row of every outcome of every selected setting, after the unit row
+            position = np.repeat(np.arange(len(first)), first)
+            within = np.arange(size - 1) - np.repeat(np.cumsum(first) - first, first)
+            index = np.zeros((run, size), dtype=np.intp)
+            index[:, 1:] = starts[settings[:run, position]] + within
+            yield from _certificates(gamma[index[:, :, None], index[:, None, :]],
+                                     tuple(first[:width_a].tolist()),
+                                     tuple(first[width_a:].tolist()), tol)
+            settings = settings[run:]
+
+
+_SAME_WIDTHS = ("each side of a selection must be a sequence of setting indices, "
+                "the same number in every selection")
+
+
+def _chunk_settings(chunk: list, n_a: int, n_b: int, widths: tuple[int, int] | None
+                    ) -> tuple[np.ndarray, tuple[int, int]]:
+    """A chunk of selections as one (selections, settings) integer array, checked.
+
+    Second-side settings are numbered after the ``n_a`` first-side ones.
+    ``widths`` are the setting counts per side in earlier chunks, if any;
+    returns them for this one.
+    """
+    sides = []
+    for side, count in ((0, n_a), (1, n_b)):
+        try:
+            settings = np.array([selection[side] for selection in chunk])
+        except ValueError:
+            settings = None
+        if settings is None or settings.ndim != 2:
+            raise ValueError(_SAME_WIDTHS)
+        if settings.shape[1] == 0:
+            raise ValueError("need at least one measurement")
+        if settings.dtype.kind not in "iu":
+            raise TypeError("setting indices must be integers")
+        rows = np.nonzero((settings < 0).any(axis=1) | (settings >= count).any(axis=1))[0]
+        if len(rows):
+            raise IndexError(f"selection {chunk[rows[0]]!r} has a setting index out of range")
+        ordered = np.sort(settings, axis=1)
+        rows = np.nonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))[0]
+        if len(rows):
+            raise ValueError(f"selection {chunk[rows[0]]!r} repeats a setting")
+        sides.append(settings + side * n_a)
+    found = (sides[0].shape[1], sides[1].shape[1])
+    if widths not in (None, found):
+        raise ValueError(_SAME_WIDTHS)
+    return np.concatenate(sides, axis=1), found
 
 
 def verify_delta_decomposition(state: JointState, measurement: Measurement,

@@ -33,6 +33,7 @@ from polybell.polygon import max_entangled, polygon
 from polybell.q1 import (
     certificate_from_inner_product_state,
     certificate_via_pushforward,
+    certificates_for_selections,
     q1_necessary_conditions,
     verify_delta_decomposition,
 )
@@ -108,15 +109,15 @@ def test_criterion_06_certificates_all_setting_pairs():
     for n in range(3, 24, 2):
         state = max_entangled(n)
         meas = ray_settings(state.model_a, n)
-        for i0, i1 in itertools.combinations(range(n), 2):
-            meas_a = [meas[i0], meas[i1]]
-            for j0, j1 in itertools.combinations(range(n), 2):
-                cert = certificate_from_inner_product_state(
-                    state, meas_a, [meas[j0], meas[j1]]
-                )
-                spectrum = cert.eigen_spectrum
-                assert spectrum[0] >= -1e-9 * spectrum[-1], (n, i0, i1, j0, j1)
-                checked += 1
+        # every pair's certificate is sliced from the all-rays matrix
+        pairs = list(itertools.combinations(range(n), 2))
+        selections = list(itertools.product(pairs, pairs))
+        certs = certificates_for_selections(state, meas, meas, selections)
+        for ((i0, i1), (j0, j1)), cert in zip(selections, certs, strict=True):
+            assert cert.outcomes_a == cert.outcomes_b == (2, 2)
+            spectrum = cert.eigen_spectrum
+            assert spectrum[0] >= -1e-9 * spectrum[-1], (n, i0, i1, j0, j1)
+            checked += 1
         # the diagonal-correction split behind the certificate, for two- and
         # three-outcome measurements
         assert verify_delta_decomposition(state, meas[0])
@@ -128,8 +129,17 @@ def test_criterion_06_certificates_all_setting_pairs():
             np.stack([e0, (unit - e0) / 2.0, (unit - e0) / 2.0]), state.model_a
         )
         assert verify_delta_decomposition(state, three)
-    elapsed = time.perf_counter() - start
     assert checked == 177826
+    # Cauchy interlacing: the all-rays certificate being PSD makes every
+    # selection of ray settings on either side PSD too
+    for n in range(3, 128, 2):
+        state = max_entangled(n)
+        meas = ray_settings(state.model_a, n)
+        cert = certificate_from_inner_product_state(state, meas, meas)
+        assert cert.outcomes_a == cert.outcomes_b == (2,) * n
+        spectrum = cert.eigen_spectrum
+        assert spectrum[0] >= -1e-9 * spectrum[-1], n
+    elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"certificate sweep took {elapsed:.2f}s"
 
 

@@ -456,6 +456,25 @@ def test_scan_output_bytes_are_unchanged_by_the_unordered_scan(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_STDOUT_SHA256[argv]
 
 
+# sha256 of odd-n `q1-cert --json` stdout from before the certificate's
+# matrix build and its spectrum were split into private helpers
+Q1_CERT_STDOUT_SHA256 = {
+    ("q1-cert", "--model", "polygon:7", "--json"):
+        "694270a72c226463dd363624fad6ccaf151aa1ca63b89ed474ac94cc04f1a0f4",
+    ("q1-cert", "--model", "polygon:9", "--settings", "4", "--json"):
+        "4e58b91c70042ef448cf5a53c063389192ccb09980d341de69cba821ab1be15c",
+    ("q1-cert", "--model", "polygon:15", "--settings", "15", "--json"):
+        "2c679bed90a41f94c5cd75fcfa0a0ca97df8a582a4bb83319aed1308775155bc",
+}
+
+
+@pytest.mark.parametrize("argv", list(Q1_CERT_STDOUT_SHA256), ids=" ".join)
+def test_odd_q1_cert_output_bytes_are_unchanged(argv, capsys):
+    assert run(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == Q1_CERT_STDOUT_SHA256[argv]
+
+
 def test_distill_rejects_odd():
     result = run_cli("distill", "--n", "7")
     assert result.returncode == 1

@@ -382,6 +382,56 @@ def test_from_dict_takes_boolean_flags_and_integer_dims_of_any_type():
         ModelSpec.from_dict({**data, "ray_extremal": []})
 
 
+def _as_strings(rows):
+    return [[str(x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("extremal_states", _as_strings, "extremal_states entries must be numbers"),
+    ("extremal_states", lambda rows: [rows[0][:2] + ["1.0"]] + rows[1:],
+     "extremal_states entries must be numbers"),
+    ("extremal_effects", _as_strings, "extremal_effects entries must be numbers"),
+    ("extremal_effects", lambda rows: [[True, False, False]] + rows[1:],
+     "extremal_effects entries must be numbers"),
+    ("unit_effect", lambda unit: [False, False, True], "unit_effect entries must be numbers"),
+    ("unit_effect", lambda unit: unit[:2] + [True], "unit_effect entries must be numbers"),
+    ("unit_effect", lambda unit: [str(x) for x in unit], "unit_effect entries must be numbers"),
+    ("name", lambda name: None, "name must be a string, got None"),
+    ("name", lambda name: 4, "name must be a string, got 4"),
+], ids=["states-strings", "states-one-string", "effects-strings", "effects-bools",
+        "unit-bools", "unit-one-bool", "unit-strings", "name-null", "name-int"])
+def test_from_dict_does_not_coerce_outside_input(key, value, message):
+    data = polygon(4).to_dict()
+    data[key] = value(data[key])
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ModelSpec.from_dict(data)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ModelSpec.from_json(json.dumps(data))
+    # the unmutated dict loads
+    assert ModelSpec.from_dict(polygon(4).to_dict()).name == polygon(4).name
+
+
+@pytest.mark.parametrize("dim", [3.0, 3.7, True, np.True_, np.float64(3.0), "3", 0, -3],
+                         ids=["float", "fraction", "bool", "numpy-bool", "numpy-float",
+                              "string", "zero", "negative"])
+def test_constructor_rejects_a_dim_that_is_not_a_positive_integer(dim):
+    m = polygon(4)
+    with pytest.raises(ValueError, match=r"^dim must be a positive integer, got "):
+        ModelSpec("sq", dim, m.extremal_states, m.extremal_effects, m.unit_effect)
+
+
+def test_constructor_stores_an_integer_dim_that_round_trips():
+    m = polygon(4)
+    for dim in (3, np.int64(3), np.int32(3)):
+        model = ModelSpec("sq", dim, m.extremal_states, m.extremal_effects, m.unit_effect)
+        assert model.dim == 3 and type(model.dim) is int
+        text = model.to_json()
+        assert json.loads(text)["dim"] == 3
+        back = ModelSpec.from_json(text)
+        assert back.dim == 3 and type(back.dim) is int
+        assert back.to_json() == text
+
+
 def test_simplex_model_is_classical():
     m = simplex_model(3)
     assert validate_model(m).ok

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from polybell import q1
 from polybell.q1 import (
     Q1Certificate,
     certificate_from_inner_product_state,
+    certificates_for_selections,
     certificate_via_pushforward,
     q1_necessary_conditions,
     verify_delta_decomposition,
@@ -478,22 +481,52 @@ def test_pushforward_certificate_is_bitwise_the_reference():
 
 
 def test_state_spectrum_is_computed_once_per_state(monkeypatch):
+    # the state's spectrum goes through np.linalg.eigvalsh, each
+    # certificate's through the q1 spectrum helper
     state = max_entangled(7)
     meas = ray_settings(state.model_a, 7)
-    original = np.linalg.eigvalsh
     shapes = []
 
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
+    def counting(original):
+        def count(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+        return count
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    monkeypatch.setattr(q1, "_spectra", counting(q1._spectra))
     pairs = list(itertools.combinations(range(7), 2))
     for (i0, i1), (j0, j1) in itertools.islice(itertools.product(pairs, pairs), 100):
         certificate_from_inner_product_state(state, [meas[i0], meas[i1]],
                                              [meas[j0], meas[j1]])
     assert shapes.count(state.matrix.shape) == 1
     assert shapes.count((9, 9)) == 100
+
+
+def test_spectrum_helper_is_bitwise_eigvalsh():
+    rng = np.random.default_rng(1803)
+    for shape in ((1, 1), (9, 9), (4, 9, 9), (3, 17, 17), (0, 5, 5)):
+        a = rng.normal(size=shape)
+        a = a + a.swapaxes(-1, -2)
+        assert q1._spectra(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+    # both read the lower triangle only
+    a = np.tril(rng.normal(size=(6, 6)))
+    assert q1._spectra(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (3, 9, 9)])
+def test_spectrum_helper_raises_linalgerror_on_nan_without_a_warning(shape):
+    for spectra in (np.linalg.eigvalsh, q1._spectra):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                spectra(np.full(shape, np.nan))
+            # a lone nan pair converges to nan eigenvalues, in both
+            stack = np.zeros(shape)
+            stack[..., 2, 1] = stack[..., 1, 2] = np.nan
+            assert spectra(stack).tobytes() == np.linalg.eigvalsh(stack).tobytes()
+    # the caller's floating-point error settings are left as they were
+    assert np.geterr()["invalid"] == "warn"
 
 
 def test_override_layout_is_built_once_per_outcome_counts(monkeypatch):
@@ -566,3 +599,201 @@ def test_certificate_psd_is_the_max_abs_rule():
         for tol in (0.0, 1e-9, 0.3, abs(margin), abs(margin) * (1 + 1e-6),
                     abs(margin) * (1 - 1e-6)):
             assert cert.psd(tol) is psd_reference(spectrum, tol)
+
+
+def all_pairs(n: int) -> list:
+    pairs = list(itertools.combinations(range(n), 2))
+    return list(itertools.product(pairs, pairs))
+
+
+def assert_bitwise(cert, expected):
+    assert cert.gamma.tobytes() == expected.gamma.tobytes()
+    assert cert.eigen_spectrum.tobytes() == expected.eigen_spectrum.tobytes()
+    assert (cert.outcomes_a, cert.outcomes_b) == (expected.outcomes_a, expected.outcomes_b)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
+def test_selections_are_bitwise_the_per_pair_path_for_every_pair(n):
+    state = max_entangled(n)
+    meas = ray_settings(state.model_a, n)
+    selections = all_pairs(n)
+    certs = certificates_for_selections(state, meas, meas, selections)
+    count = 0
+    for ((i0, i1), (j0, j1)), cert in zip(selections, certs, strict=True):
+        expected = certificate_from_inner_product_state(
+            state, [meas[i0], meas[i1]], [meas[j0], meas[j1]])
+        assert_bitwise(cert, expected)
+        count += 1
+    assert count == (n * (n - 1) // 2) ** 2
+
+
+def mixed_selections_case():
+    """Nine settings per side with two and three outcomes, and selections of them.
+
+    Each group lists the same number of settings per side; within a group
+    the outcome counts change from selection to selection.
+    """
+    state = max_entangled(11)
+    rays = ray_settings(state.model_a, 11)
+    meas_a = rays[:7] + [three_of(state, rays[7]), three_of(state, rays[8])]
+    meas_b = [three_of(state, rays[2])] + rays[3:11]
+    groups = [
+        [((0, 1), (0, 1)), ((0, 1), (2, 3)), ((8, 1), (5, 0)), ((0, 1), (3, 2)),
+         ((2, 3), (4, 5)), ((3, 2), (5, 4)), ((7, 8), (0, 1)), ((1, 7), (1, 0))],
+        [((7,), (0,)), ([8], [8]), ((3,), (2,)), ((8,), (0,))],
+        [((8, 1, 7), (5, 0)), ((0, 1, 2), (3, 4))],
+        [((6, 5, 4, 3, 2), (8, 1, 4, 0)), ((0, 1, 2, 3, 4), (1, 2, 3, 4))],
+        [(range(9), range(9))],
+    ]
+    return state, meas_a, meas_b, groups
+
+
+def test_selections_are_bitwise_the_per_pair_path_for_mixed_selections(monkeypatch):
+    state, meas_a, meas_b, groups = mixed_selections_case()
+    for selections in groups:
+        expected = [certificate_from_inner_product_state(
+            state, [meas_a[i] for i in sa], [meas_b[j] for j in sb]) for sa, sb in selections]
+        # the default budget, one matrix per stack, and budgets that cut runs
+        for budget in (q1._SELECTION_BLOCK_ELEMENTS, 1, 81, 200):
+            monkeypatch.setattr(q1, "_SELECTION_BLOCK_ELEMENTS", budget)
+            certs = certificates_for_selections(state, meas_a, meas_b, selections)
+            for cert, reference in zip(certs, expected, strict=True):
+                assert_bitwise(cert, reference)
+        monkeypatch.undo()
+        # numpy arrays of indices work as selections too
+        certs = certificates_for_selections(
+            state, meas_a, meas_b, [(np.array(sa), np.array(sb)) for sa, sb in selections])
+        for cert, reference in zip(certs, expected, strict=True):
+            assert_bitwise(cert, reference)
+
+
+def test_selections_stack_within_the_element_budget(monkeypatch):
+    state = max_entangled(9)
+    meas = ray_settings(state.model_a, 9)
+    stacks = []
+    original = q1._certificates
+
+    def recording(gammas, *args):
+        stacks.append(gammas.shape)
+        return original(gammas, *args)
+
+    monkeypatch.setattr(q1, "_certificates", recording)
+    selections = all_pairs(9)
+    assert len(list(certificates_for_selections(state, meas, meas, selections))) == 1296
+    # the first chunk is one selection; 2**16 // 81 = 809 matrices per stack
+    assert stacks == [(1, 9, 9), (809, 9, 9), (1295 - 809, 9, 9)]
+    stacks.clear()
+    monkeypatch.setattr(q1, "_SELECTION_BLOCK_ELEMENTS", 500)
+    list(certificates_for_selections(state, meas, meas, selections))
+    assert stacks == [(1, 9, 9)] + [(6, 9, 9)] * 215 + [(5, 9, 9)]
+    # a chunk read for small matrices that meets larger ones cuts its
+    # stacks to the larger ones' budget
+    state, meas_a, meas_b, groups = mixed_selections_case()
+    small, large = ((0,), (1,)), ((7,), (0,))  # 5 x 5 and 7 x 7
+    stacks.clear()
+    monkeypatch.setattr(q1, "_SELECTION_BLOCK_ELEMENTS", 300)
+    list(certificates_for_selections(state, meas_a, meas_b, [small] * 13 + [large] * 13))
+    assert stacks == [(1, 5, 5), (12, 5, 5), (6, 7, 7), (6, 7, 7), (1, 7, 7)]
+
+
+def test_builder_runs_the_constructor_checks_on_every_matrix_of_a_stack():
+    good = np.diag([1.0, 2.0, 3.0])
+    asymmetric = good.copy()
+    asymmetric[2, 0] = 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        q1._certificates(np.stack([good, good, asymmetric]), (1,), (1,), ROUNDING_TOL)
+    with pytest.raises(ValueError, match="5x5"):
+        q1._certificates(np.stack([good, good]), (2,), (2,), ROUNDING_TOL)
+    with pytest.raises(ArithmeticError, match="not PSD"):
+        q1._certificates(np.stack([good, np.diag([-1.0, 2.0, 3.0])]), (1,), (1,),
+                         ROUNDING_TOL)
+    stack = np.stack([good, 2.0 * good])
+    certs = q1._certificates(stack, (1,), (1,), ROUNDING_TOL)
+    for cert, gamma in zip(certs, stack, strict=True):
+        assert cert.gamma.tobytes() == gamma.tobytes()
+        assert cert.eigen_spectrum.tobytes() == np.linalg.eigvalsh(gamma).tobytes()
+        assert (cert.outcomes_a, cert.outcomes_b) == ((1,), (1,))
+
+
+def test_sliced_certificates_are_read_only():
+    state = max_entangled(5)
+    meas = ray_settings(state.model_a, 5)
+    for cert in certificates_for_selections(state, meas, meas, all_pairs(5)[:3]):
+        assert cert.psd() and cert.verdict() == "in-Q1"
+        for array in (cert.gamma, cert.eigen_spectrum):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
+def test_selections_reject_what_the_per_pair_path_rejects():
+    state = max_entangled(7)
+    meas = ray_settings(state.model_a, 7)
+    # the state's errors come before any selection is read
+    for bad_state, match in ((max_entangled(8), "inner-product state"),
+                             (JointState(max_entangled(5).matrix, polygon(5), polygon(7)),
+                              "requires two similar systems")):
+        bad_meas = ray_settings(bad_state.model_a, 2)
+        with pytest.raises(ValueError, match=match):
+            certificates_for_selections(bad_state, bad_meas, bad_meas, iter(()))
+    with pytest.raises(ValueError, match="at least one measurement"):
+        certificates_for_selections(state, [], meas, [])
+    # a selection's errors come from the iteration
+    for selection, error, match in (
+            (((0, 1), ()), ValueError, "at least one measurement"),
+            (((), (0, 1)), ValueError, "at least one measurement"),
+            (((0, 0), (1, 2)), ValueError, "repeats a setting"),
+            (((0, 1), (2, 2)), ValueError, "repeats a setting"),
+            (((0, -1), (1, 2)), IndexError, "out of range"),
+            (((0, 7), (1, 2)), IndexError, "out of range"),
+            (((0, 1), (1, 7)), IndexError, "out of range"),
+            (((0, 1.0), (1, 2)), TypeError, "must be integers"),
+            (((True, False), (1, 2)), TypeError, "must be integers"),
+            ((0, (1, 2)), ValueError, "the same number in every selection")):
+        for selections in ([selection], [((0, 1), (0, 1)), selection]):
+            certs = certificates_for_selections(state, meas, meas, selections)
+            with pytest.raises(error, match=match):
+                list(certs)
+    # a change in the number of settings per side, across chunks or in one
+    for selections in ([((0, 1), (0, 1)), ((0, 1, 2), (1, 2))],
+                       [((0, 1), (0, 1)), ((0, 1), (2, 3, 4))] * 3):
+        certs = certificates_for_selections(state, meas, meas, selections)
+        with pytest.raises(ValueError, match="the same number in every selection"):
+            list(certs)
+
+
+def selections_peak_bytes(n: int) -> tuple[int, int]:
+    """The tracemalloc peak over all pair selections of the n-gon, and their count."""
+    state = max_entangled(n)
+    meas = ray_settings(state.model_a, n)
+    pairs = list(itertools.combinations(range(n), 2))
+    tracemalloc.start()
+    try:
+        count = 0
+        for cert in certificates_for_selections(state, meas, meas,
+                                                itertools.product(pairs, pairs)):
+            count += 1
+        return tracemalloc.get_traced_memory()[1], count
+    finally:
+        tracemalloc.stop()
+
+
+def documented_selections_bound(n: int) -> int:
+    """The docstring's memory bound in bytes, for pair selections of the n-gon.
+
+    The full matrix is (1 + 4n)² doubles; twice that covers its build. One
+    stack holds at most ``_SELECTION_BLOCK_ELEMENTS // 81`` matrices of
+    9 × 9. Each takes 81 doubles, twice that for the symmetry check's byte
+    copies, and 1.5 KiB for its indices, spectrum, certificate object and
+    array views.
+    """
+    per_stack = q1._SELECTION_BLOCK_ELEMENTS // 81
+    return 16 * (1 + 4 * n) ** 2 + per_stack * (3 * 8 * 81 + 1536)
+
+
+def test_selections_memory_is_within_its_documented_bound():
+    peak, count = selections_peak_bytes(31)
+    assert count == 216225
+    assert peak < documented_selections_bound(31)
+    # all 216 225 matrices at once would take 140 MB
+    assert peak < 8 * 81 * count / 20
