@@ -19,19 +19,18 @@ import argparse
 import functools
 import json
 import sys
-from typing import IO, Callable
+from typing import IO
 
 import numpy as np
 
 from . import house as house_mod
 from .bipartite import is_inner_product_state
-from .core import DEFAULT_TOL, ModelSpec, dichotomic_measurement, resolve_tol, validate_model
+from .core import DEFAULT_TOL, dichotomic_measurement, resolve_tol, validate_model
 from .correlations import (
     TSIRELSON_BOUND,
     chained,
     chained_local_bound,
     chsh,
-    chsh_max_bruteforce,
     chsh_max_closed_form,
     chsh_max_over_settings,
     correlations_from_state,
@@ -78,8 +77,8 @@ def _dump_json(payload: dict, stream: IO[str]) -> None:
     stream.write("\n")
 
 
-def _parse_model_size(spec: str, check_size: Callable[[int], None]) -> int | None:
-    """The n of ``polygon:<n>``, after ``check_size(n)``, or None for ``house``."""
+def _model_size(spec: str) -> int | None:
+    """The n of ``polygon:<n>``, or None for ``house``."""
     if spec == "house":
         return None
     if spec.startswith("polygon:"):
@@ -87,16 +86,8 @@ def _parse_model_size(spec: str, check_size: Callable[[int], None]) -> int | Non
         # int() would also take signs, spaces, underscores and non-ASCII digits
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"invalid model {spec!r}; expected polygon:<n> with an integer n")
-        n = int(digits)
-        check_size(n)
-        return n
+        return int(digits)
     raise ValueError(f"unknown model {spec!r}; expected polygon:<n> or house")
-
-
-def _parse_model(spec: str, check_size: Callable[[int], None]) -> ModelSpec:
-    """Build ``polygon:<n>`` or ``house``; ``check_size(n)`` runs before a polygon is built."""
-    n = _parse_model_size(spec, check_size)
-    return house_mod.house_model() if n is None else polygon(n)
 
 
 def _csv_row(values) -> str:
@@ -112,7 +103,7 @@ def _chsh_rows(n_from: int, n_to: int, tol: float) -> list[dict]:
     """Scan and closed-form maxima per n; they must agree within ``tol``."""
     rows = []
     for n in range(n_from, n_to + 1):
-        brute, settings = chsh_max_bruteforce(n)
+        brute, settings = chsh_max_over_settings(max_entangled(n))
         analytic = chsh_max_closed_form(n)
         if abs(float(brute) - analytic) > tol:
             raise ArithmeticError(
@@ -211,39 +202,29 @@ def _cmd_distill(args: argparse.Namespace) -> tuple[dict, str]:
     return payload, f"n={args.n}: eps = {eps:.12g}, correlator E(2,1) = {e10:.12g}"
 
 
-def _check_q1_size(n: int, settings: int | None) -> None:
-    # even polygons are screened through the CHSH scan at its argmax pair
-    if n % 2 == 0:
-        if settings is not None:
-            raise argparse.ArgumentError(None, "--settings applies to odd polygons only")
-        _check_size(n, MAX_SCAN_N, "CHSH scan")
-        return
-    _check_size(n, MAX_MODEL_N, "model size")
-    if settings is not None:
-        if settings < 1:
-            raise ValueError(f"settings = {settings} is below the minimum 1")
-        _check_size(settings, MAX_SETTINGS, "certificate settings", "settings")
-
-
 def _cmd_q1_cert(args: argparse.Namespace) -> tuple[dict, str]:
-    if args.model == "house" and args.settings is not None:
+    n, k = _model_size(args.model), args.settings
+    if k is not None and (n is None or n % 2 == 0):
         raise argparse.ArgumentError(None, "--settings applies to odd polygons only")
-    n = _parse_model_size(args.model, lambda n: _check_q1_size(n, args.settings))
     # the state carries the model, so each command builds it once
     if n is None:
         state = house_mod.house_joint_state()
-        meas_a, meas_b = house_mod._demo_measurements(state.model_a)
-    else:
+        meas_a, meas_b = house_mod.house_demo_measurements(state.model_a)
+    elif n % 2 == 0:
+        # even polygons are screened through the CHSH scan at its argmax pair
+        _check_size(n, MAX_SCAN_N, "CHSH scan")
         state = max_entangled(n)
-        model = state.model_a
-        if n % 2:
-            k = 2 if args.settings is None else args.settings
-            meas_a = meas_b = ray_settings(model, k, tol=args.tol)
-        else:
-            # only the scan's argmax pair per side is screened
-            _, (i0, i1, j0, j1) = chsh_max_over_settings(state)
-            meas_a = [dichotomic_measurement(model, i, tol=args.tol) for i in (i0, i1)]
-            meas_b = [dichotomic_measurement(model, j, tol=args.tol) for j in (j0, j1)]
+        _, (i0, i1, j0, j1) = chsh_max_over_settings(state)
+        meas_a = [dichotomic_measurement(state.model_a, i, tol=args.tol) for i in (i0, i1)]
+        meas_b = [dichotomic_measurement(state.model_a, j, tol=args.tol) for j in (j0, j1)]
+    else:
+        _check_size(n, MAX_MODEL_N, "model size")
+        k = 2 if k is None else k
+        if k < 1:
+            raise ValueError(f"settings = {k} is below the minimum 1")
+        _check_size(k, MAX_SETTINGS, "certificate settings", "settings")
+        state = max_entangled(n)
+        meas_a = meas_b = ray_settings(state.model_a, k, tol=args.tol)
 
     if is_inner_product_state(state, args.tol).is_inner_product:
         cert = certificate_from_inner_product_state(state, meas_a, meas_b, args.tol)
@@ -258,8 +239,12 @@ def _cmd_q1_cert(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_selfdual(args: argparse.Namespace) -> tuple[dict, str]:
-    model = _parse_model(
-        args.model, lambda n: _check_size(n, MAX_SELFDUAL_N, "isomorphism search"))
+    n = _model_size(args.model)
+    if n is None:
+        model = house_mod.house_model()
+    else:
+        _check_size(n, MAX_SELFDUAL_N, "isomorphism search")
+        model = polygon(n)
     report = self_duality(model, args.tol)
     witnesses = report.isomorphisms
     payload = {

@@ -229,9 +229,8 @@ class ModelSpec:
             raise ValueError(f"{model.name} failed validation: {report.summary()}")
         return model
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":

@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -432,15 +432,16 @@ class ConditionReport:
     ``chsh_value`` is the best of the 8 sign-relabelled CHSH combinations,
     ``uffink_value`` the best of the 4 quadratic sign patterns. A violation
     of either bound proves the table is outside Q1; passing both proves
-    nothing, hence the verdict "undetermined".
+    nothing, hence the verdict "undetermined". The bounds are fixed class
+    constants: Tsirelson's 2*sqrt(2) and the quadratic bound 4.
     """
 
     chsh_value: float
     chsh_ok: bool
     uffink_value: float
     uffink_ok: bool
-    chsh_bound: float = TSIRELSON_BOUND
-    uffink_bound: float = UFFINK_BOUND
+    chsh_bound: ClassVar[float] = TSIRELSON_BOUND
+    uffink_bound: ClassVar[float] = UFFINK_BOUND
 
     @property
     def verdict(self) -> str:
@@ -503,7 +504,7 @@ def certificate_via_pushforward(omega: JointState, tau,
     pushed = push_local_map(sigma, tau, tol)
     if float(np.abs(pushed.matrix - omega.matrix).max()) > tol:
         raise ValueError("omega is not the pushforward of sigma under tau")
-    pulled = [pull_back_measurement(tau, m) for m in meas_b]
+    pulled = [pull_back_measurement(tau, m, tol) for m in meas_b]
     cert = certificate_from_inner_product_state(sigma, meas_a, pulled, tol)
     direct = correlations_from_state(omega, meas_a, meas_b)
     certified = correlations_from_state(sigma, meas_a, pulled)

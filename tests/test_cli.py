@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -155,6 +156,13 @@ def test_scan_size_cap(args, capsys):
      "exceeds the certificate settings limit"),
     (["q1-cert", "--model", "polygon:7", "--settings", "0"], "below the minimum 1"),
     (["q1-cert", "--model", "polygon:7", "--settings", "-3"], "below the minimum 1"),
+    (["q1-cert", "--model", "polygon:4097", "--settings", "0"], "exceeds the model size limit"),
+    (["q1-cert", "--model", "polygon:4097", "--settings", "300"],
+     "exceeds the model size limit"),
+    (["q1-cert", "--model", "polygon:abc", "--settings", "3"], "invalid model"),
+    (["q1-cert", "--model", "cube", "--settings", "3"], "unknown model"),
+    (["q1-cert", "--model", "house", "--settings", "3", "--tol", "-1"],
+     "tolerance must be finite and non-negative"),
     (["chained", "--n", str(cli.MAX_MODEL_N + 1), "--N", "2"], "exceeds the model size limit"),
     (["chained", "--n", "1000000000", "--N", "2"], "exceeds the model size limit"),
     (["chained", "--n", "600", "--N", str(cli.MAX_SETTINGS + 1)],
@@ -169,7 +177,9 @@ def test_scan_size_cap(args, capsys):
                    "polygon:1_1", "polygon:+9", "polygon: 9 ", "polygon:\u0669")],
 ], ids=["selfdual-huge", "selfdual-cap", "polygon-huge", "polygon-cap",
         "q1-odd-cap", "q1-odd-huge", "q1-settings-cap", "q1-settings-huge",
-        "q1-settings-zero", "q1-settings-negative", "chained-cap", "chained-huge",
+        "q1-settings-zero", "q1-settings-negative", "q1-cap-before-settings-zero",
+        "q1-cap-before-settings-cap", "q1-invalid-before-settings",
+        "q1-unknown-before-settings", "q1-tol-before-settings", "chained-cap", "chained-huge",
         "chained-settings-cap", "chained-settings-huge", "distill-cap", "distill-huge",
         *[f"{command}-{spec}" for command in ("selfdual", "q1-cert")
           for spec in ("float", "empty", "exponent", "hex", "underscore", "sign",
@@ -195,8 +205,9 @@ def test_model_size_caps_run_before_construction(args, message, capsys, monkeypa
     ["q1-cert", "--model", "house", "--settings", "2"],
     ["q1-cert", "--model", "polygon:8", "--settings", "2"],
     ["q1-cert", "--model", "polygon:1000000000", "--settings", "2"],
+    ["q1-cert", "--model", "polygon:2", "--settings", "3"],
 ], ids=["json-out", "n-n-from", "n-n-to", "emit-json", "no-state-flag",
-        "house-settings", "even-settings", "even-huge-settings"])
+        "house-settings", "even-settings", "even-huge-settings", "too-small-even-settings"])
 def test_flags_that_would_be_ignored_are_usage_errors(args, tmp_path, capsys):
     out = tmp_path / "out"
     assert run([a.format(out=out) for a in args]) == 2
@@ -204,6 +215,20 @@ def test_flags_that_would_be_ignored_are_usage_errors(args, tmp_path, capsys):
     assert "error:" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module is None
+               for alias in node.names}
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    attributes = [node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules]
+    assert modules == {"house_mod"}
+    assert [name for name in imported + attributes if name.startswith("_")] == []
 
 
 def test_polygon_rejects_a_model_that_fails_validation(capsys, monkeypatch):

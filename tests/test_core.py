@@ -304,7 +304,9 @@ def test_model_gap_of_one_object_is_the_array_gap(make):
 
 def test_json_roundtrip():
     m = square_model()
-    back = ModelSpec.from_json(m.to_json())
+    text = m.to_json()
+    assert text == json.dumps(m.to_dict(), sort_keys=True)
+    back = ModelSpec.from_json(text)
     assert _model_gap(m, back) <= DEFAULT_TOL
     assert back.name == "square"
     assert back.ray_extremal.all()

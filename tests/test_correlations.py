@@ -153,7 +153,7 @@ def _bitwise_cases():
         # every ray on the first side; a reversed subset on the second
         cases.append(pytest.param(state, rays, rays[::-1][:max(1, n // 3)], id=f"maxent{n}"))
     house = house_joint_state()
-    cases.append(pytest.param(house, *house_demo_measurements(), id="house-demo"))
+    cases.append(pytest.param(house, *house_demo_measurements(house.model_a), id="house-demo"))
     house_rays = ray_settings(house.model_a, 5)
     cases.append(pytest.param(house, house_rays, house_rays, id="house-rays"))
     for k, case in enumerate(_mixed_outcome_tables()):

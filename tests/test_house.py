@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,11 +46,14 @@ def test_first_effect_is_certain_on_two_vertices():
 
 
 def test_joint_state_entries_are_exact():
-    st = house_joint_state()
-    expected = np.array(
-        [[-1.0, -0.25, -0.5], [0.25, -0.5, -0.25], [0.5, -0.25, 1.0]]
-    )
-    np.testing.assert_array_equal(st.matrix, expected)
+    # the published state's entries, as exact fractions
+    expected = [
+        [Fraction(-1), Fraction(-1, 4), Fraction(-1, 2)],
+        [Fraction(1, 4), Fraction(-1, 2), Fraction(-1, 4)],
+        [Fraction(1, 2), Fraction(-1, 4), Fraction(1)],
+    ]
+    matrix = house_joint_state().matrix
+    assert [[Fraction(float(x)) for x in row] for row in matrix] == expected
 
 
 def test_joint_state_membership_and_extremality():
@@ -75,8 +79,8 @@ def test_demo_value_and_correlators():
 
 
 def test_demo_measurement_settings():
-    meas_a, meas_b = house_demo_measurements()
     m = house_model()
+    meas_a, meas_b = house_demo_measurements(m)
     np.testing.assert_array_equal(meas_a[0].effects[0], m.extremal_effects[4])
     np.testing.assert_array_equal(meas_a[1].effects[0], m.extremal_effects[2])
     np.testing.assert_array_equal(meas_b[0].effects[0], m.extremal_effects[1])
@@ -96,7 +100,7 @@ def test_necessary_conditions_flag_the_demo_table():
 def test_quadratic_value_invariant_under_outcome_relabelling():
     from polybell.core import Measurement
 
-    meas_a, meas_b = house_demo_measurements()
+    meas_a, meas_b = house_demo_measurements(house_model())
     st = house_joint_state()
     base = q1_necessary_conditions(correlations_from_state(st, meas_a, meas_b)).uffink_value
 
@@ -113,8 +117,8 @@ def test_quadratic_value_invariant_under_outcome_relabelling():
 
 def test_demo_reuses_model_rays():
     # each demo setting is a two-outcome split of a single extremal ray effect
-    meas_a, meas_b = house_demo_measurements()
     m = house_model()
+    meas_a, meas_b = house_demo_measurements(m)
     unit = m.unit_effect
     for meas in (*meas_a, *meas_b):
         assert meas.effects.shape == (2, 3)

@@ -400,6 +400,34 @@ def test_pushforward_certificate_needs_inner_product_preimage():
         certificate_via_pushforward(omega, tau, meas, meas, sigma=sigma)
 
 
+def test_pushforward_certificate_pulls_back_at_its_tol(monkeypatch):
+    sigma = max_entangled(7)
+    tau = rotation_about_axis(2 * np.pi / 7)
+    omega = push_local_map(sigma, tau)
+    meas = ray_settings(sigma.model_a, 3)
+    tols = []
+
+    def recording(tau, measurement, tol=None):
+        tols.append(tol)
+        return pull_back_measurement(tau, measurement, tol)
+
+    monkeypatch.setattr(q1, "pull_back_measurement", recording)
+    certificate_via_pushforward(omega, tau, meas, meas, sigma=sigma, tol=1e-6)
+    assert tols == [1e-6] * 3
+
+
+def test_pushforward_certificate_stretched_map_meets_the_table_threshold():
+    # a map stretched radially by 2e-6 passes push_local_map at tol = 1e-3, so
+    # its pulled-back effects must pass at that tol too; the table's fixed
+    # negativity threshold is the check that stops it
+    sigma = max_entangled(5)
+    tau = np.diag([1 + 2e-6, 1 + 2e-6, 1.0]) @ rotation_about_axis(2 * np.pi / 5)
+    omega = push_local_map(sigma, tau, 1e-3)
+    meas = ray_settings(sigma.model_a, 2)
+    with pytest.raises(ValueError, match="negative probability"):
+        certificate_via_pushforward(omega, tau, meas, meas, sigma=sigma, tol=1e-3)
+
+
 def test_certificate_arrays_are_read_only():
     state = max_entangled(5)
     meas = ray_settings(state.model_a, 2)
