@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelSpec, Measurement, _model_gap, psd_at, resolve_tol
+from .core import ModelSpec, Measurement, _model_gap, _spectra, psd_at, resolve_tol
 
 # Singular values below this fraction of the largest count as zero when
 # :func:`is_extremal` ranks the active constraints.
@@ -67,7 +67,7 @@ class JointState:
         if m.shape[0] != m.shape[1]:
             return gap, math.nan, math.nan, math.nan
         asymmetry = float(np.abs(m - m.T).max())
-        spectrum = np.linalg.eigvalsh((m + m.T) / 2.0)
+        spectrum = _spectra((m + m.T) / 2.0)
         return gap, asymmetry, float(spectrum[0]), float(spectrum[-1])
 
 

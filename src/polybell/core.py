@@ -53,6 +53,8 @@ import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg import _umath_linalg
 
 DEFAULT_TOL = 1e-9
 
@@ -89,6 +91,24 @@ def psd_at(lowest, highest, tol: float):
     ``tol`` is a resolved tolerance.
     """
     return (lowest >= -tol * abs(lowest)) | (lowest >= -tol * abs(highest))
+
+
+def _no_convergence(err: str, flag: int) -> None:
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _spectra(matrices: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, or of each in a stack.
+
+    The LAPACK kernel behind ``np.linalg.eigvalsh``, reading the lower
+    triangle, without the wrapper's input checks: for float64 input the
+    result is bitwise that of ``np.linalg.eigvalsh``. Raises the same
+    ``LinAlgError`` when LAPACK does not converge, as on a nan entry, and
+    emits no warning. Every spectrum the library takes goes through it.
+    """
+    return _umath_linalg.eigvalsh_lo(matrices, signature="d->d")
 
 
 def as_vector(x, *, dim: int | None = None) -> np.ndarray:

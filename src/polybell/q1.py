@@ -50,8 +50,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from numpy.linalg import _umath_linalg
 
 from .bipartite import (
     JointState,
@@ -60,7 +58,7 @@ from .bipartite import (
     pull_back_measurement,
     push_local_map,
 )
-from .core import Measurement, psd_at, resolve_tol
+from .core import Measurement, _spectra, psd_at, resolve_tol
 from .correlations import (
     TSIRELSON_BOUND,
     CorrelationTable,
@@ -75,24 +73,6 @@ UFFINK_BOUND = 4.0
 # the most matrix entries :func:`certificates_for_selections` stacks at once
 # (512 KiB of doubles)
 _SELECTION_BLOCK_ELEMENTS = 2**16
-
-
-def _no_convergence(err: str, flag: int) -> None:
-    raise LinAlgError("Eigenvalues did not converge")
-
-
-@np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore",
-             under="ignore")
-def _spectra(gammas: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix, or of each in a stack.
-
-    The LAPACK kernel behind ``np.linalg.eigvalsh``, reading the lower
-    triangle, without the wrapper's input checks: for float64 input the
-    result is bitwise that of ``np.linalg.eigvalsh``. Raises the same
-    ``LinAlgError`` when LAPACK does not converge, as on a nan entry, and
-    emits no warning.
-    """
-    return _umath_linalg.eigvalsh_lo(gammas, signature="d->d")
 
 
 def _frozen_spectra(gammas: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -29,26 +29,32 @@ a solution exactly when ``P^T diag(s) N = 0``, where the columns of N span
 the null space of E^T. One SVD of E per model gives N and pinv(E^T), so a
 candidate solves only for its scales, a 3 x 4 system for a four-ray frame
 in three dimensions, and is kept only if the whole solution family is
-one-dimensional. Then ``T = P^T diag(s) pinv(E^T)``. Every ray is checked
-at once: the images ``effects @ T^T``, each ray's scale by projection onto
-its target state, and one residual. A solution is accepted when all scales
-share a sign (which fixes the sign of T), the smallest is at least
-``tol * ||T||``, the residual of the Frobenius-normalized T is at most
-``_RESIDUAL_TOL``, and T is invertible.
+one-dimensional. Such a d x (d + 1) system needs no SVD: its signed
+maximal minors span its null space, and by Cauchy-Binet their length, the
+product of its singular values, proves full rank when it is large enough
+against the system's Frobenius norm. Only a system they cannot prove full
+rank, and a system of any other shape, goes to the SVD, so the nullity is
+the SVD's (see :func:`_null_vectors`). Then ``T = P^T diag(s) pinv(E^T)``.
+Every ray is checked at once: the images ``effects @ T^T``, each ray's
+scale by projection onto its target state, and one residual. A solution
+is accepted when all scales share a sign (which fixes the sign of T), the
+smallest is at least ``tol * ||T||``, the residual of the
+Frobenius-normalized T is at most ``_RESIDUAL_TOL``, and T is invertible.
 
 Simplicial cones (k <= d) leave T underdetermined, so their frame is
 every ray. Whenever the frame is every ray and a candidate's solution
-family is wider than one, its scales are re-solved with equal-scale tie
-rows, which pick the isometry-like member of the family. The frame is
-also every ray when the spread rays are not in general position, which
-happens only outside three dimensions (for example the four-dimensional
-cone over a square pyramid, a direct sum of a ray and a square cone).
+family is wider than one, its scales are re-solved by SVD with
+equal-scale tie rows, which pick the isometry-like member of the family.
+The frame is also every ray when the spread rays are not in general
+position, which happens only outside three dimensions (for example the
+four-dimensional cone over a square pyramid, a direct sum of a ray and a
+square cone).
 
-Candidates are solved in blocks with stacked ``np.linalg.svd`` calls, each
-block's temporaries held to about ``_BLOCK_ELEMENTS`` doubles, so memory
-is O(k) per block. A polygon model costs O(k^2) time: 2k candidates, each
-a constant-size solve plus an O(k) check (about 0.2 s at k = 1024 on one
-core). The fallback feeds ``itertools.permutations`` through the same
+Candidates are solved in stacked blocks, each block's temporaries held
+to about ``_BLOCK_ELEMENTS`` doubles, so memory is O(k) per block. A
+polygon model costs O(k^2) time: 2k candidates, each a constant-size
+solve plus an O(k) check (about 0.3 s at k = 1024 and 1 s at k = 2048 on
+one core). The fallback feeds ``itertools.permutations`` through the same
 blocks.
 
 The search itself does not depend on ``tol``. Every candidate's T and its
@@ -73,7 +79,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bipartite import JointState, local_positivity_margin
-from .core import ModelSpec, psd_at, resolve_tol
+from .core import ModelSpec, _spectra, psd_at, resolve_tol
 
 EXHAUSTIVE_RAY_CAP = 10
 
@@ -138,8 +144,7 @@ def _frame_system(effects: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, .
     frame = np.arange(k)
     if k > d:
         spread = order[(np.arange(d + 1) * k) // (d + 1)]
-        subsets = np.stack([np.delete(effects[spread], i, axis=0) for i in range(d + 1)])
-        sv = np.linalg.svd(subsets, compute_uv=False)
+        sv = np.linalg.svd(effects[spread[_leave_one_out(d + 1)]], compute_uv=False)
         if np.all(sv[:, -1] > _RANK_CUTOFF * np.maximum(sv[:, 0], 1.0)):
             frame = spread
     u, sv, vt = np.linalg.svd(effects[frame])
@@ -148,11 +153,45 @@ def _frame_system(effects: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, .
     return frame, u[:, rank:], inverse, d * (d - rank)
 
 
-def _null_vectors(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _leave_one_out(n: int) -> np.ndarray:
+    """Row i lists 0..n-1 without i: an (n, n - 1) index array."""
+    kept = np.arange(n - 1)
+    return kept + (kept >= np.arange(n)[:, None])
+
+
+def _svd_null_vectors(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per stacked system, its last right-singular vector and its nullity."""
     _, sv, vt = np.linalg.svd(systems)
     rank = np.count_nonzero(sv > _RANK_CUTOFF * np.maximum(sv[:, :1], 1.0), axis=1)
     return vt[:, -1], systems.shape[2] - rank
+
+
+def _null_vectors(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per stacked system, a unit vector of its null space and its nullity.
+
+    An r x (r + 1) system A of rank r has the one-dimensional null space
+    spanned by its signed maximal minors ``c_j = (-1)^j det(A without
+    column j)``. By Cauchy-Binet ``||c|| = s_1 ... s_r`` for the singular
+    values s of A, and ``s_1 <= ||A||_F``, so
+    ``||c|| > _RANK_CUTOFF * max(||A||_F, 1) * ||A||_F^(r - 1)`` proves
+    ``s_r > _RANK_CUTOFF * max(s_1, 1)``: full rank by the SVD's rule. The
+    systems this bound leaves unproved, and every stack of another shape,
+    take :func:`_svd_null_vectors`, so the nullity is the SVD's everywhere.
+    """
+    b, rows, cols = systems.shape
+    if rows == 0 or cols != rows + 1:
+        return _svd_null_vectors(systems)
+    minors = np.linalg.det(systems[:, :, _leave_one_out(cols)].transpose(0, 2, 1, 3))
+    minors[:, 1::2] *= -1.0
+    length = np.sqrt(np.sum(minors * minors, axis=1))
+    size = np.sqrt(np.sum(systems * systems, axis=(1, 2)))
+    proved = length > _RANK_CUTOFF * np.maximum(size, 1.0) * size ** (rows - 1)
+    vectors = minors / np.where(proved, length, 1.0)[:, None]
+    nullity = np.ones(b, dtype=np.intp)
+    unproved = np.flatnonzero(~proved)
+    if unproved.size:
+        vectors[unproved], nullity[unproved] = _svd_null_vectors(systems[unproved])
+    return vectors, nullity
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +247,7 @@ def _solve_block(effects: np.ndarray, states: np.ndarray, system: tuple[np.ndarr
         ties = np.eye(f - 1, f) - np.eye(f - 1, f, 1)
         tied = np.concatenate(
             [scale_system[wide], np.broadcast_to(ties, (wide.sum(), f - 1, f))], axis=1)
-        s[wide], nullity[wide] = _null_vectors(tied)
+        s[wide], nullity[wide] = _svd_null_vectors(tied)
 
     t = (frame_targets * s[..., None]).transpose(0, 2, 1) @ inverse
     t /= np.sqrt(1.0 + np.sum(t * t, axis=(1, 2)))[:, None, None]
@@ -264,12 +303,24 @@ def _candidate_margins(model: ModelSpec) -> _Candidates:
     fields = [np.concatenate(column) for column in zip(*solved)]
     transforms, nullity, sign, _, _, residual, determinant = fields
     passing = np.flatnonzero(nullity & sign & residual & determinant)
-    rounded = np.round(transforms[passing], 8).reshape(passing.size, -1)
-    keys = [tuple(row) for row in rounded.tolist()]
-    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    group = np.full(nullity.size, -1)
-    group[passing] = [rank[key] for key in keys]
-    return _Candidates(*fields, group)
+    return _Candidates(*fields, _group(transforms, passing))
+
+
+def _group(transforms: np.ndarray, passing: np.ndarray) -> np.ndarray:
+    """Rank of each passing transform's 8-decimal key among the distinct keys.
+
+    Keys compare entry by entry in row-major order, so -0.0 and 0.0 are one
+    key; the transforms outside ``passing`` get -1.
+    """
+    width = math.prod(transforms.shape[1:])
+    rounded = np.round(transforms[passing], 8).reshape(passing.size, width)
+    order = np.lexsort(rounded.T[::-1])
+    ordered = rounded[order]
+    fresh = np.ones(passing.size, dtype=bool)
+    fresh[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    group = np.full(transforms.shape[0], -1)
+    group[passing[order]] = np.cumsum(fresh) - 1
+    return group
 
 
 # Model -> its candidates, dihedral or (without an angular order) every
@@ -382,7 +433,7 @@ def self_duality(model: ModelSpec, tol: float | None = None) -> SelfDualityRepor
     accepted, rejected = _accept(candidates, tol)
     stack = candidates.transforms[accepted]
     asymmetry = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
-    spectra = np.linalg.eigvalsh((stack + stack.transpose(0, 2, 1)) / 2.0)
+    spectra = _spectra((stack + stack.transpose(0, 2, 1)) / 2.0)
     min_eig = spectra[:, 0]
     symmetric = asymmetry <= tol
     psd = psd_at(min_eig, spectra[:, -1], tol)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -11,6 +12,7 @@ from polybell.core import (
     Measurement,
     ModelSpec,
     _model_gap,
+    _spectra,
     dichotomic_measurement,
     resolve_tol,
     simplex_model,
@@ -448,3 +450,29 @@ def test_model_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         ModelSpec("bad", 3, m.extremal_states, m.extremal_effects,
                   m.unit_effect, ray_extremal=np.array([True, False]))
+
+
+def test_spectrum_helper_is_bitwise_eigvalsh():
+    rng = np.random.default_rng(1803)
+    for shape in ((1, 1), (9, 9), (4, 9, 9), (3, 17, 17), (0, 5, 5)):
+        a = rng.normal(size=shape)
+        a = a + a.swapaxes(-1, -2)
+        assert _spectra(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+    # both read the lower triangle only
+    a = np.tril(rng.normal(size=(6, 6)))
+    assert _spectra(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (3, 9, 9)])
+def test_spectrum_helper_raises_linalgerror_on_nan_without_a_warning(shape):
+    for spectra in (np.linalg.eigvalsh, _spectra):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                spectra(np.full(shape, np.nan))
+            # a lone nan pair converges to nan eigenvalues, in both
+            stack = np.zeros(shape)
+            stack[..., 2, 1] = stack[..., 1, 2] = np.nan
+            assert spectra(stack).tobytes() == np.linalg.eigvalsh(stack).tobytes()
+    # the caller's floating-point error settings are left as they were
+    assert np.geterr()["invalid"] == "warn"

@@ -1,7 +1,6 @@
 import itertools
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -509,8 +508,8 @@ def test_pushforward_certificate_is_bitwise_the_reference():
 
 
 def test_state_spectrum_is_computed_once_per_state(monkeypatch):
-    # the state's spectrum goes through np.linalg.eigvalsh, each
-    # certificate's through the q1 spectrum helper
+    # both go through the core spectrum helper: the state's through the
+    # bipartite binding, each certificate's through the q1 binding
     state = max_entangled(7)
     meas = ray_settings(state.model_a, 7)
     shapes = []
@@ -521,7 +520,7 @@ def test_state_spectrum_is_computed_once_per_state(monkeypatch):
             return original(a, *args, **kwargs)
         return count
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    monkeypatch.setattr(bipartite, "_spectra", counting(bipartite._spectra))
     monkeypatch.setattr(q1, "_spectra", counting(q1._spectra))
     pairs = list(itertools.combinations(range(7), 2))
     for (i0, i1), (j0, j1) in itertools.islice(itertools.product(pairs, pairs), 100):
@@ -529,32 +528,6 @@ def test_state_spectrum_is_computed_once_per_state(monkeypatch):
                                              [meas[j0], meas[j1]])
     assert shapes.count(state.matrix.shape) == 1
     assert shapes.count((9, 9)) == 100
-
-
-def test_spectrum_helper_is_bitwise_eigvalsh():
-    rng = np.random.default_rng(1803)
-    for shape in ((1, 1), (9, 9), (4, 9, 9), (3, 17, 17), (0, 5, 5)):
-        a = rng.normal(size=shape)
-        a = a + a.swapaxes(-1, -2)
-        assert q1._spectra(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
-    # both read the lower triangle only
-    a = np.tril(rng.normal(size=(6, 6)))
-    assert q1._spectra(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
-
-
-@pytest.mark.parametrize("shape", [(9, 9), (3, 9, 9)])
-def test_spectrum_helper_raises_linalgerror_on_nan_without_a_warning(shape):
-    for spectra in (np.linalg.eigvalsh, q1._spectra):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-                spectra(np.full(shape, np.nan))
-            # a lone nan pair converges to nan eigenvalues, in both
-            stack = np.zeros(shape)
-            stack[..., 2, 1] = stack[..., 1, 2] = np.nan
-            assert spectra(stack).tobytes() == np.linalg.eigvalsh(stack).tobytes()
-    # the caller's floating-point error settings are left as they were
-    assert np.geterr()["invalid"] == "warn"
 
 
 def test_override_layout_is_built_once_per_outcome_counts(monkeypatch):

@@ -434,6 +434,155 @@ def test_solves_agree_when_the_frame_does_not_span():
     assert not found[1].any() and not expected[1].any()
 
 
+def recording_svd(monkeypatch):
+    """Patch ``np.linalg.svd`` to record a copy of every input; return the list."""
+    inputs = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return inputs
+
+
+@pytest.mark.parametrize("model", [polygon(n) for n in range(4, 65)] + [house_model()],
+                         ids=lambda m: m.name)
+def test_search_calls_the_svd_only_for_the_frame(model, monkeypatch):
+    # the general-position check and the frame's own solve, and no stack of
+    # 3 x 4 scale systems; the check sees what the np.delete loop built
+    inputs = recording_svd(monkeypatch)
+    selfdual._candidate_margins(model)
+    assert [a.shape for a in inputs] == [(4, 3, 3), (4, 3)]
+    effects = model.ray_effects
+    spread = selfdual._cycle_order(effects)[(np.arange(4) * effects.shape[0]) // 4]
+    subsets = np.stack([np.delete(effects[spread], i, axis=0) for i in range(4)])
+    assert inputs[0].tobytes() == subsets.tobytes()
+
+
+def test_simplicial_search_solves_by_svd_with_tie_rows(monkeypatch):
+    # the 3-gon's frame is every ray: no null-space rows, then two tie rows
+    inputs = recording_svd(monkeypatch)
+    assert len(selfdual._candidate_margins(polygon(3)).group) == 6
+    assert [a.shape for a in inputs] == [(3, 3), (6, 0, 3), (6, 2, 3)]
+
+
+def near_cutoff_systems(rows, sigma_1, delta, rng):
+    """Stacks ``U diag(s) V^T`` of rows x (rows + 1) systems whose smallest
+    singular value sits at ``_RANK_CUTOFF * max(s_1, 1) * (1 +- delta)``:
+    first the ones above the SVD's cutoff, then the ones below it."""
+    stacks = []
+    for side in (1.0, -1.0):
+        sv = np.geomspace(sigma_1, sigma_1 * 1e-2, rows)
+        sv[-1] = selfdual._RANK_CUTOFF * max(sigma_1, 1.0) * (1.0 + side * delta)
+        systems = []
+        for _ in range(8):
+            u = np.linalg.qr(rng.normal(size=(rows, rows)))[0]
+            v = np.linalg.qr(rng.normal(size=(rows + 1, rows + 1)))[0][:, :rows]
+            systems.append((u * sv) @ v.T)
+        stacks.append(np.array(systems))
+    return np.concatenate(stacks)
+
+
+@pytest.mark.parametrize("rows", [3, 4])
+@pytest.mark.parametrize("sigma_1", [0.25, 1.0, 7.0, 300.0])
+@pytest.mark.parametrize("delta", [1e-4, 1e-3, 1e-2, 1e-1])
+def test_null_vectors_at_the_rank_cutoff_are_the_svds(rows, sigma_1, delta, monkeypatch):
+    # the minors cannot prove full rank this close to the cutoff, so every
+    # system goes to the SVD, on both sides of the cutoff
+    systems = near_cutoff_systems(rows, sigma_1, delta, np.random.default_rng(2001))
+    inputs = recording_svd(monkeypatch)
+    vectors, nullity = selfdual._null_vectors(systems)
+    assert len(inputs) == 1 and inputs[0].tobytes() == systems.tobytes()
+    expected_vectors, expected_nullity = frame_null_vectors_reference(systems)
+    assert np.array_equal(nullity, expected_nullity)
+    assert nullity.tolist() == [1] * 8 + [2] * 8
+    assert vectors.tobytes() == expected_vectors.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_null_vectors_of_well_conditioned_systems_need_no_svd(rows, monkeypatch):
+    rng = np.random.default_rng(2002 + rows)
+    systems = rng.normal(size=(50, rows, rows + 1)) * np.geomspace(1e-3, 1e3, 50)[:, None, None]
+    inputs = recording_svd(monkeypatch)
+    vectors, nullity = selfdual._null_vectors(systems)
+    assert inputs == []
+    expected_vectors, expected_nullity = frame_null_vectors_reference(systems)
+    assert np.array_equal(nullity, expected_nullity)
+    # one null direction, up to sign
+    assert np.abs(np.abs(np.sum(vectors * expected_vectors, axis=1)) - 1.0).max() <= 1e-12
+    assert np.abs(np.einsum("bij,bj->bi", systems, vectors)).max() <= 1e-12 * np.abs(systems).max()
+
+
+def test_null_vectors_mix_minors_and_svd_in_one_stack(monkeypatch):
+    # a zero system and a rank-one system among full-rank ones: only those
+    # two go to the SVD, and the stack keeps its order
+    rng = np.random.default_rng(2006)
+    systems = rng.normal(size=(6, 3, 4))
+    systems[1] = 0.0
+    systems[4] = np.outer(rng.normal(size=3), rng.normal(size=4))
+    inputs = recording_svd(monkeypatch)
+    vectors, nullity = selfdual._null_vectors(systems)
+    assert [a.tobytes() for a in inputs] == [systems[[1, 4]].tobytes()]
+    expected_vectors, expected_nullity = frame_null_vectors_reference(systems)
+    assert nullity.tolist() == expected_nullity.tolist() == [1, 4, 1, 1, 3, 1]
+    assert vectors[[1, 4]].tobytes() == expected_vectors[[1, 4]].tobytes()
+
+
+def group_reference(transforms, passing):
+    """``group`` by Python tuples: each passing transform's 8-decimal key,
+    ranked in the sorted set of those keys; -1 for the others."""
+    width = math.prod(transforms.shape[1:])
+    rounded = np.round(transforms[passing], 8).reshape(passing.size, width)
+    keys = [tuple(row) for row in rounded.tolist()]
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    group = np.full(transforms.shape[0], -1)
+    group[passing] = [rank[key] for key in keys]
+    return group
+
+
+@pytest.mark.parametrize("model", [polygon(n) for n in range(3, 129)]
+                         + [house_model(), square_pyramid_model(),
+                            tilted(polygon(6)), tilted(polygon(7))],
+                         ids=lambda m: m.name)
+def test_group_matches_tuple_ranks(model):
+    c = selfdual._candidate_margins(model)
+    passing = np.flatnonzero(c.nullity & c.sign & c.residual & c.determinant)
+    assert passing.size > 0
+    expected = group_reference(c.transforms, passing)
+    assert np.array_equal(c.group, expected) and c.group.dtype == expected.dtype
+
+
+def test_model_without_isomorphisms_rejects_every_candidate():
+    # one state pulled inward: five rays each side, but the state cone is
+    # no longer linearly a regular pentagon's
+    base = polygon(5)
+    states = base.extremal_states.copy()
+    states[0, :2] *= 0.9
+    bent = ModelSpec("bent", 3, states, base.extremal_effects, base.unit_effect,
+                     base.ray_extremal)
+    report = self_duality(bent)
+    assert not report.weak and not report.strong
+    assert report.candidates == 10
+    assert sum(report.rejected.values()) == 10 and report.rejected["duplicate"] == 0
+    assert find_cone_isomorphisms(bent) == []
+    assert np.all(selfdual._searched(bent).group == -1)
+
+
+def test_group_ranks_negative_zero_with_zero():
+    # -1e-10 rounds to -0.0: one key with 0.0 and 1e-10, and the others
+    # rank around it entry by entry
+    entries = [[-1e-10, 1.0], [0.0, 1.0], [1e-10, 1.0], [0.0, -1.0], [-0.0, 0.5],
+               [2.0, -3.0], [-1e-10, -1.0], [1.0, 1.0]]
+    transforms = np.array([[[a, b], [0.0, 1.0]] for a, b in entries])
+    assert np.signbit(np.round(transforms[0, 0, 0], 8))
+    for passing in (np.arange(8), np.array([0, 2, 3, 5]), np.array([6]), np.array([], dtype=int)):
+        group = selfdual._group(transforms, passing)
+        assert np.array_equal(group, group_reference(transforms, passing))
+    assert selfdual._group(transforms, np.arange(8)).tolist() == [2, 2, 2, 0, 1, 4, 0, 3]
+
+
 def flip_orders(margin):
     above, below = margin * (1 + 1e-6), margin * (1 - 1e-6)
     return [(above, True), (below, False), (above, True)], \
