@@ -69,7 +69,7 @@ MAX_SETTINGS = 256
 # time and O(n) memory per block of candidates: at this size
 # `polybell selfdual --model polygon:2048` takes about 1.1 s wall and 37 MB
 # peak RSS in a fresh process with one BLAS thread (Xeon, Python 3.11,
-# numpy 2.4), about 1 s of it the search.
+# numpy 2.4), about 0.7 s of it the search.
 MAX_SELFDUAL_N = 2048
 
 

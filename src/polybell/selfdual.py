@@ -53,9 +53,9 @@ square cone).
 Candidates are solved in stacked blocks, each block's temporaries held
 to about ``_BLOCK_ELEMENTS`` doubles, so memory is O(k) per block. A
 polygon model costs O(k^2) time: 2k candidates, each a constant-size
-solve plus an O(k) check (about 0.3 s at k = 1024 and 1 s at k = 2048 on
-one core). The fallback feeds ``itertools.permutations`` through the same
-blocks.
+solve plus an O(k) check (about 0.2 s at k = 1024 and 0.7 s at k = 2048
+on one core). The fallback feeds ``itertools.permutations`` through the
+same blocks.
 
 The search itself does not depend on ``tol``. Every candidate's T and its
 tolerance-free margins (nullity, sign, ``||T||``, smallest scale, residual,
@@ -66,17 +66,23 @@ tolerance asked for are kept as well, so a search followed by its
 self-duality report at the same ``tol`` applies the rules once.
 :func:`self_duality` reports the isomorphisms, the strong witness with its
 margins, how many candidates were tried and rejected by each rule, and how
-many isomorphisms each witness rule turned away.
+many isomorphisms each witness rule turned away. It takes the spectra of
+the symmetric isomorphisms only (n + 1 of a polygon's 2n for odd n, n for
+even n): the PSD rule counts an isomorphism only once it has passed the
+symmetry rule, and each spectrum is that matrix's alone, so the witness,
+its smallest eigenvalue and every count are as with every spectrum taken.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .bipartite import JointState, local_positivity_margin
 from .core import ModelSpec, _spectra, psd_at, resolve_tol
@@ -118,7 +124,7 @@ def _dihedral_blocks(n_rays: int, effect_order: np.ndarray,
         rows = slice(start, start + block)
         positions = (offsets[rows, None] + flips[rows, None] * base) % n_rays
         perms = np.empty(positions.shape, dtype=int)
-        perms[:, effect_order] = state_order[positions]
+        perms[:, effect_order] = state_order.take(positions)
         yield perms
 
 
@@ -153,10 +159,22 @@ def _frame_system(effects: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, .
     return frame, u[:, rank:], inverse, d * (d - rank)
 
 
+@functools.cache
 def _leave_one_out(n: int) -> np.ndarray:
-    """Row i lists 0..n-1 without i: an (n, n - 1) index array."""
+    """Row i lists 0..n-1 without i: a read-only (n, n - 1) index array."""
     kept = np.arange(n - 1)
-    return kept + (kept >= np.arange(n)[:, None])
+    table = kept + (kept >= np.arange(n)[:, None])
+    table.flags.writeable = False
+    return table
+
+
+def _dets(matrices: np.ndarray) -> np.ndarray:
+    """Determinant of each float64 matrix in a stack.
+
+    The LAPACK kernel behind ``np.linalg.det``, without the wrapper's input
+    checks, so the result is bitwise that of ``np.linalg.det``.
+    """
+    return _umath_linalg.det(matrices, signature="d->d")
 
 
 def _svd_null_vectors(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +199,7 @@ def _null_vectors(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b, rows, cols = systems.shape
     if rows == 0 or cols != rows + 1:
         return _svd_null_vectors(systems)
-    minors = np.linalg.det(systems[:, :, _leave_one_out(cols)].transpose(0, 2, 1, 3))
+    minors = _dets(systems[:, :, _leave_one_out(cols)].transpose(0, 2, 1, 3))
     minors[:, 1::2] *= -1.0
     length = np.sqrt(np.sum(minors * minors, axis=1))
     size = np.sqrt(np.sum(systems * systems, axis=(1, 2)))
@@ -192,6 +210,23 @@ def _null_vectors(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if unproved.size:
         vectors[unproved], nullity[unproved] = _svd_null_vectors(systems[unproved])
     return vectors, nullity
+
+
+def _row_sums(p: np.ndarray) -> np.ndarray:
+    """``np.sum(p, axis=-1)`` of a C-contiguous array, bitwise.
+
+    numpy adds a contiguous axis shorter than its pairwise block of 8 one
+    entry at a time from 0.0 (so -0.0 entries sum to 0.0). For such an axis
+    the same adds, one column at a time, skip the reduction's per-row cost;
+    a longer axis keeps ``np.sum``.
+    """
+    d = p.shape[-1]
+    if d >= 8:
+        return np.sum(p, axis=-1)
+    total = 0.0 + p[..., 0]
+    for j in range(1, d):
+        total += p[..., j]
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +273,7 @@ def _solve_block(effects: np.ndarray, states: np.ndarray, system: tuple[np.ndarr
     frame, null, inverse, fixed = system
     k, d = effects.shape
     b, f = perms.shape[0], frame.size
-    frame_targets = states[perms[:, frame]]
+    frame_targets = states.take(perms.take(frame, axis=1), axis=0)
     # row (r, q) reads sum_j P[j, r] N[j, q] s_j = 0
     scale_system = np.einsum("bjr,jq->brqj", frame_targets, null).reshape(b, -1, f)
     s, nullity = _null_vectors(scale_system)
@@ -252,8 +287,8 @@ def _solve_block(effects: np.ndarray, states: np.ndarray, system: tuple[np.ndarr
     t = (frame_targets * s[..., None]).transpose(0, 2, 1) @ inverse
     t /= np.sqrt(1.0 + np.sum(t * t, axis=(1, 2)))[:, None, None]
     images = effects @ t.transpose(0, 2, 1)
-    targets = states[perms]
-    scales = np.sum(images * targets, axis=2) / np.sum(targets * targets, axis=2)
+    targets = states.take(perms, axis=0)
+    scales = _row_sums(images * targets) / np.sum(states * states, axis=1).take(perms)
     negative = np.all(scales < 0, axis=1)
     sign = np.all(scales > 0, axis=1) | negative
     norm = np.linalg.norm(t, axis=(1, 2))
@@ -264,7 +299,7 @@ def _solve_block(effects: np.ndarray, states: np.ndarray, system: tuple[np.ndarr
     residual = np.abs(images * factor[:, None, None] - scales[..., None] * targets)
     return (t, nullity + fixed == 1, sign, norm, scales.min(axis=1),
             residual.max(axis=(1, 2)) <= _RESIDUAL_TOL,
-            np.abs(np.linalg.det(t)) >= 1e-9)
+            np.abs(_dets(t)) >= 1e-9)
 
 
 def _candidate_margins(model: ModelSpec) -> _Candidates:
@@ -399,7 +434,10 @@ class SelfDualityReport:
     ``witness_asymmetry`` and ``witness_min_eigenvalue`` are its asymmetry
     and smallest eigenvalue (all three None when no witness exists).
     ``witness_rejected`` counts the isomorphisms that fail the witness
-    test, each under the first of the two rules it fails.
+    test, each under the first of the two rules it fails. Only the
+    isomorphisms that pass "asymmetry" reach "psd", so only their spectra
+    are taken; each spectrum depends on its own matrix alone, so the
+    witness and both counts are those of every spectrum taken.
     ``candidates`` counts the bijections tried and ``rejected`` the ones
     each rule turned away: ``nullity`` (the solve's null space is not
     one-dimensional), ``sign`` (the ray scales do not share a sign),
@@ -431,23 +469,23 @@ def self_duality(model: ModelSpec, tol: float | None = None) -> SelfDualityRepor
     tol = resolve_tol(tol)
     candidates = _searched(model)
     accepted, rejected = _accept(candidates, tol)
-    stack = candidates.transforms[accepted]
+    stack = candidates.transforms.take(accepted, axis=0)
     asymmetry = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
-    spectra = _spectra((stack + stack.transpose(0, 2, 1)) / 2.0)
-    min_eig = spectra[:, 0]
-    symmetric = asymmetry <= tol
-    psd = psd_at(min_eig, spectra[:, -1], tol)
-    hits = np.flatnonzero(symmetric & psd)
-    first = hits[0] if hits.size else None
+    # only a symmetric isomorphism can be the witness or fail "psd"
+    symmetric = np.flatnonzero(asymmetry <= tol)
+    maps = stack.take(symmetric, axis=0)
+    spectra = _spectra((maps + maps.transpose(0, 2, 1)) / 2.0)
+    psd = np.flatnonzero(psd_at(spectra[:, 0], spectra[:, -1], tol))
+    first = symmetric[psd[0]] if psd.size else None
     return SelfDualityReport(
         isomorphisms=list(stack),
         witness=None if first is None else stack[first],
         witness_asymmetry=None if first is None else float(asymmetry[first]),
-        witness_min_eigenvalue=None if first is None else float(min_eig[first]),
+        witness_min_eigenvalue=None if first is None else float(spectra[psd[0], 0]),
         candidates=candidates.norm.size,
         rejected=rejected,
-        witness_rejected={"asymmetry": int(np.count_nonzero(~symmetric)),
-                          "psd": int(np.count_nonzero(symmetric & ~psd))},
+        witness_rejected={"asymmetry": stack.shape[0] - symmetric.size,
+                          "psd": symmetric.size - psd.size},
     )
 
 

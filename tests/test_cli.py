@@ -500,6 +500,29 @@ def test_odd_q1_cert_output_bytes_are_unchanged(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == Q1_CERT_STDOUT_SHA256[argv]
 
 
+# sha256 of `selfdual --json` stdout from before the report took witness
+# spectra of the symmetric isomorphisms alone
+SELFDUAL_JSON_SHA256 = {
+    ("selfdual", "--model", "polygon:7", "--json"):
+        "cbc6d87ed48583489062629867f08e29889ca287775fa69e6099870dcf7db48f",
+    ("selfdual", "--model", "polygon:9", "--json"):
+        "84a71064d13b20e2e8cea5619746b91260b8ba5bb252dfc4a5943cf28690935b",
+    ("selfdual", "--model", "polygon:64", "--json"):
+        "3304755e4df5ec541e31b985eefd978f5177cb20a96d9c4bed107305116cc402",
+    ("selfdual", "--model", "house", "--json"):
+        "f571de1e692d3b51471530f67599e75ad0b51f775bf6b567e4747cb0aa7f1c8c",
+    ("selfdual", "--model", "polygon:7", "--tol", "0", "--json"):
+        "cbc6d87ed48583489062629867f08e29889ca287775fa69e6099870dcf7db48f",
+}
+
+
+@pytest.mark.parametrize("argv", list(SELFDUAL_JSON_SHA256), ids=" ".join)
+def test_selfdual_json_bytes_are_unchanged(argv, capsys):
+    assert run(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFDUAL_JSON_SHA256[argv]
+
+
 def test_distill_rejects_odd():
     result = run_cli("distill", "--n", "7")
     assert result.returncode == 1

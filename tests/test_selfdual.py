@@ -12,7 +12,7 @@ from polybell.bipartite import (
     is_inner_product_state,
     local_positivity_margin,
 )
-from polybell.core import ROUNDING_TOL, ModelSpec, resolve_tol
+from polybell.core import ROUNDING_TOL, ModelSpec, _spectra, psd_at, resolve_tol
 from polybell.house import house_model
 from polybell.polygon import max_entangled, polygon
 from polybell.selfdual import (
@@ -530,6 +530,52 @@ def test_null_vectors_mix_minors_and_svd_in_one_stack(monkeypatch):
     assert vectors[[1, 4]].tobytes() == expected_vectors[[1, 4]].tobytes()
 
 
+# Guards on the numpy behaviour the search relies on for bitwise results: a
+# numpy that changes its reduction order or its gathers fails here first.
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_row_sums_are_bitwise_np_sum(d):
+    rng = np.random.default_rng(2100 + d)
+    rows = rng.normal(size=(4000, 7, d)) * np.exp(rng.normal(scale=8.0, size=(4000, 7, d)))
+    signed_zeros = np.array(list(itertools.product((0.0, -0.0), repeat=d)))
+    for p in (rows, signed_zeros, rng.normal(size=(0, d))):
+        assert selfdual._row_sums(p).tobytes() == np.sum(p, axis=-1).tobytes()
+    # all -0.0 sums to 0.0
+    assert not np.signbit(selfdual._row_sums(np.full((1, d), -0.0))).any()
+
+
+def test_take_is_the_fancy_index():
+    rng = np.random.default_rng(2101)
+    states = rng.normal(size=(31, 3))
+    perms = rng.permuted(np.tile(np.arange(31), (62, 1)), axis=1)
+    frame = np.array([0, 7, 15, 23])
+    assert states.take(perms, axis=0).tobytes() == states[perms].tobytes()
+    assert states.take(perms.take(frame, axis=1), axis=0).tobytes() == \
+        states[perms[:, frame]].tobytes()
+    assert states[:, 0].take(perms).tobytes() == states[:, 0][perms].tobytes()
+
+
+def test_det_helper_is_bitwise_np_linalg_det():
+    rng = np.random.default_rng(2102)
+    for shape in ((3, 3), (62, 3, 3), (62, 4, 3, 3), (5, 4, 4), (0, 3, 3), (2, 1, 1)):
+        a = rng.normal(size=shape)
+        assert selfdual._dets(a).tobytes() == np.linalg.det(a).tobytes()
+    # a strided stack, as the minors take it, and singular matrices
+    systems = rng.normal(size=(62, 3, 4))
+    minors = systems[:, :, selfdual._leave_one_out(4)].transpose(0, 2, 1, 3)
+    assert selfdual._dets(minors).tobytes() == np.linalg.det(minors).tobytes()
+    singular = np.repeat(rng.normal(size=(4, 1, 3)), 3, axis=1)
+    assert selfdual._dets(singular).tobytes() == np.linalg.det(singular).tobytes()
+
+
+def test_leave_one_out_table_is_read_only():
+    table = selfdual._leave_one_out(4)
+    assert table.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+    assert selfdual._leave_one_out(4) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+
+
 def group_reference(transforms, passing):
     """``group`` by Python tuples: each passing transform's 8-decimal key,
     ranked in the sorted set of those keys; -1 for the others."""
@@ -554,14 +600,18 @@ def test_group_matches_tuple_ranks(model):
     assert np.array_equal(c.group, expected) and c.group.dtype == expected.dtype
 
 
-def test_model_without_isomorphisms_rejects_every_candidate():
-    # one state pulled inward: five rays each side, but the state cone is
-    # no longer linearly a regular pentagon's
+def bent_pentagon() -> ModelSpec:
+    """The pentagon with one state pulled inward: five rays each side, but
+    the state cone is no longer linearly a regular pentagon's."""
     base = polygon(5)
     states = base.extremal_states.copy()
     states[0, :2] *= 0.9
-    bent = ModelSpec("bent", 3, states, base.extremal_effects, base.unit_effect,
+    return ModelSpec("bent", 3, states, base.extremal_effects, base.unit_effect,
                      base.ray_extremal)
+
+
+def test_model_without_isomorphisms_rejects_every_candidate():
+    bent = bent_pentagon()
     report = self_duality(bent)
     assert not report.weak and not report.strong
     assert report.candidates == 10
@@ -657,6 +707,90 @@ def test_report_counts_every_candidate_once(model):
     # ones whose scales change sign
     report = self_duality(square_pyramid_model())
     assert report.rejected["nullity"] > 0 and report.rejected["sign"] > 0
+
+
+def self_duality_reference(model, tol=None):
+    """``self_duality`` as it was, taking the spectrum of every isomorphism."""
+    tol = resolve_tol(tol)
+    candidates = selfdual._searched(model)
+    accepted, rejected = selfdual._accept(candidates, tol)
+    stack = candidates.transforms[accepted]
+    asymmetry = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    spectra = _spectra((stack + stack.transpose(0, 2, 1)) / 2.0)
+    min_eig = spectra[:, 0]
+    symmetric = asymmetry <= tol
+    psd = psd_at(min_eig, spectra[:, -1], tol)
+    hits = np.flatnonzero(symmetric & psd)
+    first = hits[0] if hits.size else None
+    return selfdual.SelfDualityReport(
+        isomorphisms=list(stack),
+        witness=None if first is None else stack[first],
+        witness_asymmetry=None if first is None else float(asymmetry[first]),
+        witness_min_eigenvalue=None if first is None else float(min_eig[first]),
+        candidates=candidates.norm.size,
+        rejected=rejected,
+        witness_rejected={"asymmetry": int(np.count_nonzero(~symmetric)),
+                          "psd": int(np.count_nonzero(symmetric & ~psd))},
+    )
+
+
+REPORT_MODELS = ([lambda n=n: polygon(n) for n in [*range(3, 130), 257]]
+                 + [house_model, square_pyramid_model, bent_pentagon]
+                 + [lambda n=n: tilted(polygon(n)) for n in (5, 6, 7)])
+
+
+def test_report_is_the_reference_field_for_field():
+    # spectra of the symmetric isomorphisms alone leave every field as the
+    # spectra of all of them gave it, bit for bit
+    for make in REPORT_MODELS:
+        model = make()
+        for tol in (None, 0.0, 1e-3):
+            found, expected = self_duality(model, tol), self_duality_reference(model, tol)
+            assert len(found.isomorphisms) == len(expected.isomorphisms)
+            assert all(x.tobytes() == y.tobytes()
+                       for x, y in zip(found.isomorphisms, expected.isomorphisms))
+            if expected.witness is None:
+                assert found.witness is None
+            else:
+                assert found.witness.tobytes() == expected.witness.tobytes()
+            assert found.witness_asymmetry == expected.witness_asymmetry
+            assert found.witness_min_eigenvalue == expected.witness_min_eigenvalue
+            assert found.candidates == expected.candidates
+            for name in ("rejected", "witness_rejected"):
+                assert getattr(found, name) == getattr(expected, name), (model.name, tol)
+                assert list(getattr(found, name)) == list(getattr(expected, name))
+                assert all(type(v) is int for v in getattr(found, name).values())
+
+
+def recording_spectra(monkeypatch):
+    """Patch ``selfdual._spectra`` to record its input lengths; return the list."""
+    lengths = []
+
+    def recording(matrices):
+        lengths.append(len(matrices))
+        return _spectra(matrices)
+
+    monkeypatch.setattr(selfdual, "_spectra", recording)
+    return lengths
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_report_takes_spectra_of_symmetric_isomorphisms_only(n, monkeypatch):
+    # of the 2n isomorphisms the n reflections are symmetric, and for odd n
+    # the identity as well
+    lengths = recording_spectra(monkeypatch)
+    report = self_duality(polygon(n))
+    assert len(report.isomorphisms) == 2 * n
+    assert lengths == [n + 1 if n % 2 else n]
+    assert report.witness_rejected["asymmetry"] == 2 * n - lengths[0]
+
+
+def test_report_takes_spectra_of_an_empty_stack(monkeypatch):
+    lengths = recording_spectra(monkeypatch)
+    assert self_duality(house_model()).strong
+    report = self_duality(bent_pentagon())
+    assert not report.weak and report.witness_rejected == {"asymmetry": 0, "psd": 0}
+    assert lengths == [2, 0]
 
 
 def accept_reference(candidates, tol):
