@@ -94,10 +94,21 @@ def in_max_tensor_product(state: JointState, tol: float | None = None) -> bool:
     Requires unit normalization and non-negative pairing with every product
     of extremal effects (sufficient for all product effects by convexity).
     """
-    tol = resolve_tol(tol)
+    return _failed_membership_rule(state, resolve_tol(tol)) is None
+
+
+def _failed_membership_rule(state: JointState, tol: float) -> str | None:
+    """The first rule of :func:`in_max_tensor_product` that ``state`` fails, or None.
+
+    ``tol`` is a resolved tolerance. The rules, in order: "normalization"
+    (``u . M u`` within ``tol`` of 1, computed once) and "local positivity"
+    (:func:`local_positivity_margin` at least ``-tol``).
+    """
     if abs(normalization(state) - 1.0) > tol:
-        return False
-    return local_positivity_margin(state) >= -tol
+        return "normalization"
+    if not local_positivity_margin(state) >= -tol:
+        return "local positivity"
+    return None
 
 
 def is_extremal(state: JointState, tol: float | None = None) -> bool:

@@ -1,11 +1,14 @@
 """Command-line frontend: model emission, Bell scans, certificates, demos.
 
 Exit codes: 0 success, 1 validation or computation failure, 2 usage error.
-Each subcommand returns a JSON payload and its text rendering and prints
-nothing; ``run`` writes one of the two to stdout. All JSON output carries a
-schema_version field and sorted keys; CSV floats are rendered with %.12g.
-Setting labels in human-readable and JSON output are 1-based (matching the
-way the models are usually drawn), while the Python API stays 0-based.
+Each subcommand returns a JSON payload and its text rendering and writes
+nothing; ``run`` writes one of the two to stdout, or to the file named by
+``--emit`` (the JSON) or ``--out`` (the text) and then prints which file it
+wrote. A file that cannot be written is an error (exit 1). All JSON output
+carries a schema_version field and sorted keys; CSV floats are rendered
+with %.12g. Setting labels in human-readable and JSON output are 1-based
+(matching the way the models are usually drawn), while the Python API
+stays 0-based.
 
 The argument parser is built once per process, on the first call rather
 than at import, and every later ``run`` reuses it, so a repeated in-process
@@ -73,9 +76,13 @@ MAX_SETTINGS = 256
 MAX_SELFDUAL_N = 2048
 
 
-def _dump_json(payload: dict, stream: IO[str]) -> None:
-    payload.setdefault("schema_version", CLI_SCHEMA_VERSION)
-    json.dump(payload, stream, sort_keys=True, indent=2)
+def _write(stream: IO[str], payload: dict, text: str, as_json: bool) -> None:
+    """Write ``payload`` as JSON, or ``text``, and a newline, to ``stream``."""
+    if as_json:
+        payload.setdefault("schema_version", CLI_SCHEMA_VERSION)
+        json.dump(payload, stream, sort_keys=True, indent=2)
+    else:
+        stream.write(text)
     stream.write("\n")
 
 
@@ -136,14 +143,9 @@ def _cmd_polygon(args: argparse.Namespace) -> tuple[dict, str]:
     report = validate_model(model, args.tol)
     if not report.ok:
         raise ValueError(f"{model.name} failed validation: {report.summary()}")
-    payload = model.to_dict()
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            _dump_json(payload, fh)
-        return payload, f"wrote {args.emit}"
     ray_count = int(np.sum(model.ray_extremal))
-    return payload, (f"{model.name}: {model.n_states} states, {model.n_effects} effects "
-                     f"({ray_count} ray-extremal), dim {model.dim}")
+    return model.to_dict(), (f"{model.name}: {model.n_states} states, {model.n_effects} "
+                             f"effects ({ray_count} ray-extremal), dim {model.dim}")
 
 
 def _cmd_chsh_max(args: argparse.Namespace) -> tuple[dict, str]:
@@ -158,13 +160,7 @@ def _cmd_chsh_max(args: argparse.Namespace) -> tuple[dict, str]:
         raise ValueError("need 3 <= n-from <= n-to")
     _check_size(n_to, MAX_SCAN_N, "CHSH scan")
     rows = _chsh_rows(n_from, n_to, args.tol)
-    payload = {"rows": rows, "tsirelson": TSIRELSON_BOUND}
-    text = _chsh_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text + "\n")
-        text = f"wrote {args.out}"
-    return payload, text
+    return {"rows": rows, "tsirelson": TSIRELSON_BOUND}, _chsh_csv(rows)
 
 
 def _cmd_chained(args: argparse.Namespace) -> tuple[dict, str]:
@@ -296,6 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="polybell",
         description="Polygon and house models, Bell functionals, certificates.",
     )
+    # --emit and --out name a file; run writes it
+    parser.set_defaults(emit=None, out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("polygon", help="construct a polygon model")
@@ -369,10 +367,17 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        _dump_json(payload, sys.stdout)
-    else:
-        print(text)
+    path = args.emit if args.emit is not None else args.out
+    if path is not None:
+        # --emit writes what --json prints, --out the text
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                _write(fh, payload, text, args.emit is not None)
+        except OSError as exc:
+            print(f"error: cannot write {path!r}: {exc.strerror}", file=sys.stderr)
+            return 1
+        text = f"wrote {path}"
+    _write(sys.stdout, payload, text, args.json)
     return 0
 
 

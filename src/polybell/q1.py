@@ -385,11 +385,15 @@ def verify_delta_decomposition(state: JointState, measurement: Measurement,
     with e_n. Each summand is PSD exactly when ``p_mn >= 0``, which local
     positivity guarantees. Returns True iff the sum matches entrywise to
     1e-12 and every ``p_mn`` is non-negative within tolerance.
+
+    The state must pass the same inner-product gate as the certificates:
+    otherwise this raises their ``ValueError``, which names the
+    state's asymmetry and smallest eigenvalue (or the similarity error of
+    :func:`~polybell.bipartite.is_inner_product_state` when the two systems
+    differ).
     """
     tol = resolve_tol(tol)
-    report = is_inner_product_state(state, tol)
-    if not report.is_inner_product:
-        raise ValueError("the block decomposition is defined for inner-product states")
+    _require_inner_product_state(state, tol)
     e = measurement.effects
     m = state.matrix
     pair = e @ m @ e.T

@@ -13,8 +13,10 @@ complete, not a heuristic: a linear cone bijection maps two-dimensional
 faces to two-dimensional faces, so it preserves ray adjacency, and the only
 adjacency-preserving bijections of a k-cycle are the 2k dihedral ones. Rays
 without an angular order (a ray with a non-positive third coordinate, or a
-cone outside three dimensions) fall back to all k! bijections, capped at
-``EXHAUSTIVE_RAY_CAP`` rays.
+cone outside three dimensions) fall back to all k! bijections. The search
+keeps one d x d map per candidate, so the fallback is refused, before any
+candidate is solved, when those k! d^2 doubles would exceed
+``_EXHAUSTIVE_ELEMENTS``.
 
 Every candidate goes through one solver. In d dimensions, d + 1 rays in
 general position (every d of them linearly independent) fix a linear map up
@@ -84,10 +86,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .bipartite import JointState, local_positivity_margin
+from .bipartite import JointState, _failed_membership_rule
 from .core import ModelSpec, _spectra, psd_at, resolve_tol
 
-EXHAUSTIVE_RAY_CAP = 10
+# Most doubles the exhaustive fallback may keep in its candidate maps, k! d^2
+# for k rays in d dimensions (2**22 doubles = 32 MiB). Traced by tracemalloc,
+# a search peaks at 21-34 bytes per kept double: 88 MB for 8 rays in eight
+# dimensions (2.6 M doubles, 0.7 s on one Xeon core) and 70 MB for 9 rays in
+# three (3.3 M doubles, 1.3 s). So a search at the bound peaks near 0.15 GB.
+_EXHAUSTIVE_ELEMENTS = 1 << 22
 
 _RESIDUAL_TOL = 1e-9
 
@@ -320,10 +327,10 @@ def _candidate_margins(model: ModelSpec) -> _Candidates:
     effect_order = _cycle_order(effects)
     state_order = _cycle_order(states)
     cyclic = effect_order is not None and state_order is not None
-    if not cyclic and k > EXHAUSTIVE_RAY_CAP:
+    if not cyclic and math.factorial(k) * d * d > _EXHAUSTIVE_ELEMENTS:
         raise ValueError(
-            "model rays admit no angular cycle ordering and exceed "
-            f"the exhaustive cap of {EXHAUSTIVE_RAY_CAP}"
+            f"model rays admit no angular cycle ordering, and the maps of all {k}! bijections "
+            f"in {d} dimensions exceed the exhaustive cap of {_EXHAUSTIVE_ELEMENTS} doubles"
         )
 
     system = _frame_system(effects, np.arange(k) if effect_order is None else effect_order)
@@ -510,12 +517,9 @@ def state_from_isomorphism(t, model: ModelSpec,
     fails normalization or local positivity, which cannot happen for a
     genuine isomorphism.
 
-    The two checks are those of
-    :func:`~polybell.bipartite.in_max_tensor_product`, in its order. The
-    normalization ``u . M u`` is computed once, here, and positivity is
-    tested on :func:`~polybell.bipartite.local_positivity_margin` directly,
-    since a state that has passed normalization is a member exactly when
-    its margin is at least ``-tol``.
+    The checks are those of
+    :func:`~polybell.bipartite.in_max_tensor_product`, in its order, taken
+    from the same routine, which names the rule that failed.
     """
     tol = resolve_tol(tol)
     t = np.asarray(t, dtype=float)
@@ -524,10 +528,9 @@ def state_from_isomorphism(t, model: ModelSpec,
     if height <= 0:
         raise ValueError(f"u . T u = {height!r} must be positive")
     state = JointState(matrix=t.T / height, model_a=model, model_b=model)
-    if abs(float(u @ state.matrix @ u) - 1.0) > tol:
-        raise ArithmeticError("induced state failed normalization")
-    if not local_positivity_margin(state) >= -tol:
-        raise ArithmeticError("induced state failed local positivity")
+    failed = _failed_membership_rule(state, tol)
+    if failed is not None:
+        raise ArithmeticError(f"induced state failed {failed}")
     return state
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from polybell.bipartite import (
     JointState,
+    _failed_membership_rule,
     in_max_tensor_product,
     is_extremal,
     is_inner_product_state,
@@ -15,7 +16,7 @@ from polybell.bipartite import (
     pull_back_measurement,
     push_local_map,
 )
-from polybell.core import ModelSpec, dichotomic_measurement, simplex_model
+from polybell.core import ModelSpec, dichotomic_measurement, resolve_tol, simplex_model
 from polybell.correlations import correlations_from_state
 from polybell.polygon import max_entangled, polygon
 from polybell.selfdual import rotation_about_axis
@@ -29,6 +30,49 @@ def test_max_entangled_membership(n):
     assert normalization(st_) == pytest.approx(1.0, abs=1e-12)
     assert local_positivity_margin(st_) >= -1e-12
     assert in_max_tensor_product(st_)
+
+
+def in_max_tensor_product_reference(state, tol=None):
+    """``in_max_tensor_product`` as it was, stating both rules itself."""
+    tol = resolve_tol(tol)
+    if abs(normalization(state) - 1.0) > tol:
+        return False
+    return local_positivity_margin(state) >= -tol
+
+
+def membership_cases():
+    """The states of this module's membership tests, and three non-members."""
+    m4, m5, m6 = polygon(4), polygon(5), polygon(6)
+    rng = np.random.default_rng(11)
+    a, b = random_extremal_joint_state(m6, rng), random_extremal_joint_state(m6, rng)
+    cases = [max_entangled(n) for n in list(range(3, 17)) + [32, 64]]
+    cases += [product_state(m5, m5, m5.extremal_states[i], m5.extremal_states[j])
+              for i in range(5) for j in range(5)]
+    cases += [
+        JointState(np.diag([5.0, 5.0, 1.0]), m4, m4),
+        a, b, JointState((a.matrix + b.matrix) / 2.0, m6, m6),
+        push_local_map(max_entangled(8), rotation_about_axis(2 * np.pi / 8)),
+        JointState(2.0 * max_entangled(5).matrix, m5, m5),  # fails normalization
+        # off every symmetry: normalized, slightly negative on some pairs
+        JointState(max_entangled(5).matrix @ rotation_about_axis(1e-4).T, m5, m5),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("tol", [None, 0.0, 1e-9, 1e-3])
+def test_membership_rule_gives_the_reference_verdicts(tol):
+    resolved = resolve_tol(tol)
+    failed = []
+    for state in membership_cases():
+        rule = _failed_membership_rule(state, resolved)
+        assert (rule is None) == in_max_tensor_product_reference(state, tol)
+        assert (rule is None) == in_max_tensor_product(state, tol)
+        if abs(normalization(state) - 1.0) > resolved:
+            assert rule == "normalization"
+        elif not local_positivity_margin(state) >= -resolved:
+            assert rule == "local positivity"
+        failed.append(rule)
+    assert set(failed) == {None, "normalization", "local positivity"}
 
 
 def test_product_states_are_members_and_extremal():

@@ -558,6 +558,19 @@ def readme_commands() -> list[str]:
             if line.startswith("polybell ")]
 
 
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    claims = [line.split("# ", 1)[1].split("...", 1)[0]
+              for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(claims) == 2
+    for value, claim in zip(printed, claims):
+        assert value.startswith(claim)
+
+
 def test_readme_has_command_examples():
     assert len(readme_commands()) >= 10
 
@@ -729,3 +742,50 @@ def test_written_files_hold_the_printed_output(tmp_path, monkeypatch, capsys):
         assert run([*writing, name]) == 0
         assert capsys.readouterr().out == f"wrote {name}\n"
         assert (tmp_path / name).read_bytes() == printed.encode()
+
+
+WRITERS = {
+    "emit": ["polygon", "--n", "7", "--emit"],
+    "out": ["chsh-max", "--n", "8", "--out"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory", "empty"])
+@pytest.mark.parametrize("flag", WRITERS)
+def test_an_unwritable_path_is_an_error(flag, where, tmp_path, capsys):
+    target = tmp_path / "target"
+    target.mkdir()
+    path = {"missing-directory": str(tmp_path / "missing" / "x.out"),
+            "a-directory": str(target), "empty": ""}[where]
+    assert run([*WRITERS[flag], path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
+    assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["polygon", "--n", "7", "--emit", "{missing}/x.json"],
+    ["polygon", "--n", "7", "--emit", "{directory}"],
+    ["chsh-max", "--n", "8", "--out", "{missing}/x.csv"],
+], ids=["emit-missing", "emit-directory", "out-missing"])
+def test_unwritable_paths_end_without_a_traceback(argv, tmp_path):
+    missing = tmp_path / "nonexistent"
+    result = run_cli(*[a.format(missing=missing, directory=tmp_path) for a in argv])
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_is_the_one_place_that_opens_a_file():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    opened = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "open"]
+    assert len(opened) == 1
+    (run_def,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "run"]
+    assert opened[0] in list(ast.walk(run_def))

@@ -20,6 +20,7 @@ from polybell.correlations import (
     correlator,
     ray_settings,
 )
+from polybell.house import house_joint_state
 from polybell.polygon import max_entangled, polygon
 from polybell import q1
 from polybell.q1 import (
@@ -275,6 +276,35 @@ def test_delta_decomposition_needs_inner_product_state():
     meas = dichotomic_measurement(state.model_a, 0)
     with pytest.raises(ValueError):
         verify_delta_decomposition(state, meas)
+
+
+@pytest.mark.parametrize("state", [max_entangled(4), house_joint_state()],
+                         ids=["4-gon", "house"])
+def test_delta_decomposition_raises_the_certificate_gate_text(state):
+    meas = dichotomic_measurement(state.model_a, 0)
+    m = state.matrix
+    asymmetry = float(np.abs(m - m.T).max())
+    lowest = float(np.linalg.eigvalsh((m + m.T) / 2.0)[0])
+    expected = ("certificate construction needs an inner-product state "
+                f"(asymmetry {asymmetry!r}, min eigenvalue {lowest!r})")
+    for tol in (None, 0.0, 1e-3):
+        with pytest.raises(ValueError) as info:
+            verify_delta_decomposition(state, meas, tol)
+        assert str(info.value) == expected
+        with pytest.raises(ValueError) as info:
+            certificate_from_inner_product_state(state, [meas], [meas], tol)
+        assert str(info.value) == expected
+
+
+def test_delta_decomposition_builds_no_report_for_a_passing_state(monkeypatch):
+    # the report only words the gate's error
+    def refuse(*args):
+        raise AssertionError("is_inner_product_state was called")
+
+    monkeypatch.setattr(q1, "is_inner_product_state", refuse)
+    state = max_entangled(9)
+    for tol in (None, 0.0, 1e-3):
+        assert verify_delta_decomposition(state, dichotomic_measurement(state.model_a, 3), tol)
 
 
 def test_necessary_conditions_pr_box():

@@ -12,7 +12,7 @@ from polybell.bipartite import (
     is_inner_product_state,
     local_positivity_margin,
 )
-from polybell.core import ROUNDING_TOL, ModelSpec, _spectra, psd_at, resolve_tol
+from polybell.core import ROUNDING_TOL, ModelSpec, _spectra, psd_at, resolve_tol, simplex_model
 from polybell.house import house_model
 from polybell.polygon import max_entangled, polygon
 from polybell.selfdual import (
@@ -905,8 +905,33 @@ def test_house_search_matches_exhaustive():
 
 
 def test_exhaustive_cap():
-    with pytest.raises(ValueError, match="exceed the exhaustive cap of 10"):
+    with pytest.raises(ValueError, match=r"all 11! bijections in 3 dimensions exceed "
+                                         r"the exhaustive cap of 4194304 doubles"):
         find_cone_isomorphisms(tilted(polygon(11)))
+
+
+@pytest.mark.parametrize("model", [tilted(polygon(10)), tilted(polygon(11)),
+                                   simplex_model(9), simplex_model(10)], ids=lambda m: m.name)
+def test_exhaustive_fallback_is_refused_before_any_block_is_solved(model, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the refused search started")
+
+    for name in ("_frame_system", "_permutation_blocks", "_solve_block"):
+        monkeypatch.setattr(selfdual, name, refuse)
+    k, d = model.ray_effects.shape
+    assert math.factorial(k) * d * d > selfdual._EXHAUSTIVE_ELEMENTS
+    with pytest.raises(ValueError, match="exceed the exhaustive cap"):
+        find_cone_isomorphisms(model)
+    assert model not in selfdual._SEARCHES
+
+
+def test_exhaustive_cap_counts_the_kept_maps(monkeypatch):
+    # a tilted 5-gon keeps 5! maps of 3 x 3: 1080 doubles
+    monkeypatch.setattr(selfdual, "_EXHAUSTIVE_ELEMENTS", 1080)
+    assert len(find_cone_isomorphisms(tilted(polygon(5)))) == 10
+    monkeypatch.setattr(selfdual, "_EXHAUSTIVE_ELEMENTS", 1079)
+    with pytest.raises(ValueError, match="all 5! bijections in 3 dimensions"):
+        find_cone_isomorphisms(tilted(polygon(5)))
 
 
 def test_ray_count_mismatch_gives_empty():
@@ -1032,6 +1057,19 @@ def test_positivity_rule_flips_at_the_margin():
                     assert isinstance(got, bytes)
                 else:
                     assert got == (ArithmeticError, "induced state failed local positivity")
+
+
+def test_induced_state_membership_is_one_rule_check(monkeypatch):
+    seen = []
+    rule = selfdual._failed_membership_rule
+    monkeypatch.setattr(selfdual, "_failed_membership_rule",
+                        lambda state, tol: seen.append(tol) or rule(state, tol))
+    model = polygon(7)
+    for tol in (None, 1e-3):
+        state_from_isomorphism(find_cone_isomorphisms(model)[0], model, tol)
+    with pytest.raises(ArithmeticError, match="failed local positivity"):
+        state_from_isomorphism(rotation_about_axis(1e-3), model, 0.0)
+    assert seen == [resolve_tol(None), 1e-3, resolve_tol(0.0)]
 
 
 def test_state_from_isomorphism_rejects_flipped():
