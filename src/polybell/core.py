@@ -106,9 +106,20 @@ def _spectra(matrices: np.ndarray) -> np.ndarray:
     triangle, without the wrapper's input checks: for float64 input the
     result is bitwise that of ``np.linalg.eigvalsh``. Raises the same
     ``LinAlgError`` when LAPACK does not converge, as on a nan entry, and
-    emits no warning. Every spectrum the library takes goes through it.
+    emits no warning. Every spectrum the library takes goes through it, as
+    every determinant goes through :func:`_dets`; the two are the library's
+    only calls into numpy's private ``_umath_linalg``.
     """
     return _umath_linalg.eigvalsh_lo(matrices, signature="d->d")
+
+
+def _dets(matrices: np.ndarray) -> np.ndarray:
+    """Determinant of each float64 matrix in a stack.
+
+    The LAPACK kernel behind ``np.linalg.det``, without the wrapper's input
+    checks, so the result is bitwise that of ``np.linalg.det``.
+    """
+    return _umath_linalg.det(matrices, signature="d->d")
 
 
 def as_vector(x, *, dim: int | None = None) -> np.ndarray:

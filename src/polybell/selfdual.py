@@ -38,10 +38,8 @@ against the system's Frobenius norm. Only a system they cannot prove full
 rank, and a system of any other shape, goes to the SVD, so the nullity is
 the SVD's (see :func:`_null_vectors`). Then ``T = P^T diag(s) pinv(E^T)``.
 Every ray is checked at once: the images ``effects @ T^T``, each ray's
-scale by projection onto its target state, and one residual. A solution
-is accepted when all scales share a sign (which fixes the sign of T), the
-smallest is at least ``tol * ||T||``, the residual of the
-Frobenius-normalized T is at most ``_RESIDUAL_TOL``, and T is invertible.
+scale by projection onto its target state, and one residual, which the
+rules below read.
 
 Simplicial cones (k <= d) leave T underdetermined, so their frame is
 every ray. Whenever the frame is every ray and a candidate's solution
@@ -59,13 +57,19 @@ solve plus an O(k) check (about 0.2 s at k = 1024 and 0.7 s at k = 2048
 on one core). The fallback feeds ``itertools.permutations`` through the
 same blocks.
 
-The search itself does not depend on ``tol``. Every candidate's T and its
-tolerance-free margins (nullity, sign, ``||T||``, smallest scale, residual,
-determinant, deduplication key) are kept per model object, so each model
-is searched once however many calls and tolerances follow; every call
-takes its verdicts against its own ``tol``. The verdicts at the last
-tolerance asked for are kept as well, so a search followed by its
-self-duality report at the same ``tol`` applies the rules once.
+A candidate is an isomorphism when it passes five rules, here in report
+order with their indices: nullity 0 (the solution family is
+one-dimensional), sign 1 (all scales share a sign, which fixes the sign of
+T), scale 2 (``||T||`` and the smallest scale of the Frobenius-normalized
+T are at least ``tol``), residual 3 (that T's residual is at most
+``_RESIDUAL_TOL``) and determinant 4 (``|det T| >= 1e-9``); of the ones
+with one 8-decimal key, all but the first in candidate order are
+rejected as duplicates. Only the scale rule reads ``tol``, so the search runs once per model object and keeps
+tolerance-free facts per candidate: its T, its ``stage`` (the first other
+rule it fails, 5 when it fails none) and its ``scale_margin``
+(``min(||T||, smallest scale)``). Every call takes its verdicts afresh
+against its own ``tol``, so a report is a pure function of the model and
+``tol``.
 :func:`self_duality` reports the isomorphisms, the strong witness with its
 margins, how many candidates were tried and rejected by each rule, and how
 many isomorphisms each witness rule turned away. It takes the spectra of
@@ -81,13 +85,12 @@ import functools
 import itertools
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .bipartite import JointState, _failed_membership_rule
-from .core import ModelSpec, _spectra, psd_at, resolve_tol
+from .core import ModelSpec, _dets, _spectra, psd_at, resolve_tol
 
 # Most doubles the exhaustive fallback may keep in its candidate maps, k! d^2
 # for k rays in d dimensions (2**22 doubles = 32 MiB). Traced by tracemalloc,
@@ -175,15 +178,6 @@ def _leave_one_out(n: int) -> np.ndarray:
     return table
 
 
-def _dets(matrices: np.ndarray) -> np.ndarray:
-    """Determinant of each float64 matrix in a stack.
-
-    The LAPACK kernel behind ``np.linalg.det``, without the wrapper's input
-    checks, so the result is bitwise that of ``np.linalg.det``.
-    """
-    return _umath_linalg.det(matrices, signature="d->d")
-
-
 def _svd_null_vectors(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per stacked system, its last right-singular vector and its nullity."""
     _, sv, vt = np.linalg.svd(systems)
@@ -236,32 +230,27 @@ def _row_sums(p: np.ndarray) -> np.ndarray:
     return total
 
 
+# The rules in report order; a candidate's ``stage`` indexes them.
+_RULES = ("nullity", "sign", "scale", "residual", "determinant")
+
+
 @dataclass(frozen=True, eq=False)
 class _Candidates:
     """Every candidate bijection of one search, in candidate order.
 
     ``transforms`` holds each solution T with its sign fixed by the projected
-    scales and Frobenius-normalized. The checks do not depend on ``tol``:
-    ``nullity`` (the null space is one-dimensional), ``sign`` (all scales
-    share a sign), ``residual`` (at most ``_RESIDUAL_TOL``) and
-    ``determinant`` (``|det T| >= 1e-9``) are masks; ``norm`` is the raw
-    ``||T||`` and ``min_scale`` the smallest normalized scale, which a call
-    compares with its own ``tol``. ``group`` ranks each candidate's
-    8-decimal key among the distinct keys of the candidates that pass every
-    mask (-1 for the others), so equal ranks are duplicates and rank order
-    is canonical order. ``accepted`` is :func:`_accept`'s slot: the last
-    tolerance asked for, with its result.
+    scales and Frobenius-normalized. ``stage`` (an index into ``_RULES``, or
+    5) and ``scale_margin`` are the tolerance-free facts of the module
+    docstring, which each call compares with its own ``tol``. ``group``
+    ranks each stage-5 candidate's 8-decimal key among the distinct keys of
+    those candidates (-1 for the others), so equal ranks are duplicates and
+    rank order is canonical order.
     """
 
     transforms: np.ndarray
-    nullity: np.ndarray
-    sign: np.ndarray
-    norm: np.ndarray
-    min_scale: np.ndarray
-    residual: np.ndarray
-    determinant: np.ndarray
+    stage: np.ndarray
+    scale_margin: np.ndarray
     group: np.ndarray
-    accepted: tuple | None = field(default=None, repr=False)
 
 
 def _solve_block(effects: np.ndarray, states: np.ndarray, system: tuple[np.ndarray, ...],
@@ -274,8 +263,9 @@ def _solve_block(effects: np.ndarray, states: np.ndarray, system: tuple[np.ndarr
     one-dimensional; when the frame is every ray, a wider family is
     re-solved with the tie rows ``s_j = s_{j+1}`` added. Then
     ``T = P^T diag(s) pinv(E^T)``, scaled so that (T, s) is a unit vector,
-    is checked on every ray at once. Returns the ``_Candidates`` fields
-    before ``group``, one entry per candidate.
+    is checked on every ray at once. Returns, one entry per candidate, the
+    normalized T, the nullity and sign masks, the raw ``||T||``, the
+    smallest normalized scale, and the residual and determinant masks.
     """
     frame, null, inverse, fixed = system
     k, d = effects.shape
@@ -320,9 +310,8 @@ def _candidate_margins(model: ModelSpec) -> _Candidates:
     states = model.extremal_states
     k, d = effects.shape
     if k != states.shape[0] or k == 0:
-        none, flags = np.zeros(0), np.zeros(0, dtype=bool)
-        return _Candidates(np.zeros((0, d, d)), flags, flags, none, none, flags, flags,
-                           np.zeros(0, dtype=int))
+        none = np.zeros(0, dtype=int)
+        return _Candidates(np.zeros((0, d, d)), none, np.zeros(0), none)
 
     effect_order = _cycle_order(effects)
     state_order = _cycle_order(states)
@@ -342,10 +331,14 @@ def _candidate_margins(model: ModelSpec) -> _Candidates:
         blocks = _permutation_blocks(k, block)
 
     solved = [_solve_block(effects, states, system, perms) for perms in blocks]
-    fields = [np.concatenate(column) for column in zip(*solved)]
-    transforms, nullity, sign, _, _, residual, determinant = fields
-    passing = np.flatnonzero(nullity & sign & residual & determinant)
-    return _Candidates(*fields, _group(transforms, passing))
+    transforms, nullity, sign, norm, min_scale, residual, determinant = (
+        np.concatenate(column) for column in zip(*solved))
+    stage = np.full(nullity.size, 5)
+    # from the last rule to the first, so each candidate keeps its first failure
+    for index, ok in ((4, determinant), (3, residual), (1, sign), (0, nullity)):
+        stage[~ok] = index
+    return _Candidates(transforms, stage, np.minimum(norm, min_scale),
+                       _group(transforms, np.flatnonzero(stage == 5)))
 
 
 def _group(transforms: np.ndarray, passing: np.ndarray) -> np.ndarray:
@@ -382,38 +375,24 @@ def _searched(model: ModelSpec) -> _Candidates:
 def _accept(candidates: _Candidates, tol: float) -> tuple[np.ndarray, dict[str, int]]:
     """Indices of the isomorphisms accepted at ``tol``, and the rejections.
 
-    A candidate is accepted when it passes every tolerance-free check, both
-    ``norm >= tol`` and ``min_scale >= tol`` (the rule "scale"), and is the
-    first in candidate order with its key. The indices come in canonical
-    (key) order. Each rejected candidate is counted under the first rule it
-    fails, in the order of the returned dict.
-
-    The result depends only on the candidates, which never change, and on
-    ``tol``. So the last one is kept in the candidates' single ``accepted``
-    slot, and a repeat call at the same ``tol`` (a search followed by its
-    self-duality report, say) reads it back. The indices are read-only and
-    the dict is a fresh copy on every call, so no caller can change what
-    the next one gets.
+    A candidate past the first two rules whose ``scale_margin`` is not at
+    least ``tol`` (nan included) fails the scale rule instead of any later
+    one. A candidate that fails no rule is accepted when it is the first in
+    candidate order with its key. The indices come in canonical (key) order.
+    Each rejected candidate is counted under the first rule it fails, in the
+    order of the returned dict.
     """
     c = candidates
-    kept = c.accepted
-    if kept is not None and kept[0] == tol:
-        return kept[1], dict(kept[2])
-    rules = (("nullity", c.nullity), ("sign", c.sign),
-             ("scale", (c.norm >= tol) & (c.min_scale >= tol)),
-             ("residual", c.residual), ("determinant", c.determinant))
-    passed = np.ones(c.norm.size, dtype=bool)
-    rejected = {}
-    for rule, ok in rules:
-        rejected[rule] = int(np.count_nonzero(passed & ~ok))
-        passed &= ok
-    kept = np.flatnonzero(passed)
-    _, first = np.unique(c.group[kept], return_index=True)
-    rejected["duplicate"] = kept.size - first.size
-    accepted = kept[first]
-    accepted.flags.writeable = False
-    object.__setattr__(c, "accepted", (tol, accepted, rejected))
-    return accepted, dict(rejected)
+    size = c.stage.size
+    stage = np.where((c.stage < 2) | (c.scale_margin >= tol), c.stage, 2)
+    counts = np.bincount(stage, minlength=6).tolist()
+    kept = np.flatnonzero(stage == 5)
+    first = np.full(size, size, dtype=np.intp)
+    np.minimum.at(first, c.group[kept], kept)
+    accepted = first[first < size]
+    rejected = dict(zip(_RULES, counts))
+    rejected["duplicate"] = kept.size - accepted.size
+    return accepted, rejected
 
 
 def find_cone_isomorphisms(model: ModelSpec, tol: float | None = None) -> list[np.ndarray]:
@@ -489,7 +468,7 @@ def self_duality(model: ModelSpec, tol: float | None = None) -> SelfDualityRepor
         witness=None if first is None else stack[first],
         witness_asymmetry=None if first is None else float(asymmetry[first]),
         witness_min_eigenvalue=None if first is None else float(spectra[psd[0], 0]),
-        candidates=candidates.norm.size,
+        candidates=candidates.stage.size,
         rejected=rejected,
         witness_rejected={"asymmetry": stack.shape[0] - symmetric.size,
                           "psd": symmetric.size - psd.size},

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,8 +162,8 @@ def frame_solve_reference(effects, states, frame, perms):
     in three dimensions; rows ``d*j .. d*j + d - 1`` read
     ``T e_j - s_j target_j = 0``. The systems of a block are solved by one
     stacked SVD, with the tie rows ``s_j = s_{j+1}`` added when the frame
-    is every ray and the null space is wider than one. Returns the library's
-    ``_Candidates`` fields before ``group``.
+    is every ray and the null space is wider than one. Returns the seven
+    arrays ``_solve_block`` returns (see ``SOLVED``).
     """
     k, d = effects.shape
     template = np.zeros((d * frame.size, d * d + frame.size))
@@ -343,23 +344,59 @@ def test_candidate_solve_runs_once_per_model(monkeypatch):
 
 MASKS = ("nullity", "sign", "residual", "determinant")
 VALUES = ("transforms", "norm", "min_scale")
+# what ``_solve_block`` returns, in order
+SOLVED = ("transforms", "nullity", "sign", "norm", "min_scale", "residual", "determinant")
+
+
+def stage_reference(solved):
+    """Per candidate, the index of the first rule of ``selfdual._RULES`` its
+    masks fail (the scale rule, index 2, reads ``tol`` and is not a mask);
+    5 when it fails none."""
+    return np.select([~getattr(solved, name) for name in MASKS], [0, 1, 3, 4], 5)
+
+
+def solved_margins(model, monkeypatch, solve=None):
+    """``_candidate_margins(model)``, and what its block solves returned.
+
+    Wraps ``_solve_block`` (or ``solve``, which then replaces it) while the
+    search runs and concatenates its seven outputs, in candidate order, into
+    a namespace with the fields of ``SOLVED``. Checks that the candidates'
+    ``stage`` and ``scale_margin`` are the fold of those fields.
+    """
+    solve = solve or selfdual._solve_block
+    blocks = []
+
+    def recording(effects, states, system, perms):
+        blocks.append(solve(effects, states, system, perms))
+        return blocks[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(selfdual, "_solve_block", recording)
+        candidates = selfdual._candidate_margins(model)
+    solved = SimpleNamespace(**{name: np.concatenate(column)
+                                for name, column in zip(SOLVED, zip(*blocks))})
+    assert np.array_equal(candidates.stage, stage_reference(solved))
+    assert candidates.scale_margin.tobytes() == \
+        np.minimum(solved.norm, solved.min_scale).tobytes()
+    assert candidates.transforms.tobytes() == solved.transforms.tobytes()
+    return candidates, solved
 
 
 def reference_margins(model, monkeypatch):
-    """``_candidate_margins`` with every block solved by ``frame_solve_reference``."""
-    with monkeypatch.context() as patch:
-        patch.setattr(selfdual, "_solve_block", lambda effects, states, system, perms:
-                      frame_solve_reference(effects, states, system[0], perms))
-        return selfdual._candidate_margins(model)
+    """``solved_margins`` with every block solved by ``frame_solve_reference``."""
+    return solved_margins(model, monkeypatch, lambda effects, states, system, perms:
+                          frame_solve_reference(effects, states, system[0], perms))
 
 
 @pytest.mark.parametrize("model", [polygon(n) for n in range(3, 65)] + [house_model()],
                          ids=lambda m: m.name)
 def test_scale_space_solve_matches_frame_solve(model, monkeypatch):
-    found = selfdual._candidate_margins(model)
-    expected = reference_margins(model, monkeypatch)
-    for name in MASKS + ("group",):
+    candidates, found = solved_margins(model, monkeypatch)
+    expected_candidates, expected = reference_margins(model, monkeypatch)
+    for name in MASKS:
         assert np.array_equal(getattr(found, name), getattr(expected, name)), name
+    for name in ("stage", "group"):
+        assert np.array_equal(getattr(candidates, name), getattr(expected_candidates, name)), name
     for name in VALUES:
         assert np.abs(getattr(found, name) - getattr(expected, name)).max() <= 1e-12, name
 
@@ -370,21 +407,22 @@ def test_scale_space_solve_differs_only_on_zero_scales(model, monkeypatch):
     # an every-ray frame with tie rows, and the permutation fallback: the
     # two solves may split on the sign of a scale that is zero up to
     # rounding, on candidates that both reject
-    found = selfdual._candidate_margins(model)
-    expected = reference_margins(model, monkeypatch)
-    for name in ("nullity", "residual", "determinant", "group"):
+    candidates, found = solved_margins(model, monkeypatch)
+    expected_candidates, expected = reference_margins(model, monkeypatch)
+    for name in ("nullity", "residual", "determinant"):
         assert np.array_equal(getattr(found, name), getattr(expected, name)), name
+    assert np.array_equal(candidates.group, expected_candidates.group)
     split = found.sign != expected.sign
     zero = np.where(found.sign, np.abs(found.min_scale), np.abs(expected.min_scale))
     assert np.all(zero[split] < ROUNDING_TOL)
-    assert np.all(found.group[split] == -1)
+    assert np.all(candidates.group[split] == -1)
     solved = found.nullity & found.sign & expected.sign
     for name in VALUES:
         assert np.abs(getattr(found, name)[solved]
                       - getattr(expected, name)[solved]).max() <= 1e-12, name
     for tol in (0.0, 1e-9, 1e-3):
-        accepted, rejected = selfdual._accept(found, tol)
-        expected_accepted, expected_rejected = selfdual._accept(expected, tol)
+        accepted, rejected = selfdual._accept(candidates, tol)
+        expected_accepted, expected_rejected = selfdual._accept(expected_candidates, tol)
         assert np.array_equal(accepted, expected_accepted)
         assert accepted.size > 0
         assert np.abs(found.transforms[accepted]
@@ -592,9 +630,10 @@ def group_reference(transforms, passing):
                          + [house_model(), square_pyramid_model(),
                             tilted(polygon(6)), tilted(polygon(7))],
                          ids=lambda m: m.name)
-def test_group_matches_tuple_ranks(model):
-    c = selfdual._candidate_margins(model)
-    passing = np.flatnonzero(c.nullity & c.sign & c.residual & c.determinant)
+def test_group_matches_tuple_ranks(model, monkeypatch):
+    c, solved = solved_margins(model, monkeypatch)
+    passing = np.flatnonzero(solved.nullity & solved.sign & solved.residual
+                             & solved.determinant)
     assert passing.size > 0
     expected = group_reference(c.transforms, passing)
     assert np.array_equal(c.group, expected) and c.group.dtype == expected.dtype
@@ -639,13 +678,13 @@ def flip_orders(margin):
         [(below, False), (above, True), (below, False)]
 
 
-def test_candidate_norm_verdict_follows_tol():
+def test_candidate_norm_verdict_follows_tol(monkeypatch):
     # shrinking the state rays keeps the cones but lifts every scale far
     # above ||T||, so the norm rule decides
     base = polygon(5)
     small = ModelSpec("small-states", 3, base.extremal_states * 1e-2,
                       base.extremal_effects, base.unit_effect, base.ray_extremal)
-    candidates = selfdual._candidate_margins(twin(small))
+    _, candidates = solved_margins(twin(small), monkeypatch)
     margin = candidates.norm.min()
     assert candidates.min_scale.min() > 10 * margin
     for order in flip_orders(margin):
@@ -657,8 +696,8 @@ def test_candidate_norm_verdict_follows_tol():
             assert report.strong is not above
 
 
-def test_candidate_min_scale_verdict_follows_tol():
-    candidates = selfdual._candidate_margins(polygon(5))
+def test_candidate_min_scale_verdict_follows_tol(monkeypatch):
+    _, candidates = solved_margins(polygon(5), monkeypatch)
     margin = candidates.min_scale.min()
     assert candidates.norm.min() > 2 * margin
     for order in flip_orders(margin):
@@ -709,6 +748,23 @@ def test_report_counts_every_candidate_once(model):
     assert report.rejected["nullity"] > 0 and report.rejected["sign"] > 0
 
 
+def assert_same_reports(found, expected):
+    """Two reports equal field for field: arrays by bytes, floats by ``==``,
+    the rejection dicts with their key order and ``int`` values."""
+    assert len(found.isomorphisms) == len(expected.isomorphisms)
+    assert all(x.tobytes() == y.tobytes()
+               for x, y in zip(found.isomorphisms, expected.isomorphisms))
+    if expected.witness is None:
+        assert found.witness is None
+    else:
+        assert found.witness.tobytes() == expected.witness.tobytes()
+    for name in ("witness_asymmetry", "witness_min_eigenvalue", "candidates"):
+        assert getattr(found, name) == getattr(expected, name), name
+    for name in ("rejected", "witness_rejected"):
+        assert list(getattr(found, name).items()) == list(getattr(expected, name).items())
+        assert all(type(v) is int for v in getattr(found, name).values())
+
+
 def self_duality_reference(model, tol=None):
     """``self_duality`` as it was, taking the spectrum of every isomorphism."""
     tol = resolve_tol(tol)
@@ -727,7 +783,7 @@ def self_duality_reference(model, tol=None):
         witness=None if first is None else stack[first],
         witness_asymmetry=None if first is None else float(asymmetry[first]),
         witness_min_eigenvalue=None if first is None else float(min_eig[first]),
-        candidates=candidates.norm.size,
+        candidates=len(candidates.transforms),
         rejected=rejected,
         witness_rejected={"asymmetry": int(np.count_nonzero(~symmetric)),
                           "psd": int(np.count_nonzero(symmetric & ~psd))},
@@ -745,21 +801,7 @@ def test_report_is_the_reference_field_for_field():
     for make in REPORT_MODELS:
         model = make()
         for tol in (None, 0.0, 1e-3):
-            found, expected = self_duality(model, tol), self_duality_reference(model, tol)
-            assert len(found.isomorphisms) == len(expected.isomorphisms)
-            assert all(x.tobytes() == y.tobytes()
-                       for x, y in zip(found.isomorphisms, expected.isomorphisms))
-            if expected.witness is None:
-                assert found.witness is None
-            else:
-                assert found.witness.tobytes() == expected.witness.tobytes()
-            assert found.witness_asymmetry == expected.witness_asymmetry
-            assert found.witness_min_eigenvalue == expected.witness_min_eigenvalue
-            assert found.candidates == expected.candidates
-            for name in ("rejected", "witness_rejected"):
-                assert getattr(found, name) == getattr(expected, name), (model.name, tol)
-                assert list(getattr(found, name)) == list(getattr(expected, name))
-                assert all(type(v) is int for v in getattr(found, name).values())
+            assert_same_reports(self_duality(model, tol), self_duality_reference(model, tol))
 
 
 def recording_spectra(monkeypatch):
@@ -793,9 +835,10 @@ def test_report_takes_spectra_of_an_empty_stack(monkeypatch):
     assert lengths == [2, 0]
 
 
-def accept_reference(candidates, tol):
-    """``_accept`` as it was, applying every rule afresh on each call."""
-    c = candidates
+def accept_reference(solved, group, tol):
+    """``_accept`` as it was, reading the seven fields of ``solved_margins``
+    and ``group``, with one mask per rule."""
+    c = solved
     rules = (("nullity", c.nullity), ("sign", c.sign),
              ("scale", (c.norm >= tol) & (c.min_scale >= tol)),
              ("residual", c.residual), ("determinant", c.determinant))
@@ -805,28 +848,98 @@ def accept_reference(candidates, tol):
         rejected[rule] = int(np.count_nonzero(passed & ~ok))
         passed &= ok
     kept = np.flatnonzero(passed)
-    _, first = np.unique(c.group[kept], return_index=True)
+    _, first = np.unique(group[kept], return_index=True)
     rejected["duplicate"] = kept.size - first.size
     return kept[first], rejected
 
 
+def assert_accepts_like_the_reference(candidates, solved, tols):
+    for tol in tols:
+        accepted, rejected = selfdual._accept(candidates, tol)
+        expected_accepted, expected_rejected = accept_reference(solved, candidates.group, tol)
+        assert accepted.tobytes() == expected_accepted.tobytes(), tol
+        assert accepted.dtype == expected_accepted.dtype == np.intp
+        assert list(rejected.items()) == list(expected_rejected.items()), tol
+        assert all(type(v) is int for v in rejected.values())
+
+
 ALTERNATING_TOLS = (0.0, 1e-9, 0.0, 1e-3, 1e-3, 1e-9, 1e-3, 0.0, 0.0)
 
+# an even and an odd polygon, two candidates (the house), an every-ray
+# frame (the pyramid) and the permutation fallback (a tilted pentagon)
+SEARCH_KINDS = pytest.mark.parametrize(
+    "make", [lambda: polygon(6), lambda: polygon(9), house_model, square_pyramid_model,
+             lambda: tilted(polygon(5))],
+    ids=["polygon6", "polygon9", "house", "pyramid", "tilted5"])
 
-@pytest.mark.parametrize("make", [lambda: polygon(6), lambda: polygon(9), house_model,
-                                  square_pyramid_model, lambda: tilted(polygon(5))],
-                         ids=["polygon6", "polygon9", "house", "pyramid", "tilted5"])
-def test_kept_acceptance_is_the_rules_applied_afresh(make):
-    candidates = selfdual._searched(make())
-    for tol in ALTERNATING_TOLS:
-        accepted, rejected = selfdual._accept(candidates, tol)
-        expected_accepted, expected_rejected = accept_reference(candidates, tol)
-        assert accepted.tobytes() == expected_accepted.tobytes()
-        assert accepted.dtype == expected_accepted.dtype
-        assert rejected == expected_rejected
-        assert list(rejected) == list(expected_rejected)
-        # one slot: the last tolerance only
-        assert candidates.accepted[0] == tol
+
+@SEARCH_KINDS
+def test_kept_acceptance_is_the_rules_applied_afresh(make, monkeypatch):
+    candidates, solved = solved_margins(make(), monkeypatch)
+    assert_accepts_like_the_reference(candidates, solved, ALTERNATING_TOLS)
+
+
+ACCEPT_MODELS = ([lambda n=n: polygon(n) for n in range(3, 41)] + [house_model]
+                 + [lambda n=n: tilted(polygon(n)) for n in range(3, 9)]
+                 + [lambda n=n: simplex_model(n) for n in range(2, 7)]
+                 + [square_pyramid_model])
+
+
+def test_acceptance_is_the_rule_loop_on_every_margin(monkeypatch):
+    # fixed tolerances, and every candidate's own scale margin with the
+    # floats on either side of it, where the scale rule flips
+    for make in ACCEPT_MODELS:
+        candidates, solved = solved_margins(make(), monkeypatch)
+        margins = np.unique(candidates.scale_margin)
+        tols = np.concatenate([[0.0, 1e-15, 1e-9, 1e-3, 0.1, 0.5], margins,
+                               np.nextafter(margins, -np.inf), np.nextafter(margins, np.inf)])
+        assert_accepts_like_the_reference(candidates, solved, tols.tolist())
+
+
+def test_nan_margins_fail_the_scale_rule(monkeypatch):
+    # a nan norm or smallest scale fails "scale", as the two comparisons did
+    candidates, solved = solved_margins(polygon(5), monkeypatch)
+    solved.norm[[0, 3]] = np.nan
+    solved.min_scale[[3, 6]] = np.nan
+    solved.sign[6] = False  # a nan behind the sign rule stays a sign rejection
+    broken = selfdual._Candidates(candidates.transforms, stage_reference(solved),
+                                  np.minimum(solved.norm, solved.min_scale), candidates.group)
+    assert_accepts_like_the_reference(broken, solved, [0.0, 1e-9, 0.5])
+    assert selfdual._accept(broken, 1e-9)[1]["scale"] == 2
+
+
+def test_duplicates_keep_the_first_candidate_that_passes(monkeypatch):
+    # no model above has two candidates with one key, so pair them by hand:
+    # candidates 2j and 2j + 1 share rank 4 - j, and at 1e-3 the scale rule
+    # drops the first of the pairs of rank 4 and 3
+    candidates, solved = solved_margins(polygon(5), monkeypatch)
+    solved.min_scale[[0, 2]] = 1e-6
+    paired = selfdual._Candidates(candidates.transforms, candidates.stage,
+                                  np.minimum(solved.norm, solved.min_scale),
+                                  (9 - np.arange(10)) // 2)
+    tols = [0.0, 1e-9, 1e-6, np.nextafter(1e-6, 1.0), 1e-3, 0.5]
+    assert_accepts_like_the_reference(paired, solved, tols)
+    assert selfdual._accept(paired, 1e-9)[0].tolist() == [8, 6, 4, 2, 0]
+    accepted, rejected = selfdual._accept(paired, 1e-3)
+    assert accepted.tolist() == [8, 6, 4, 3, 1]
+    assert rejected["scale"] == 2 and rejected["duplicate"] == 3
+
+
+@SEARCH_KINDS
+def test_interleaved_calls_are_each_a_first_call(make):
+    # calls on one model object at changing tolerances, each against the
+    # same call on a model object that has seen no other
+    model = make()
+    found = find_cone_isomorphisms(model, 0.0)
+    expected = find_cone_isomorphisms(twin(model), 0.0)
+    assert [t.tobytes() for t in found] == [t.tobytes() for t in expected]
+    assert_same_reports(self_duality(model, 1e-3), self_duality(twin(model), 1e-3))
+    strong, witness = is_strongly_self_dual(model, 0.0)
+    expected_strong, expected_witness = is_strongly_self_dual(twin(model), 0.0)
+    assert strong is expected_strong
+    assert (witness is None and expected_witness is None) or \
+        witness.tobytes() == expected_witness.tobytes()
+    assert_same_reports(self_duality(model, 1e-9), self_duality(twin(model), 1e-9))
 
 
 def test_kept_acceptance_hands_out_fresh_results():
@@ -843,10 +956,14 @@ def test_kept_acceptance_hands_out_fresh_results():
     found = find_cone_isomorphisms(model)
     found[0][:] = -7.0
     found.clear()
-    accepted, kept_rejected = selfdual._accept(selfdual._searched(model), resolve_tol(None))
+    candidates = selfdual._searched(model)
+    accepted, kept_rejected = selfdual._accept(candidates, resolve_tol(None))
+    expected_accepted = accepted.copy()
     kept_rejected["sign"] = 99
-    with pytest.raises(ValueError):
-        accepted[0] = 0
+    accepted[:] = 0
+    again, again_rejected = selfdual._accept(candidates, resolve_tol(None))
+    assert again.tobytes() == expected_accepted.tobytes()
+    assert again_rejected == rejected
     for report in (self_duality(model), self_duality(model)):
         assert report.rejected == rejected
         assert len(report.isomorphisms) == len(isomorphisms)
