@@ -23,7 +23,7 @@ import numpy as np
 
 from .bipartite import JointState
 from .core import DEFAULT_TOL, Measurement, ModelSpec, dichotomic_measurement
-from .polygon import max_entangled, polygon
+from .polygon import _vertex_count, max_entangled, polygon
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -149,7 +149,14 @@ def ray_settings(model: ModelSpec, k: int,
 
 
 def correlator(table: CorrelationTable, x: int, y: int) -> float:
-    """Dichotomic correlator E(x, y) with outcome 0 -> +1, outcome 1 -> -1."""
+    """Dichotomic correlator E(x, y) with outcome 0 -> +1, outcome 1 -> -1.
+
+    Raises ``IndexError`` when x or y is not a setting of the table, and
+    ``ValueError`` when either setting is not dichotomic.
+    """
+    if not (0 <= x < len(table.outcomes_a) and 0 <= y < len(table.outcomes_b)):
+        raise IndexError(f"correlator settings ({x}, {y}) out of range for a table with "
+                         f"{len(table.outcomes_a)} x {len(table.outcomes_b)} settings")
     if table.outcomes_a[x] != 2 or table.outcomes_b[y] != 2:
         raise ValueError(f"correlator needs dichotomic settings, got ({x}, {y})")
     p = table.probs[:2, :2, x, y]
@@ -374,8 +381,7 @@ def chsh_max_analytic(n: int) -> float:
     angles (both neighbours of each angle) and returns the best evaluation;
     agrees with :func:`chsh_max_bruteforce` to within float error.
     """
-    if n < 3:
-        raise ValueError("polygon models need at least 3 vertices")
+    n = _vertex_count(n)
     step = 2.0 * math.pi / n
     b_offset = math.pi / n if n % 2 == 0 else 0.0
     best = 0.0
@@ -397,8 +403,7 @@ def chsh_max_closed_form(n: int) -> float:
     version of this table drops; the forms here are re-derived from the
     rounded angles and agree with the exhaustive scan for every n.
     """
-    if n < 3:
-        raise ValueError("polygon models need at least 3 vertices")
+    n = _vertex_count(n)
     x = n % 8
     sec = 1.0 / math.cos(math.pi / n)
     q = math.pi / (4.0 * n)

@@ -26,10 +26,22 @@ from .bipartite import JointState
 from .core import ModelSpec
 
 
-def polygon_radius(n: int) -> float:
-    """Circumradius r_n = sqrt(sec(pi/n)) of the n-vertex model."""
+def _vertex_count(n) -> int:
+    """``n`` as an int, checked as a polygon's vertex count.
+
+    Accepts ``int`` and numpy integers of at least 3; raises ``ValueError``
+    for anything else, bool, float and str included.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"polygon vertex count must be an integer, got {n!r}")
     if n < 3:
         raise ValueError("polygon models need at least 3 vertices")
+    return int(n)
+
+
+def polygon_radius(n: int) -> float:
+    """Circumradius r_n = sqrt(sec(pi/n)) of the n-vertex model."""
+    n = _vertex_count(n)
     return float(np.sqrt(1.0 / np.cos(np.pi / n)))
 
 
@@ -45,8 +57,7 @@ def _disc_points(radius: float, angles: np.ndarray, height: float) -> np.ndarray
 
 def polygon(n: int) -> ModelSpec:
     """The n-vertex polygon model (n >= 3)."""
-    if n < 3:
-        raise ValueError("polygon models need at least 3 vertices")
+    n = _vertex_count(n)
     r = polygon_radius(n)
     labels = np.arange(1, n + 1, dtype=float)
     states = _disc_points(r, 2.0 * np.pi * labels / n, 1.0)

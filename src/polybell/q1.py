@@ -9,20 +9,30 @@ block carries the joint probabilities. Membership certifies that the table
 admits a quantum-like covariance structure at first order.
 
 For inner-product states such a certificate can be written down directly:
-take the bilinear pairing of every pair of listed effects, then override the
-diagonal blocks as required. The override differs from the pairing by a
-block-diagonal correction that splits into pair matrices
-``p * [[1, -1], [-1, 1]]`` with ``p >= 0``, hence stays PSD.
+pair every two listed effects under the state's symmetric part
+``S = (M + M^T) / 2``, then override the diagonal blocks, copying each
+marginal from the unit row onto the diagonal. A measurement's effects sum
+to the unit, so each marginal is the row sum of its pairing block, and the
+override differs from the pairing by a block-diagonal correction that
+splits into pair matrices ``p * [[1, -1], [-1, 1]]``, with ``p`` the
+pairing of two outcomes of one measurement. So ``gamma = G S G^T`` plus
+one weighted Laplacian ``L_m`` per measurement, up to rounding, also for a
+state whose asymmetry is inside ``tol``: every entry is read through
+``S``. Local positivity makes ``p >= 0``, hence the matrix stays PSD.
 
-One construction builds that matrix, ``_moment_matrix``, and two
-consumers read it. :func:`certificate_from_inner_product_state` builds it
-for the settings it is given. :func:`certificates_for_selections` builds it
-once for all listed settings and slices out the principal submatrix of each
-selection of settings: every measurement's override is a block of its own,
-so each slice is the matrix the first consumer would build for that
-selection. By Cauchy interlacing the lowest eigenvalue of a principal
-submatrix is at least that of the whole matrix, so if the matrix over all
-listed settings is PSD, so is every sub-selection's.
+One construction builds that matrix, ``_moment_matrix``. It runs the
+inner-product gate and is the only code here that pairs effects under a
+state: :func:`verify_delta_decomposition` reads one measurement's split
+off its matrix, and :func:`certificate_via_pushforward` compares the
+certificate's own joint block with the pushed-forward table. Two consumers
+build certificates from it. :func:`certificate_from_inner_product_state`
+builds it for the settings it is given. :func:`certificates_for_selections`
+builds it once for all listed settings and slices out the principal
+submatrix of each selection of settings: every measurement's override is a
+block of its own, so each slice is the matrix the first consumer would
+build for that selection. By Cauchy interlacing the lowest eigenvalue of a
+principal submatrix is at least that of the whole matrix, so if the matrix
+over all listed settings is PSD, so is every sub-selection's.
 
 A certificate reads the inner-product test's tolerance-free margins
 (model gap, asymmetry, the two ends of the spectrum), which are computed
@@ -31,8 +41,8 @@ with its call's ``tol`` through the test's own rules; the full
 :class:`~polybell.bipartite.InnerProductReport` is built only to word the
 error when the state fails. Which entries the override zeroes depends only
 on the tuple of outcome counts, so that layout is built once per tuple and
-kept. Each certificate's matrix ``gamma`` and its marginals are computed on
-every call, from one shared product of the effects with the state.
+kept. Each certificate's matrix ``gamma`` is computed on every call, and
+its marginals are copied from its own unit row.
 
 A :class:`Q1Certificate` computes its spectrum from its own ``gamma`` and
 takes none from its caller, so its verdict cannot disagree with its matrix.
@@ -199,8 +209,19 @@ def _override_layout(counts: tuple[int, ...]) -> np.ndarray:
     return flat
 
 
-def _require_inner_product_state(state: JointState, tol: float) -> None:
-    """Raise unless ``state`` passes the inner-product test at the resolved ``tol``."""
+def _moment_matrix(state: JointState, meas_a: Sequence[Measurement],
+                   meas_b: Sequence[Measurement], tol: float
+                   ) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """The certificate's matrix for these settings, and the outcome counts per side.
+
+    Raises ``ValueError`` unless ``state`` passes the inner-product test at
+    the resolved ``tol``. Rows and columns run over the unit, then every
+    outcome effect, settings in order on each side. Entries pair the
+    effects under the state's symmetric part; each measurement's diagonal
+    block then holds its marginals, the unit row's entries, on the diagonal
+    and zeros off it. This is the one place in the module that pairs
+    effects under a state.
+    """
     symmetric, psd = _inner_product_rules(state, tol)
     if not (symmetric and psd):
         report = is_inner_product_state(state, tol)
@@ -208,37 +229,22 @@ def _require_inner_product_state(state: JointState, tol: float) -> None:
             "certificate construction needs an inner-product state "
             f"(asymmetry {report.asymmetry!r}, min eigenvalue {report.min_eigenvalue!r})"
         )
-
-
-def _moment_matrix(state: JointState, meas_a: Sequence[Measurement],
-                   meas_b: Sequence[Measurement]
-                   ) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
-    """The certificate's matrix for these settings, and the outcome counts per side.
-
-    Rows and columns run over the unit, then every outcome effect, settings
-    in order on each side. Entries pair the effects under the state,
-    symmetrised; each measurement's diagonal block then holds its marginals
-    on the diagonal and zeros off it.
-    """
     if not meas_a or not meas_b:
         raise ValueError("need at least one measurement")
     effects = [m.effects for m in meas_a]
     outcomes_a = tuple([len(e) for e in effects])
-    n_a = sum(outcomes_a)
     effects += [m.effects for m in meas_b]
     counts = tuple([len(e) for e in effects])
     g = np.concatenate((state.model_a.unit_effect[None, :], *effects))
-    gm = g @ state.matrix
-    gamma = gm @ g.T
+    gamma = g @ state.matrix @ g.T
     gamma = (gamma + gamma.T) / 2.0
 
-    # zero each measurement's diagonal block off its diagonal, then put the
-    # marginals on the outcome diagonal (a stride of size + 1 in flat)
+    # zero each measurement's diagonal block off its diagonal, then copy the
+    # unit row onto the outcome diagonal (a stride of size + 1 in flat)
     flat = gamma.reshape(-1)
     flat[_override_layout(counts)] = 0.0
     step = len(g) + 1
-    flat[step:step * (n_a + 1):step] = gm[1:1 + n_a] @ state.model_b.unit_effect
-    flat[step * (n_a + 1)::step] = gm[0] @ g[1 + n_a:].T
+    flat[step::step] = gamma[0, 1:]
     return gamma, outcomes_a, counts[len(outcomes_a):]
 
 
@@ -251,19 +257,19 @@ def certificate_from_inner_product_state(state: JointState,
     Builds the pairing matrix of (unit, first-side effects, second-side
     effects) under the state's symmetric PSD bilinear form, overrides each
     diagonal measurement block to (marginals on the diagonal, zeros between
-    distinct outcomes), and checks the result stays PSD. Raises
+    distinct outcomes, the marginals copied from the unit row), and checks
+    the result stays PSD. Raises
     ``ValueError`` when the state fails the inner-product test, since the
     construction would then be unsound (or the similarity error of
     :func:`~polybell.bipartite.is_inner_product_state` when the two systems
     differ). The state's inner-product margins are computed once per state
     and compared with ``tol`` here; the indices of the zeroed entries are
-    kept per tuple of outcome counts; the matrix and marginals of every
-    certificate are computed afresh, and the certificate's spectrum is
-    computed from its own matrix.
+    kept per tuple of outcome counts; the matrix of every certificate is
+    computed afresh, and the certificate's spectrum is computed from its
+    own matrix.
     """
     tol = resolve_tol(tol)
-    _require_inner_product_state(state, tol)
-    gamma, outcomes_a, outcomes_b = _moment_matrix(state, meas_a, meas_b)
+    gamma, outcomes_a, outcomes_b = _moment_matrix(state, meas_a, meas_b, tol)
     return _certificates(gamma, outcomes_a, outcomes_b, tol)[0]
 
 
@@ -295,8 +301,7 @@ def certificates_for_selections(state: JointState, meas_a: Sequence[Measurement]
     read, before any of the chunk's certificates is yielded.
     """
     tol = resolve_tol(tol)
-    _require_inner_product_state(state, tol)
-    gamma, outcomes_a, outcomes_b = _moment_matrix(state, meas_a, meas_b)
+    gamma, outcomes_a, outcomes_b = _moment_matrix(state, meas_a, meas_b, tol)
     return _sliced(gamma, outcomes_a, outcomes_b, iter(selections), tol)
 
 
@@ -383,8 +388,10 @@ def verify_delta_decomposition(state: JointState, measurement: Measurement,
     over outcome pairs m < n of the matrix with ``p_mn`` at (m,m) and (n,n)
     and ``-p_mn`` at (m,n) and (n,m), where ``p_mn`` is the pairing of e_m
     with e_n. Each summand is PSD exactly when ``p_mn >= 0``, which local
-    positivity guarantees. Returns True iff the sum matches entrywise to
-    1e-12 and every ``p_mn`` is non-negative within tolerance.
+    positivity guarantees. The pairings and marginals are those of the
+    certificate for this measurement on both sides: its cross block and its
+    unit row. Returns True iff the sum matches entrywise to 1e-12 and every
+    ``p_mn`` is non-negative within tolerance.
 
     The state must pass the same inner-product gate as the certificates:
     otherwise this raises their ``ValueError``, which names the
@@ -393,12 +400,10 @@ def verify_delta_decomposition(state: JointState, measurement: Measurement,
     differ).
     """
     tol = resolve_tol(tol)
-    _require_inner_product_state(state, tol)
-    e = measurement.effects
-    m = state.matrix
-    pair = e @ m @ e.T
-    marg = e @ m @ state.model_b.unit_effect
-    correction = np.diag(marg) - pair
+    gamma, _, _ = _moment_matrix(state, [measurement], [measurement], tol)
+    r = measurement.n_outcomes
+    pair = gamma[1:1 + r, 1 + r:]
+    correction = np.diag(gamma[0, 1:1 + r]) - pair
 
     # sum over m < n of p_mn (E_mm + E_nn - E_mn - E_nm): the pairing's
     # upper triangle mirrored, negated, with its row sums on the diagonal
@@ -480,8 +485,9 @@ def certificate_via_pushforward(omega: JointState, tau,
     Requires ``omega == push_local_map(sigma, tau)`` with ``sigma`` an
     inner-product state; the second side's measurements are pulled back
     through the adjoint of ``tau`` and ``sigma`` is certified with them. The
-    certified correlations are checked to match those of (omega, meas) to
-    1e-12. Raises ``ValueError`` when the preimage or map fails a
+    certificate's own joint block is checked to match the table of
+    (omega, meas) to 1e-12; building that table checks it is a probability
+    table. Raises ``ValueError`` when the preimage or map fails a
     precondition.
     """
     tol = resolve_tol(tol)
@@ -490,9 +496,13 @@ def certificate_via_pushforward(omega: JointState, tau,
         raise ValueError("omega is not the pushforward of sigma under tau")
     pulled = [pull_back_measurement(tau, m, tol) for m in meas_b]
     cert = certificate_from_inner_product_state(sigma, meas_a, pulled, tol)
-    direct = correlations_from_state(omega, meas_a, meas_b)
-    certified = correlations_from_state(sigma, meas_a, pulled)
-    gap = float(np.abs(direct.probs - certified.probs).max())
+    # omega's table in the certificate's order: (setting, outcome) pairs
+    # row-major on each side, padding left out
+    table = correlations_from_state(omega, meas_a, meas_b)
+    x, a = np.nonzero(np.arange(table.probs.shape[0]) < np.array(table.outcomes_a)[:, None])
+    y, b = np.nonzero(np.arange(table.probs.shape[1]) < np.array(table.outcomes_b)[:, None])
+    joint = table.probs[a[:, None], b, x[:, None], y]
+    gap = float(np.abs(joint - cert.gamma[1:1 + len(a), 1 + len(a):]).max())
     if gap > 1e-12:
         raise ArithmeticError(f"certified correlations deviate by {gap!r}")
     return cert

@@ -177,6 +177,10 @@ def test_criterion_07_pushforward_correlations():
         pulled = [pull_back_measurement(tau, m) for m in meas_b]
         relayed = correlations_from_state(sigma, meas_a, pulled)
         assert np.abs(direct.probs - relayed.probs).max() <= 1e-12, f"trial {trial}"
+        # the certificate's own joint block holds the pushed-forward table
+        # (dichotomic settings: row 2x + a is setting x, outcome a)
+        joint = direct.probs.transpose(2, 0, 3, 1).reshape(4, 4)
+        assert np.abs(cert.gamma[1:5, 5:] - joint).max() <= 1e-12, f"trial {trial}"
 
 
 def test_criterion_08_self_duality_classification():

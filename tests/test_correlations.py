@@ -1,6 +1,9 @@
 import itertools
+import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from polybell.correlations import (
 )
 from polybell.house import house_demo_measurements, house_joint_state
 from polybell.polygon import max_entangled, polygon, polygon_radius
+from polybell.q1 import q1_necessary_conditions
 
 from helpers import (
     correlator_matrix,
@@ -306,6 +310,58 @@ def test_correlator_requires_two_outcomes():
                                 [three], [three])
     with pytest.raises(ValueError):
         correlator(t, 0, 0)
+
+
+def test_correlator_refuses_settings_outside_the_table():
+    state = max_entangled(5)
+    table = correlations_from_state(state, ray_settings(state.model_a, 2),
+                                    ray_settings(state.model_a, 3))
+    # -1 used to read setting 1, and 2 to end in a bare tuple IndexError
+    for x, y in ((-1, 0), (0, -1), (2, 0), (0, 3), (-3, 7)):
+        message = f"correlator settings ({x}, {y}) out of range for a table with 2 x 3 settings"
+        with pytest.raises(IndexError, match=f"^{re.escape(message)}$"):
+            correlator(table, x, y)
+    probs = table.probs[:, :, 1, 2]
+    assert correlator(table, 1, 2) == probs[0, 0] + probs[1, 1] - probs[0, 1] - probs[1, 0]
+
+
+def test_two_setting_functionals_refuse_a_table_with_one_setting():
+    state = max_entangled(5)
+    one, two = ray_settings(state.model_a, 1), ray_settings(state.model_a, 2)
+    for meas_a, meas_b, pair in ((one, one, "(0, 1)"), (two, one, "(0, 1)"),
+                                 (one, two, "(1, 0)")):
+        table = correlations_from_state(state, meas_a, meas_b)
+        counts = f"{len(meas_a)} x {len(meas_b)}"
+        for functional in (chsh, uffink, q1_necessary_conditions):
+            with pytest.raises(IndexError, match=re.escape(
+                    f"settings {pair} out of range for a table with {counts} settings")):
+                functional(table)
+
+
+@pytest.mark.parametrize("n", [7.5, 8.0, True, "9"], ids=repr)
+def test_analytic_routes_refuse_a_vertex_count_that_is_not_an_integer(n):
+    # 7.5 used to take the n = 5 (mod 8) branch of the closed form
+    for route in (chsh_max_closed_form, chsh_max_analytic):
+        with pytest.raises(ValueError, match="^polygon vertex count must be an integer"):
+            route(n)
+    for route in (chsh_max_closed_form, chsh_max_analytic):
+        with pytest.raises(ValueError, match="^polygon models need at least 3 vertices$"):
+            route(2)
+    assert chsh_max_closed_form(np.int64(13)) == chsh_max_closed_form(13)
+    assert chsh_max_analytic(np.int32(13)) == chsh_max_analytic(13)
+
+
+def test_benchmark_reference_is_the_scan_and_the_closed_form():
+    # bench/chsh_reference.json freezes the maxima the chsh-scan workload
+    # checks; read it here without changing it, every size, not only the
+    # smoke sizes
+    path = Path(__file__).resolve().parent.parent / "bench" / "chsh_reference.json"
+    reference = json.loads(path.read_text(encoding="utf-8"))["chsh_max"]
+    assert sorted(map(int, reference)) == list(range(3, 53)) + [64, 96, 128]
+    for key, value in reference.items():
+        n = int(key)
+        assert chsh_max_over_settings(max_entangled(n))[0] == pytest.approx(value, abs=1e-9), n
+        assert chsh_max_closed_form(n) == pytest.approx(value, abs=1e-9), n
 
 
 def test_ray_settings_bounds():

@@ -40,6 +40,34 @@ def test_polygon_rejects_small_n():
         polygon(2)
 
 
+@pytest.mark.parametrize("n", [2, 0, -3, np.int64(2)])
+def test_small_vertex_counts_keep_their_message(n):
+    # the CLI prints this text for `polygon --n 2`
+    for build in (polygon, polygon_radius, max_entangled):
+        with pytest.raises(ValueError, match="^polygon models need at least 3 vertices$"):
+            build(n)
+
+
+@pytest.mark.parametrize("n", [8.0, 7.0, 7.5, np.float64(7.0), True, False, np.bool_(True),
+                               "7", None], ids=repr)
+def test_vertex_count_must_be_an_integer(n):
+    # 8.0 used to build "polygon-8.0", and 7.0 to fail inside numpy
+    for build in (polygon, polygon_radius, max_entangled):
+        with pytest.raises(ValueError, match="^polygon vertex count must be an integer, got "):
+            build(n)
+
+
+@pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint16, np.intp])
+def test_numpy_integer_vertex_counts_build_the_int_model(kind):
+    for n in (3, 7, 8):
+        model, expected = polygon(kind(n)), polygon(n)
+        assert model.name == expected.name == f"polygon-{n}"
+        for name in ("extremal_states", "extremal_effects", "unit_effect", "ray_extremal"):
+            assert getattr(model, name).tobytes() == getattr(expected, name).tobytes()
+        assert polygon_radius(kind(n)) == polygon_radius(n)
+        assert max_entangled(kind(n)).matrix.tobytes() == max_entangled(n).matrix.tobytes()
+
+
 def test_square_first_state_coordinates():
     # first vertex sits at angle 2*pi/4, i.e. straight up
     m = polygon(4)

@@ -12,7 +12,13 @@ from polybell.bipartite import (
     pull_back_measurement,
     push_local_map,
 )
-from polybell.core import ROUNDING_TOL, Measurement, dichotomic_measurement, simplex_model
+from polybell.core import (
+    ROUNDING_TOL,
+    Measurement,
+    dichotomic_measurement,
+    resolve_tol,
+    simplex_model,
+)
 from polybell.correlations import (
     TSIRELSON_BOUND,
     CorrelationTable,
@@ -515,23 +521,32 @@ def test_certificate_is_bitwise_the_reference_for_other_outcome_counts():
         assert_matches_reference(cert, state, meas_a, meas_b)
 
 
+def random_pushforward_case(rng):
+    """(omega, tau, meas_a, meas_b, sigma) with sigma = w0 I + sum w_k omega_k omega_k^T.
+
+    tau is a mixture of the polygon's rotations, and two ray settings per
+    side are drawn; n is drawn from the odd sizes 3..11.
+    """
+    n = int(rng.choice([3, 5, 7, 9, 11]))
+    model = polygon(n)
+    weights = rng.dirichlet(np.ones(n + 1))
+    matrix = weights[0] * max_entangled(n).matrix
+    for k in range(n):
+        omega_k = model.extremal_states[k]
+        matrix = matrix + weights[k + 1] * np.outer(omega_k, omega_k)
+    sigma = JointState(matrix, model, model)
+    tau = sum(w * rotation_about_axis(2.0 * math.pi * k / n)
+              for k, w in enumerate(rng.dirichlet(np.ones(n))))
+    meas = ray_settings(model, n)
+    meas_a = [meas[i] for i in rng.choice(n, size=2, replace=False)]
+    meas_b = [meas[j] for j in rng.choice(n, size=2, replace=False)]
+    return push_local_map(sigma, tau), tau, meas_a, meas_b, sigma
+
+
 def test_pushforward_certificate_is_bitwise_the_reference():
     rng = np.random.default_rng(515)
     for _ in range(10):
-        n = int(rng.choice([3, 5, 7, 9, 11]))
-        model = polygon(n)
-        weights = rng.dirichlet(np.ones(n + 1))
-        matrix = weights[0] * max_entangled(n).matrix
-        for k in range(n):
-            omega_k = model.extremal_states[k]
-            matrix = matrix + weights[k + 1] * np.outer(omega_k, omega_k)
-        sigma = JointState(matrix, model, model)
-        tau = sum(w * rotation_about_axis(2.0 * math.pi * k / n)
-                  for k, w in enumerate(rng.dirichlet(np.ones(n))))
-        meas = ray_settings(model, n)
-        meas_a = [meas[i] for i in rng.choice(n, size=2, replace=False)]
-        meas_b = [meas[j] for j in rng.choice(n, size=2, replace=False)]
-        omega = push_local_map(sigma, tau)
+        omega, tau, meas_a, meas_b, sigma = random_pushforward_case(rng)
         cert = certificate_via_pushforward(omega, tau, meas_a, meas_b, sigma=sigma)
         pulled = [pull_back_measurement(tau, m) for m in meas_b]
         assert_matches_reference(cert, sigma, meas_a, pulled)
@@ -828,3 +843,176 @@ def test_selections_memory_is_within_its_documented_bound():
     assert peak < documented_selections_bound(31)
     # all 216 225 matrices at once would take 140 MB
     assert peak < 8 * 81 * count / 20
+
+
+# -- one pairing: every check reads the certificate's own matrix ---------------
+
+
+def delta_decomposition_reference(state, measurement, tol=None) -> bool:
+    """The split as checked before it read the certificate's matrix.
+
+    Pairs the effects under the raw state matrix and takes the marginals
+    from ``e M u``; the state is taken to have passed the inner-product gate.
+    """
+    tol = resolve_tol(tol)
+    e = measurement.effects
+    m = state.matrix
+    pair = e @ m @ e.T
+    marg = e @ m @ state.model_b.unit_effect
+    correction = np.diag(marg) - pair
+    upper = np.triu(pair, 1)
+    off = upper + upper.T
+    total = np.diag(off.sum(axis=1)) - off
+    psd_ok = not np.any(off < -tol)
+    return psd_ok and float(np.abs(total - correction).max()) <= 1e-12
+
+
+def pushforward_gap_reference(omega, tau, meas_a, meas_b, sigma, tol=None) -> float:
+    """The pushforward check before it read the certificate: raw table against raw table."""
+    pulled = [pull_back_measurement(tau, m, tol) for m in meas_b]
+    direct = correlations_from_state(omega, meas_a, meas_b)
+    certified = correlations_from_state(sigma, meas_a, pulled)
+    return float(np.abs(direct.probs - certified.probs).max())
+
+
+def symmetric_states():
+    """(state, measurements) for every exactly symmetric state this module uses.
+
+    Odd polygons with every ray setting and a three-outcome split of some,
+    the diagonal trit state, the preimages ``w0 I + sum w omega omega^T`` of
+    the pushforward cases, and a diagonal 7-gon state whose pairings go
+    negative.
+    """
+    cases = []
+    for n in (3, 5, 7, 9, 11, 13, 15):
+        state = max_entangled(n)
+        rays = ray_settings(state.model_a, n)
+        cases.append((state, rays + [three_of(state, m) for m in rays[:3]]))
+    state, trit = trit_state()
+    cases.append((state, [trit]))
+    rng = np.random.default_rng(515)
+    for _ in range(10):
+        omega, tau, meas_a, meas_b, sigma = random_pushforward_case(rng)
+        cases.append((sigma, meas_a + meas_b))
+    p7 = polygon(7)
+    cases.append((JointState(np.diag([1.0, 1.0, 0.0]), p7, p7), ray_settings(p7, 7)))
+    return cases
+
+
+def asymmetric_heptagon(size: float) -> JointState:
+    """I + A on the 7-gon, A antisymmetric in (x, z) with |A| = ``size``."""
+    matrix = np.eye(3)
+    matrix[0, 2], matrix[2, 0] = size, -size
+    return JointState(matrix, polygon(7), polygon(7))
+
+
+def test_delta_decomposition_keeps_its_verdicts_on_symmetric_states():
+    verdicts = set()
+    for state, measurements in symmetric_states():
+        assert np.array_equal(state.matrix, state.matrix.T)
+        for meas in measurements:
+            for tol in (None, 0.0, 1e-3):
+                verdict = verify_delta_decomposition(state, meas, tol)
+                assert verdict is delta_decomposition_reference(state, meas, tol)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_delta_decomposition_fails_where_a_pairing_is_negative():
+    # diag(1, 1, 0) is symmetric PSD, but pairs a ray with its complement
+    # at -|e_xy|^2 < 0, so the override is no sum of PSD pair matrices
+    p7 = polygon(7)
+    state = JointState(np.diag([1.0, 1.0, 0.0]), p7, p7)
+    meas = ray_settings(p7, 1)[0]
+    assert is_inner_product_state(state).is_inner_product
+    e, complement = meas.effects
+    assert e @ state.matrix @ complement < -0.1
+    for tol in (None, 0.0, 1e-3):
+        assert verify_delta_decomposition(state, meas, tol) is False
+
+
+def test_delta_decomposition_holds_for_an_asymmetry_inside_tol():
+    # the split used to pair under the raw M, whose asymmetry the Laplacian
+    # of S = (M + M^T) / 2 does not carry
+    state = asymmetric_heptagon(1e-11)
+    rays = ray_settings(state.model_a, 7)
+    for tol in (None, 1e-3):
+        assert is_inner_product_state(state, tol).is_inner_product
+        assert all(verify_delta_decomposition(state, m, tol) for m in rays)
+    assert not any(delta_decomposition_reference(state, m) for m in rays)
+
+
+def test_pushforward_keeps_its_verdicts_on_symmetric_states():
+    rng = np.random.default_rng(2024)
+    cases = [random_pushforward_case(rng) for _ in range(40)]
+    for n in (3, 5, 7, 9, 11, 13, 15):
+        sigma = max_entangled(n)
+        tau = rotation_about_axis(2 * np.pi / n)
+        meas = ray_settings(sigma.model_a, n)
+        cases.append((push_local_map(sigma, tau), tau, meas[:2], meas[-3:], sigma))
+    for omega, tau, meas_a, meas_b, sigma in cases:
+        expected = pushforward_gap_reference(omega, tau, meas_a, meas_b, sigma) <= 1e-12
+        try:
+            certificate_via_pushforward(omega, tau, meas_a, meas_b, sigma=sigma)
+            certified = True
+        except ArithmeticError:
+            certified = False
+        assert certified is expected is True
+
+
+def test_pushforward_refuses_a_certificate_that_misses_the_table():
+    # sigma = omega, tau = I: the raw tables agree, but the certificate holds
+    # the symmetrised pairing, 3.1e-11 away from omega's table
+    state = asymmetric_heptagon(1e-10)
+    meas = ray_settings(state.model_a, 2)
+    assert pushforward_gap_reference(state, np.eye(3), meas, meas, state) <= 1e-12
+    with pytest.raises(ArithmeticError, match=r"^certified correlations deviate by 3\.1\d*e-11$"):
+        certificate_via_pushforward(state, np.eye(3), meas, meas, sigma=state)
+    small = asymmetric_heptagon(1e-13)
+    cert = certificate_via_pushforward(small, np.eye(3), meas, meas, sigma=small)
+    assert cert.verdict() == "in-Q1"
+
+
+def assert_unit_row_is_the_diagonal(cert):
+    assert cert.gamma[0, 1:].tobytes() == np.diag(cert.gamma)[1:].tobytes()
+
+
+def test_every_certificate_has_its_unit_row_on_its_diagonal():
+    asymmetric = asymmetric_heptagon(1e-11)
+    for state in (max_entangled(7), asymmetric):
+        meas = ray_settings(state.model_a, 7)
+        for (i0, i1), (j0, j1) in all_pairs(7):
+            assert_unit_row_is_the_diagonal(certificate_from_inner_product_state(
+                state, [meas[i0], meas[i1]], [meas[j0], meas[j1]]))
+        for cert in certificates_for_selections(state, meas, meas, all_pairs(7)):
+            assert_unit_row_is_the_diagonal(cert)
+        mixed = [three_of(state, meas[0]), meas[1], three_of(state, meas[2])]
+        assert_unit_row_is_the_diagonal(
+            certificate_from_inner_product_state(state, mixed, mixed[::-1]))
+    state, meas_a, meas_b, groups = mixed_selections_case()
+    for selections in groups:
+        for cert in certificates_for_selections(state, meas_a, meas_b, selections):
+            assert_unit_row_is_the_diagonal(cert)
+    rng = np.random.default_rng(515)
+    for _ in range(10):
+        omega, tau, meas_a, meas_b, sigma = random_pushforward_case(rng)
+        assert_unit_row_is_the_diagonal(
+            certificate_via_pushforward(omega, tau, meas_a, meas_b, sigma=sigma))
+    small = asymmetric_heptagon(1e-13)
+    meas = ray_settings(small.model_a, 2)
+    assert_unit_row_is_the_diagonal(
+        certificate_via_pushforward(small, np.eye(3), meas, meas, sigma=small))
+    state, trit = trit_state()
+    assert_unit_row_is_the_diagonal(certificate_from_inner_product_state(state, [trit], [trit]))
+
+
+def test_the_gate_comes_before_the_settings_check():
+    even = max_entangled(4)
+    meas = ray_settings(even.model_a, 2)
+    for meas_a, meas_b in (([], []), (meas, []), ([], meas)):
+        with pytest.raises(ValueError, match="needs an inner-product state"):
+            certificate_from_inner_product_state(even, meas_a, meas_b)
+        with pytest.raises(ValueError, match="needs an inner-product state"):
+            certificates_for_selections(even, meas_a, meas_b, [])
+        with pytest.raises(ValueError, match="^need at least one measurement$"):
+            certificate_from_inner_product_state(max_entangled(5), meas_a, meas_b)

@@ -50,3 +50,35 @@ def imports_umath_linalg(tree):
 def test_one_module_calls_numpy_private_linalg():
     # the private LAPACK kernels live in one module, next to each other
     assert [name for name, tree in parsed() if imports_umath_linalg(tree)] == ["core.py"]
+
+
+def functions(tree):
+    """(name, node) of every module-level function and method, methods as ``Class.name``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_q1_pairs_effects_under_a_state_in_one_function():
+    # _moment_matrix runs the inner-product gate and is the one product with
+    # a state's matrix; the only other read of a matrix compares the
+    # pushed-forward preimage with omega
+    tree = dict(parsed())["q1.py"]
+    owner = {id(node): name for name, function in functions(tree)
+             for node in ast.walk(function)}
+    gate, matrix_reads = [], []
+    for node in ast.walk(tree):
+        where = owner.get(id(node), "<module>")
+        if isinstance(node, ast.Name) and node.id in ("_inner_product_rules",
+                                                       "is_inner_product_state"):
+            gate.append(where)
+        if isinstance(node, ast.Attribute) and node.attr == "matrix":
+            matrix_reads.append((where, ast.unparse(node)))
+    assert gate == ["_moment_matrix", "_moment_matrix"]
+    assert sorted(matrix_reads) == [("_moment_matrix", "state.matrix"),
+                                    ("certificate_via_pushforward", "omega.matrix"),
+                                    ("certificate_via_pushforward", "pushed.matrix")]
