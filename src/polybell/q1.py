@@ -19,6 +19,10 @@ pairing of two outcomes of one measurement. So ``gamma = G S G^T`` plus
 one weighted Laplacian ``L_m`` per measurement, up to rounding, also for a
 state whose asymmetry is inside ``tol``: every entry is read through
 ``S``. Local positivity makes ``p >= 0``, hence the matrix stays PSD.
+For such a state the joint block is the table of ``S``, which differs
+from the state's own table ``e M f`` by up to the asymmetry. A direct
+certificate does not compare the two; the pushforward check compares its
+joint block with the pushed-forward table and refuses a gap over 1e-12.
 
 One construction builds that matrix, ``_moment_matrix``. It runs the
 inner-product gate and is the only code here that pairs effects under a

@@ -950,6 +950,17 @@ def test_pushforward_keeps_its_verdicts_on_symmetric_states():
         tau = rotation_about_axis(2 * np.pi / n)
         meas = ray_settings(sigma.model_a, n)
         cases.append((push_local_map(sigma, tau), tau, meas[:2], meas[-3:], sigma))
+    # omega moved off the pushforward, inside tol, by eps times a symmetric
+    # matrix that keeps the normalisation (the unit effect is (0, 0, 1)):
+    # the tables drift by about eps, so both verdicts occur
+    drift = np.zeros((3, 3))
+    drift[:2, :2] = 1.0
+    for omega, tau, meas_a, meas_b, sigma in cases[:10]:
+        assert np.array_equal(omega.model_a.unit_effect, [0.0, 0.0, 1.0])
+        for eps in (1e-14, 1e-11, 1e-10):
+            moved = JointState(omega.matrix + eps * drift, omega.model_a, omega.model_b)
+            cases.append((moved, tau, meas_a, meas_b, sigma))
+    verdicts = set()
     for omega, tau, meas_a, meas_b, sigma in cases:
         expected = pushforward_gap_reference(omega, tau, meas_a, meas_b, sigma) <= 1e-12
         try:
@@ -957,7 +968,9 @@ def test_pushforward_keeps_its_verdicts_on_symmetric_states():
             certified = True
         except ArithmeticError:
             certified = False
-        assert certified is expected is True
+        assert certified is expected
+        verdicts.add(certified)
+    assert verdicts == {True, False}
 
 
 def test_pushforward_refuses_a_certificate_that_misses_the_table():
