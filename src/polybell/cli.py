@@ -5,7 +5,9 @@ Each subcommand returns a JSON payload and its text rendering and writes
 nothing; ``run`` writes one of the two to stdout, or to the file named by
 ``--emit`` (the JSON) or ``--out`` (the text) and then prints which file it
 wrote. A file that cannot be written is an error (exit 1). All JSON output
-carries a schema_version field and sorted keys; CSV floats are rendered
+carries a schema_version field, and its bytes are those of
+``json.dumps(payload, sort_keys=True, indent=2)``, streamed by the encoder
+below rather than by json's pure-Python one; CSV floats are rendered
 with %.12g. Setting labels in human-readable and JSON output are 1-based
 (matching the way the models are usually drawn), while the Python API
 stays 0-based.
@@ -20,8 +22,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import itertools
+import math
 import sys
+from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import IO
 
 import numpy as np
@@ -62,10 +67,13 @@ MAX_MODEL_N = 2048
 # Most settings per side that odd-n `q1-cert --settings` and `chained --N`
 # accept. The certificate's moment matrix is (1 + 4k)^2 doubles: at this
 # size 1025^2, about 8 MB; with its eigendecomposition about 0.3 s and
-# 80 MB peak RSS in-process on one core (2.5 s and 115 MB with --json,
-# 28 MB of text). The chained table holds k^2 setting pairs, built and
-# checked as whole arrays: `chained --n 2048 --N 256` takes about 0.05 s
-# and 41 MB in-process, most of it building the 256 measurements.
+# 80 MB peak RSS in-process on one core. With --json (28 MB of text) a
+# fresh process writing to a file takes 1.0-1.3 s wall and 79 MB peak RSS
+# with one BLAS thread (Xeon, Python 3.11, numpy 2.4); json.dump took
+# 2.1-2.7 s at the same peak. The chained table holds k^2 setting pairs,
+# built and checked as whole arrays: `chained --n 2048 --N 256` takes
+# about 0.05 s and 41 MB in-process, most of it building the 256
+# measurements.
 MAX_SETTINGS = 256
 
 # Largest polygon `selfdual` accepts. The isomorphism search runs in O(n^2)
@@ -80,10 +88,168 @@ def _write(stream: IO[str], payload: dict, text: str, as_json: bool) -> None:
     """Write ``payload`` as JSON, or ``text``, and a newline, to ``stream``."""
     if as_json:
         payload.setdefault("schema_version", CLI_SCHEMA_VERSION)
-        json.dump(payload, stream, sort_keys=True, indent=2)
+        stream.writelines(_json_chunks(payload))
     else:
         stream.write(text)
     stream.write("\n")
+
+
+# Largest float matrix that _json_matrix formats through one cached
+# template; a larger one (a certificate's moment matrix from 16 settings
+# per side on) is encoded row by row.
+_JSON_TEMPLATE_CELLS = 4096
+
+
+def _json_chunks(value) -> Iterator[str]:
+    """Chunks that join to ``json.dumps(value, sort_keys=True, indent=2)``.
+
+    Each item of a top-level dict is one chunk, and so is each element of a
+    list in it, unless the list is a small float matrix: a large certificate
+    streams one moment-matrix row at a time, as ``json.dump`` does. Raises
+    what ``json.dumps`` raises for a value it refuses.
+    """
+    markers: set[int] = set()
+    if not isinstance(value, dict) or not value:
+        yield _json_text(value, "\n", markers)
+        return
+    markers.add(id(value))
+    opening = "{"
+    for key, item in sorted(value.items()):
+        head = f"{opening}\n  {_json_key(key)}: "
+        opening = ","
+        if not isinstance(item, (list, tuple)) or not item:
+            yield head + _json_text(item, "\n  ", markers)
+        elif (text := _json_matrix(item, "\n  ")) is not None:
+            yield head + text
+        else:
+            _json_mark(item, markers)
+            head += "["
+            for element in item:
+                yield head + "\n    " + _json_text(element, "\n    ", markers)
+                head = ","
+            yield "\n  ]"
+            markers.discard(id(item))
+    yield "\n}"
+
+
+def _json_text(value, pad: str, markers: set[int]) -> str:
+    """json's text of ``value`` at indent ``pad`` (a newline and the spaces of its line).
+
+    The checks follow ``json.encoder._make_iterencode`` in order, so
+    subclasses of str, int and float, tuples, non-str keys, cycles and
+    refused types come out, or raise, as json's own encoder has them.
+    ``markers`` holds the ids of the containers being encoded.
+    """
+    if type(value) is float:
+        return _json_float(value)
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        text = _json_row(value, pad) or _json_matrix(value, pad)
+        if text is None:
+            inner = pad + "  "
+            _json_mark(value, markers)
+            text = "[" + inner + ("," + inner).join(
+                [_json_text(element, inner, markers) for element in value]) + pad + "]"
+            markers.discard(id(value))
+        return text
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        _json_mark(value, markers)
+        text = "{" + inner + ("," + inner).join(
+            [f"{_json_key(key)}: {_json_text(item, inner, markers)}"
+             for key, item in sorted(value.items())]) + pad + "}"
+        markers.discard(id(value))
+        return text
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_row(values, pad: str) -> str | None:
+    """json's text of a list or tuple of exact ``float``, else None."""
+    if set(map(type, values)) != {float}:
+        return None
+    inner = pad + "  "
+    text = ("," + inner).join(map(float.__repr__, values))
+    if "n" in text:  # nan or inf, which json spells its own way
+        text = ("," + inner).join(map(_json_float, values))
+    return "[" + inner + text + pad + "]"
+
+
+def _json_matrix(rows, pad: str) -> str | None:
+    """json's text of a small rectangular float matrix, else None.
+
+    Only a ``list`` of equally long, non-empty ``list`` rows of exact
+    ``float``, at most ``_JSON_TEMPLATE_CELLS`` of them, qualifies; its
+    text is one cached template filled by ``float.__repr__``.
+    """
+    if set(map(type, rows)) != {list} or len(widths := set(map(len, rows))) != 1:
+        return None
+    (width,) = widths
+    if not 0 < len(rows) * width <= _JSON_TEMPLATE_CELLS:
+        return None
+    cells = list(itertools.chain.from_iterable(rows))
+    if set(map(type, cells)) != {float}:
+        return None
+    template = _json_matrix_template(len(rows), width, pad)
+    text = template.format(*map(float.__repr__, cells))
+    if "n" in text:
+        text = template.format(*map(_json_float, cells))
+    return text
+
+
+@functools.lru_cache(maxsize=64)
+def _json_matrix_template(rows: int, width: int, pad: str) -> str:
+    """The text of a ``rows`` x ``width`` matrix at ``pad``, each cell ``{}``."""
+    inner = pad + "  "
+    cell = inner + "  "
+    row = "[" + cell + ("," + cell).join(["{}"] * width) + inner + "]"
+    return "[" + inner + ("," + inner).join([row] * rows) + pad + "]"
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _json_str(key)
+    if isinstance(key, float):
+        return _json_str(_json_float(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _json_str(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_mark(container, markers: set[int]) -> None:
+    if id(container) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(container))
 
 
 def _model_size(spec: str) -> int | None:

@@ -122,6 +122,17 @@ def _dets(matrices: np.ndarray) -> np.ndarray:
     return _umath_linalg.det(matrices, signature="d->d")
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int: an ``int`` or a numpy integer, not a bool.
+
+    Raises ``ValueError`` naming ``what`` for anything else, float and str
+    included, so that no count is silently truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def as_vector(x, *, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a read-only 1-D float vector, checking finiteness."""
     v = np.array(x, dtype=float, copy=True)

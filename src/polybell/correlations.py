@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bipartite import JointState
-from .core import DEFAULT_TOL, Measurement, ModelSpec, dichotomic_measurement
+from .core import DEFAULT_TOL, Measurement, ModelSpec, _as_int, dichotomic_measurement
 from .polygon import _vertex_count, max_entangled, polygon
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -144,7 +144,14 @@ def correlations_from_state(state: JointState,
 
 def ray_settings(model: ModelSpec, k: int,
                  tol: float | None = None) -> list[Measurement]:
-    """The first k dichotomic settings {e_i, u - e_i} over ray-extremal effects."""
+    """The first k dichotomic settings {e_i, u - e_i} over ray-extremal effects.
+
+    ``k`` is an int or a numpy integer from 0 to the ray count; anything
+    else raises ``ValueError``.
+    """
+    k = _as_int(k, "ray_settings k")
+    if k < 0:
+        raise ValueError(f"ray_settings k = {k} is negative")
     return [dichotomic_measurement(model, i, tol=tol) for i in range(k)]
 
 
@@ -180,15 +187,22 @@ def uffink(table: CorrelationTable) -> float:
     return (e00 + e10) ** 2 + (e01 - e11) ** 2
 
 
+def _chained_settings(n_settings) -> int:
+    """The chained setting count N as an int; ``ValueError`` unless an integer >= 2."""
+    n = _as_int(n_settings, "chained settings count N")
+    if n < 2:
+        raise ValueError("chained combination needs at least 2 settings")
+    return n
+
+
 def chained(table: CorrelationTable, n_settings: int) -> float:
     """Chained combination over settings 0..N-1 on each side.
 
     |sum_{j<N-1} (E(j,j) + E(j,j+1)) + E(N-1,N-1) - E(N-1,0)|; local tables
-    obey the bound 2N - 2, while the algebraic maximum is 2N.
+    obey the bound 2N - 2, while the algebraic maximum is 2N. N is an int
+    or a numpy integer of at least 2; anything else raises ``ValueError``.
     """
-    n = int(n_settings)
-    if n < 2:
-        raise ValueError("chained combination needs at least 2 settings")
+    n = _chained_settings(n_settings)
     if table.n_settings_a < n or table.n_settings_b < n:
         raise ValueError(f"table has fewer than {n} settings per side")
     total = 0.0
@@ -199,8 +213,12 @@ def chained(table: CorrelationTable, n_settings: int) -> float:
 
 
 def chained_local_bound(n_settings: int) -> float:
-    """Largest chained value over local deterministic tables: 2N - 2."""
-    return 2.0 * int(n_settings) - 2.0
+    """Largest chained value over local deterministic tables: 2N - 2.
+
+    N is an int or a numpy integer of at least 2; anything else raises
+    ``ValueError``.
+    """
+    return 2.0 * _chained_settings(n_settings) - 2.0
 
 
 # Element budget of each block temporary in the CHSH scan: 2**14 doubles

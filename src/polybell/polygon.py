@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bipartite import JointState
-from .core import ModelSpec
+from .core import ModelSpec, _as_int
 
 
 def _vertex_count(n) -> int:
@@ -32,11 +32,10 @@ def _vertex_count(n) -> int:
     Accepts ``int`` and numpy integers of at least 3; raises ``ValueError``
     for anything else, bool, float and str included.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"polygon vertex count must be an integer, got {n!r}")
+    n = _as_int(n, "polygon vertex count")
     if n < 3:
         raise ValueError("polygon models need at least 3 vertices")
-    return int(n)
+    return n
 
 
 def polygon_radius(n: int) -> float:

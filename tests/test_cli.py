@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polybell
 from polybell import cli, correlations, selfdual
@@ -692,8 +694,17 @@ HEADLINES = {
 }
 
 
+def subcommand_payload(argv: list[str]) -> dict:
+    """The payload a subcommand returns, with the schema version ``run`` adds."""
+    args = cli._build_parser().parse_args(argv)
+    args.tol = resolve_tol(args.tol)
+    payload, _ = args.func(args)
+    payload.setdefault("schema_version", cli.CLI_SCHEMA_VERSION)
+    return payload
+
+
 @pytest.mark.parametrize("name", HEADLINES)
-def test_json_output_is_one_sorted_object(name, capsys):
+def test_json_output_is_one_sorted_object(name, capsys, tmp_path):
     argv = HEADLINES[name][0]
     assert run([*argv, "--json"]) == 0
     out = capsys.readouterr().out
@@ -701,6 +712,113 @@ def test_json_output_is_one_sorted_object(name, capsys):
     assert isinstance(payload, dict)
     assert payload["schema_version"] == 1
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # the returned floats, before json.loads rounds them through text
+    expected = json.dumps(subcommand_payload(argv), sort_keys=True, indent=2) + "\n"
+    assert out == expected
+    if name == "polygon":
+        path = tmp_path / "model.json"
+        assert run([*argv, "--emit", str(path)]) == 0
+        assert path.read_bytes() == expected.encode()
+
+
+class LoudFloat(float):
+    def __repr__(self):
+        return "loud"
+
+
+class LoudInt(int):
+    def __repr__(self):
+        return "loud"
+
+
+JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308, 0.1, 1.0]),
+    st.floats().map(np.float64),
+    st.floats().map(LoudFloat),
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**63, -2**64, 10**40]),
+    st.integers().map(LoudInt),
+    JSON_FLOATS,
+    st.text(),
+    st.sampled_from(['say "hi"', "back\\slash", "\x00\x1f\x7f\n\t", "caf\u00e9 \u2028 \U0001f600"]),
+)
+
+
+def float_matrices(cells=JSON_FLOATS):
+    return st.integers(0, 4).flatmap(
+        lambda width: st.lists(st.lists(cells, min_size=width, max_size=width), max_size=6))
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_SCALARS, st.lists(JSON_FLOATS), float_matrices(), float_matrices(st.floats()),
+              st.lists(st.lists(st.floats(), max_size=4), max_size=5)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(), children, max_size=5),
+        st.dictionaries(st.integers() | st.booleans() | st.none(), children, max_size=4),
+        st.dictionaries(JSON_FLOATS, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+def json_outcome(encode, value):
+    """What ``encode(value)`` gives: the text, or the type and message of its error."""
+    try:
+        return encode(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def cli_json(value) -> str:
+    return "".join(cli._json_chunks(value))
+
+
+def stdlib_json(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+def test_cli_json_is_stdlib_json(value):
+    assert json_outcome(cli_json, value) == json_outcome(stdlib_json, value)
+    wrapped = {"gamma": value, "spectrum": [value, value], "verdict": "in-Q1"}
+    assert json_outcome(cli_json, wrapped) == json_outcome(stdlib_json, wrapped)
+
+
+def test_cli_json_refuses_what_json_refuses():
+    circular = [1.0]
+    circular.append(circular)
+    nested = {"a": [{}]}
+    nested["a"][0]["b"] = nested
+    refused = [np.int64(1), np.zeros(2), np.zeros((2, 2)), {1.0, 2.0}, b"bytes", object()]
+    for bad in refused + [circular, nested, {(1, 2): 0.5}, {1: 0.5, "a": 0.5}]:
+        for value in (bad, [0.5, bad], {"x": bad}, {"x": [[0.5], bad]}, {"x": {"y": bad}}):
+            outcome = json_outcome(cli_json, value)
+            assert isinstance(outcome, tuple), value
+            assert outcome == json_outcome(stdlib_json, value)
+    for bad in refused:
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli_json({"x": bad})
+
+
+def test_large_certificates_stream_one_row_at_a_time():
+    # 253 x 253 moment matrix: no chunk holds more than one of its rows
+    payload = subcommand_payload(["q1-cert", "--model", "polygon:63", "--settings", "63", "--json"])
+    chunks = list(cli._json_chunks(payload))
+    assert "".join(chunks) == stdlib_json(payload)
+    rows = [json.dumps(row, indent=2).replace("\n", "\n    ") for row in payload["gamma"]]
+    assert len(rows) == 253
+    # a row's chunk is its text after a comma or, for the first, the key
+    longest = max(map(len, rows)) + len(',\n  "gamma": [\n    ')
+    assert max(map(len, chunks)) <= longest
+    assert len(chunks) > len(rows)
 
 
 @pytest.mark.parametrize("name", HEADLINES)

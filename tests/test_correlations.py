@@ -367,8 +367,17 @@ def test_benchmark_reference_is_the_scan_and_the_closed_form():
 def test_ray_settings_bounds():
     m = polygon(5)
     assert len(ray_settings(m, 3)) == 3
-    with pytest.raises(ValueError):
+    assert ray_settings(m, 0) == []
+    with pytest.raises(ValueError, match="^ray index 5 out of range"):
         ray_settings(m, 6)
+    # -1 used to give [], True one setting and 2.0 a bare TypeError
+    with pytest.raises(ValueError, match="^ray_settings k = -1 is negative$"):
+        ray_settings(m, -1)
+    for k in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^ray_settings k must be an integer, got {k!r}$"):
+            ray_settings(m, k)
+    for got, want in zip(ray_settings(m, np.int64(3)), ray_settings(m, 3)):
+        assert np.array_equal(got.effects, want.effects)
 
 
 # -- correlator closed forms ---------------------------------------------------
@@ -887,6 +896,26 @@ def test_chained_algebraic_maximum(big_n):
     t = correlations_from_state(state, meas, meas)
     assert chained(t, big_n) == pytest.approx(2 * big_n, abs=1e-12)
     assert chained(t, big_n) > chained_local_bound(big_n)
+
+
+@pytest.mark.parametrize("big_n", [2.9, 2.0, True], ids=repr)
+def test_chained_refuses_a_setting_count_that_is_not_an_integer(big_n):
+    # 2.9 used to give the N = 2 value and a local bound of 2.0
+    state = max_entangled(8)
+    meas = ray_settings(state.model_a, 3)
+    table = correlations_from_state(state, meas, meas)
+    message = f"^chained settings count N must be an integer, got {big_n!r}$"
+    with pytest.raises(ValueError, match=message):
+        chained(table, big_n)
+    with pytest.raises(ValueError, match=message):
+        chained_local_bound(big_n)
+    assert chained(table, np.int64(3)) == chained(table, 3)
+    assert chained_local_bound(np.int32(3)) == chained_local_bound(3) == 4.0
+    # the bound used to return 0.0, -2.0 and -8.0 for these
+    for small in (1, 0, -3):
+        for call in (lambda n: chained(table, n), chained_local_bound):
+            with pytest.raises(ValueError, match="^chained combination needs at least 2 settings$"):
+                call(small)
 
 
 def test_chained_n2_sign_arrangement():

@@ -82,3 +82,30 @@ def test_q1_pairs_effects_under_a_state_in_one_function():
     assert sorted(matrix_reads) == [("_moment_matrix", "state.matrix"),
                                     ("certificate_via_pushforward", "omega.matrix"),
                                     ("certificate_via_pushforward", "pushed.matrix")]
+
+
+def is_json_writer(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json")
+
+
+def test_cli_json_takes_one_route():
+    # indented JSON is the CLI's, and cli._write is the one place that
+    # encodes it, so no second writer can drift from its bytes
+    writers, imported, encoders = [], [], []
+    for name, tree in parsed():
+        owner = {id(node): function for function, body in functions(tree)
+                 for node in ast.walk(body)}
+        for node in ast.walk(tree):
+            if is_json_writer(node):
+                writers.append((name, [k.arg for k in node.keywords]))
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                imported += [alias.name for alias in node.names]
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_json_chunks"):
+                encoders.append((name, owner.get(id(node), "<module>")))
+    # ModelSpec.to_json writes compact JSON; a ** argument could hide an indent
+    assert writers and all(None not in args and "indent" not in args for _, args in writers)
+    assert not {"dump", "dumps", "JSONEncoder"} & set(imported)
+    assert encoders == [("cli.py", "_write")]
