@@ -42,6 +42,7 @@ from .correlations import (
     correlations_from_state,
     correlator,
     distill_decompose,
+    distill_with_table,
     ray_settings,
     uffink,
 )

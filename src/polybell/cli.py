@@ -7,7 +7,9 @@ nothing; ``run`` writes one of the two to stdout, or to the file named by
 wrote. A file that cannot be written is an error (exit 1). All JSON output
 carries a schema_version field, and its bytes are those of
 ``json.dumps(payload, sort_keys=True, indent=2)``, streamed by the encoder
-below rather than by json's pure-Python one; CSV floats are rendered
+below rather than by json's pure-Python one. Its one fast rule is that a
+list of floats is one join over ``float.__repr__``; a float matrix is a
+list of such rows, with no special case of its own. CSV floats are rendered
 with %.12g. Setting labels in human-readable and JSON output are 1-based
 (matching the way the models are usually drawn), while the Python API
 stays 0-based.
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 from collections.abc import Iterator
@@ -94,19 +95,13 @@ def _write(stream: IO[str], payload: dict, text: str, as_json: bool) -> None:
     stream.write("\n")
 
 
-# Largest float matrix that _json_matrix formats through one cached
-# template; a larger one (a certificate's moment matrix from 16 settings
-# per side on) is encoded row by row.
-_JSON_TEMPLATE_CELLS = 4096
-
-
 def _json_chunks(value) -> Iterator[str]:
     """Chunks that join to ``json.dumps(value, sort_keys=True, indent=2)``.
 
     Each item of a top-level dict is one chunk, and so is each element of a
-    list in it, unless the list is a small float matrix: a large certificate
-    streams one moment-matrix row at a time, as ``json.dump`` does. Raises
-    what ``json.dumps`` raises for a value it refuses.
+    list in it, whatever that element holds: a large certificate streams one
+    moment-matrix row at a time, as ``json.dump`` does. Raises what
+    ``json.dumps`` raises for a value it refuses.
     """
     markers: set[int] = set()
     if not isinstance(value, dict) or not value:
@@ -119,8 +114,6 @@ def _json_chunks(value) -> Iterator[str]:
         opening = ","
         if not isinstance(item, (list, tuple)) or not item:
             yield head + _json_text(item, "\n  ", markers)
-        elif (text := _json_matrix(item, "\n  ")) is not None:
-            yield head + text
         else:
             _json_mark(item, markers)
             head += "["
@@ -138,10 +131,10 @@ def _json_text(value, pad: str, markers: set[int]) -> str:
     The checks follow ``json.encoder._make_iterencode`` in order, so
     subclasses of str, int and float, tuples, non-str keys, cycles and
     refused types come out, or raise, as json's own encoder has them.
-    ``markers`` holds the ids of the containers being encoded.
+    ``markers`` holds the ids of the containers being encoded. The one fast
+    rule: a list or tuple of exact ``float`` is one join over
+    ``float.__repr__``, so a float matrix is a list of such rows.
     """
-    if type(value) is float:
-        return _json_float(value)
     if isinstance(value, str):
         return _json_str(value)
     if value is None:
@@ -157,14 +150,16 @@ def _json_text(value, pad: str, markers: set[int]) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        text = _json_row(value, pad) or _json_matrix(value, pad)
-        if text is None:
-            inner = pad + "  "
+        inner = pad + "  "
+        if set(map(type, value)) == {float}:
+            text = ("," + inner).join(map(float.__repr__, value))
+            if "n" in text:  # nan or inf, which json spells its own way
+                text = ("," + inner).join(map(_json_float, value))
+        else:
             _json_mark(value, markers)
-            text = "[" + inner + ("," + inner).join(
-                [_json_text(element, inner, markers) for element in value]) + pad + "]"
+            text = ("," + inner).join([_json_text(element, inner, markers) for element in value])
             markers.discard(id(value))
-        return text
+        return "[" + inner + text + pad + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -176,48 +171,6 @@ def _json_text(value, pad: str, markers: set[int]) -> str:
         markers.discard(id(value))
         return text
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _json_row(values, pad: str) -> str | None:
-    """json's text of a list or tuple of exact ``float``, else None."""
-    if set(map(type, values)) != {float}:
-        return None
-    inner = pad + "  "
-    text = ("," + inner).join(map(float.__repr__, values))
-    if "n" in text:  # nan or inf, which json spells its own way
-        text = ("," + inner).join(map(_json_float, values))
-    return "[" + inner + text + pad + "]"
-
-
-def _json_matrix(rows, pad: str) -> str | None:
-    """json's text of a small rectangular float matrix, else None.
-
-    Only a ``list`` of equally long, non-empty ``list`` rows of exact
-    ``float``, at most ``_JSON_TEMPLATE_CELLS`` of them, qualifies; its
-    text is one cached template filled by ``float.__repr__``.
-    """
-    if set(map(type, rows)) != {list} or len(widths := set(map(len, rows))) != 1:
-        return None
-    (width,) = widths
-    if not 0 < len(rows) * width <= _JSON_TEMPLATE_CELLS:
-        return None
-    cells = list(itertools.chain.from_iterable(rows))
-    if set(map(type, cells)) != {float}:
-        return None
-    template = _json_matrix_template(len(rows), width, pad)
-    text = template.format(*map(float.__repr__, cells))
-    if "n" in text:
-        text = template.format(*map(_json_float, cells))
-    return text
-
-
-@functools.lru_cache(maxsize=64)
-def _json_matrix_template(rows: int, width: int, pad: str) -> str:
-    """The text of a ``rows`` x ``width`` matrix at ``pad``, each cell ``{}``."""
-    inner = pad + "  "
-    cell = inner + "  "
-    row = "[" + cell + ("," + cell).join(["{}"] * width) + inner + "]"
-    return "[" + inner + ("," + inner).join([row] * rows) + pad + "]"
 
 
 def _json_float(value: float) -> str:

@@ -429,6 +429,7 @@ del Measurement.tol
 def dichotomic_measurement(model: ModelSpec, ray_index: int,
                            tol: float | None = None) -> Measurement:
     """Two-outcome measurement {e, u - e} from ray-extremal effect ``ray_index``."""
+    ray_index = _as_int(ray_index, "ray index")
     rays = model.ray_effects
     if not 0 <= ray_index < rays.shape[0]:
         raise ValueError(
@@ -445,6 +446,7 @@ def simplex_model(n: int) -> ModelSpec:
     Extremal states are the standard basis vectors, extremal effects the
     coordinate read-outs, and the unit effect the all-ones vector.
     """
+    n = _as_int(n, "classical level count")
     if n < 2:
         raise ValueError("a classical system needs at least 2 levels")
     eye = np.eye(n)

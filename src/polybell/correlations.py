@@ -52,8 +52,8 @@ class CorrelationTable:
 
     def __post_init__(self) -> None:
         probs = np.array(self.probs, dtype=float, order="C")
-        outcomes_a = tuple(int(k) for k in self.outcomes_a)
-        outcomes_b = tuple(int(k) for k in self.outcomes_b)
+        outcomes_a = tuple(_as_int(k, "outcomes_a count") for k in self.outcomes_a)
+        outcomes_b = tuple(_as_int(k, "outcomes_b count") for k in self.outcomes_b)
         object.__setattr__(self, "outcomes_a", outcomes_a)
         object.__setattr__(self, "outcomes_b", outcomes_b)
         if probs.ndim != 4:

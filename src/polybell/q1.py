@@ -72,7 +72,7 @@ from .bipartite import (
     pull_back_measurement,
     push_local_map,
 )
-from .core import Measurement, _spectra, psd_at, resolve_tol
+from .core import Measurement, _as_int, _spectra, psd_at, resolve_tol
 from .correlations import (
     TSIRELSON_BOUND,
     CorrelationTable,
@@ -113,12 +113,13 @@ def _frozen_spectra(gammas: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Q1Certificate:
     """A candidate moment matrix with its spectrum.
 
-    ``gamma`` is the symmetric moment matrix, a numpy float array;
-    construction checks its shape against the outcome counts and its exact
-    symmetry, makes it read-only in place, without a copy, and computes
-    ``eigen_spectrum``, its eigenvalues in ascending order (read-only).
-    ``outcomes_a``/``outcomes_b`` record how the flat outcome labels split
-    into measurements (one count per setting).
+    ``gamma`` is the symmetric moment matrix, a float64 numpy array;
+    construction refuses anything else, checks its shape against the
+    outcome counts and its exact symmetry, makes it read-only in place,
+    without a copy, and computes ``eigen_spectrum``, its eigenvalues in
+    ascending order (read-only). ``outcomes_a``/``outcomes_b`` record how
+    the flat outcome labels split into measurements (one count per setting,
+    each an integer of at least 1; kept as tuples of int).
     :func:`certificate_from_inner_product_state` and
     :func:`certificates_for_selections` build the library's certificates;
     their free entries come from the state's bilinear pairing.
@@ -130,8 +131,18 @@ class Q1Certificate:
     eigen_spectrum: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        n = 1 + sum(self.outcomes_a) + sum(self.outcomes_b)
-        object.__setattr__(self, "eigen_spectrum", _frozen_spectra(self.gamma, (n, n)))
+        gamma = self.gamma
+        if not isinstance(gamma, np.ndarray) or gamma.dtype != np.float64:
+            got = f"{gamma.dtype} array" if isinstance(gamma, np.ndarray) else type(gamma).__name__
+            raise ValueError(f"gamma must be a float64 numpy array, got {got}")
+        outcomes_a = tuple(_as_int(k, "outcomes_a count") for k in self.outcomes_a)
+        outcomes_b = tuple(_as_int(k, "outcomes_b count") for k in self.outcomes_b)
+        if min(outcomes_a + outcomes_b, default=1) < 1:
+            raise ValueError("every setting needs at least one outcome")
+        object.__setattr__(self, "outcomes_a", outcomes_a)
+        object.__setattr__(self, "outcomes_b", outcomes_b)
+        n = 1 + sum(outcomes_a) + sum(outcomes_b)
+        object.__setattr__(self, "eigen_spectrum", _frozen_spectra(gamma, (n, n)))
 
     def psd(self, tol: float | None = None) -> bool:
         """Positive semidefiniteness at ``tol``, by :func:`~polybell.core.psd_at`."""

@@ -213,23 +213,6 @@ def _null_vectors(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vectors, nullity
 
 
-def _row_sums(p: np.ndarray) -> np.ndarray:
-    """``np.sum(p, axis=-1)`` of a C-contiguous array, bitwise.
-
-    numpy adds a contiguous axis shorter than its pairwise block of 8 one
-    entry at a time from 0.0 (so -0.0 entries sum to 0.0). For such an axis
-    the same adds, one column at a time, skip the reduction's per-row cost;
-    a longer axis keeps ``np.sum``.
-    """
-    d = p.shape[-1]
-    if d >= 8:
-        return np.sum(p, axis=-1)
-    total = 0.0 + p[..., 0]
-    for j in range(1, d):
-        total += p[..., j]
-    return total
-
-
 # The rules in report order; a candidate's ``stage`` indexes them.
 _RULES = ("nullity", "sign", "scale", "residual", "determinant")
 
@@ -285,7 +268,7 @@ def _solve_block(effects: np.ndarray, states: np.ndarray, system: tuple[np.ndarr
     t /= np.sqrt(1.0 + np.sum(t * t, axis=(1, 2)))[:, None, None]
     images = effects @ t.transpose(0, 2, 1)
     targets = states.take(perms, axis=0)
-    scales = _row_sums(images * targets) / np.sum(states * states, axis=1).take(perms)
+    scales = np.sum(images * targets, axis=-1) / np.sum(states * states, axis=1).take(perms)
     negative = np.all(scales < 0, axis=1)
     sign = np.all(scales > 0, axis=1) | negative
     norm = np.linalg.norm(t, axis=(1, 2))

@@ -230,6 +230,30 @@ def test_dichotomic_measurement_outcomes():
         dichotomic_measurement(m, 4)
 
 
+@pytest.mark.parametrize("bad", [2.9, 2.0, True], ids=repr)
+def test_ray_index_and_level_count_must_be_integers(bad):
+    # True used to build a 3-D effect array, 2.0 to raise numpy's IndexError
+    # and simplex_model(2.5) numpy's TypeError
+    with pytest.raises(ValueError, match=f"^ray index must be an integer, got {bad!r}$"):
+        dichotomic_measurement(polygon(5), bad)
+    with pytest.raises(ValueError,
+                       match=f"^classical level count must be an integer, got {bad!r}$"):
+        simplex_model(bad)
+
+
+def test_ray_index_and_level_count_take_numpy_integers():
+    model = polygon(5)
+    assert (dichotomic_measurement(model, np.int64(3)).effects.tobytes()
+            == dichotomic_measurement(model, 3).effects.tobytes())
+    with pytest.raises(ValueError, match=r"^ray index 5 out of range \(model has 5 "):
+        dichotomic_measurement(model, np.int64(5))
+    classical = simplex_model(np.int64(4))
+    assert classical.name == "classical-4" and type(classical.dim) is int
+    assert classical.to_json() == simplex_model(4).to_json()
+    with pytest.raises(ValueError, match="^a classical system needs at least 2 levels$"):
+        simplex_model(np.int64(1))
+
+
 def test_models_similar_ignores_name():
     a = square_model()
     b = ModelSpec("other", 3, a.extremal_states, a.extremal_effects, a.unit_effect)

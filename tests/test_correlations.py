@@ -91,6 +91,23 @@ def test_table_rejects_negative_and_unnormalized():
         CorrelationTable(padded, (2,), (2,))
 
 
+@pytest.mark.parametrize("count", [2.9, 2.0, True], ids=repr)
+def test_table_outcome_counts_must_be_integers(count):
+    # (2.9, 2) used to be stored as (2, 2)
+    probs = np.full((2, 2, 2, 2), 0.25)
+    message = f"count must be an integer, got {re.escape(repr(count))}$"
+    with pytest.raises(ValueError, match="^outcomes_a " + message):
+        CorrelationTable(probs, (count, 2), (2, 2))
+    with pytest.raises(ValueError, match="^outcomes_b " + message):
+        CorrelationTable(probs, (2, 2), (2, count))
+
+
+def test_table_outcome_counts_take_numpy_integers():
+    table = CorrelationTable(np.full((2, 2, 2, 2), 0.25), (np.int64(2), 2), (2, np.int32(2)))
+    assert table.outcomes_a == table.outcomes_b == (2, 2)
+    assert {type(k) for k in table.outcomes_a + table.outcomes_b} == {int}
+
+
 def correlations_reference(state, meas_a, meas_b) -> np.ndarray:
     """The per-pair loop that filled the table before the stacked product."""
     outcomes_a = [m.n_outcomes for m in meas_a]

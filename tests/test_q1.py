@@ -480,6 +480,37 @@ def test_certificate_arrays_are_read_only():
     assert not supplied.flags.writeable and not cert.eigen_spectrum.flags.writeable
 
 
+@pytest.mark.parametrize("gamma", [[[1.0]], np.eye(3).tolist(), np.eye(3, dtype=int),
+                                   np.eye(3, dtype=np.float32), np.eye(3, dtype=complex)],
+                         ids=["list", "rows", "int", "float32", "complex"])
+def test_certificate_refuses_a_gamma_that_is_not_a_float_array(gamma):
+    # a list used to raise AttributeError, and an int array was kept as int
+    # beside a float spectrum
+    counts = ((), ()) if len(gamma) == 1 else ((1,), (1,))
+    with pytest.raises(ValueError, match="^gamma must be a float64 numpy array, got "):
+        Q1Certificate(gamma, *counts)
+
+
+@pytest.mark.parametrize("count", [2.9, 2.0, True], ids=repr)
+def test_certificate_outcome_counts_must_be_integers(count):
+    message = f"count must be an integer, got {count!r}$"
+    with pytest.raises(ValueError, match="^outcomes_a " + message):
+        Q1Certificate(np.eye(4), (count,), (1,))
+    with pytest.raises(ValueError, match="^outcomes_b " + message):
+        Q1Certificate(np.eye(4), (1,), (count,))
+
+
+def test_certificate_outcome_counts_are_positive_ints():
+    cert = Q1Certificate(np.eye(4), [np.int64(2)], (np.int32(1),))
+    assert cert.outcomes_a == (2,) and cert.outcomes_b == (1,)
+    assert {type(k) for k in cert.outcomes_a + cert.outcomes_b} == {int}
+    # (-1,) with (1,) used to pass as a 1 x 1 matrix
+    for counts in (((-1,), (1,)), ((0,), (1,)), ((1,), (0, 1))):
+        size = 1 + sum(counts[0]) + sum(counts[1])
+        with pytest.raises(ValueError, match="^every setting needs at least one outcome$"):
+            Q1Certificate(np.eye(size), *counts)
+
+
 def test_gamma_shape_validation():
     with pytest.raises(ValueError):
         Q1Certificate(gamma=np.eye(4), outcomes_a=(2,), outcomes_b=(2,))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 from types import SimpleNamespace
@@ -316,6 +317,25 @@ def test_kept_search_is_bitwise_a_first_search():
                         np.linalg.eigvalsh((expected + expected.T) / 2.0)[0]
 
 
+# sha256 of the search's four candidate arrays (dtype, shape and bytes of
+# each) over the models below, as the search gave them when it was pinned:
+# a change to any candidate's transform, stage, scale margin or group, down
+# to its last bit, changes it
+SEARCH_SHA256 = "11a9ab650758e020d51d9e63ee153dba8c0c4e6c985b5bc1d37702afddb19fb8"
+
+
+def test_candidate_margins_are_pinned_bitwise():
+    digest = hashlib.sha256()
+    for model in ([polygon(n) for n in range(3, 65)]
+                  + [house_model(), square_pyramid_model(), bent_pentagon(), tilted(polygon(7))]):
+        candidates = selfdual._candidate_margins(model)
+        for array in (candidates.transforms, candidates.stage, candidates.scale_margin,
+                      candidates.group):
+            digest.update(f"{array.dtype.str}{array.shape}".encode())
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == SEARCH_SHA256
+
+
 def test_candidate_solve_runs_once_per_model(monkeypatch):
     solved = []
     solve_block = selfdual._solve_block
@@ -570,17 +590,6 @@ def test_null_vectors_mix_minors_and_svd_in_one_stack(monkeypatch):
 
 # Guards on the numpy behaviour the search relies on for bitwise results: a
 # numpy that changes its reduction order or its gathers fails here first.
-
-@pytest.mark.parametrize("d", range(1, 10))
-def test_row_sums_are_bitwise_np_sum(d):
-    rng = np.random.default_rng(2100 + d)
-    rows = rng.normal(size=(4000, 7, d)) * np.exp(rng.normal(scale=8.0, size=(4000, 7, d)))
-    signed_zeros = np.array(list(itertools.product((0.0, -0.0), repeat=d)))
-    for p in (rows, signed_zeros, rng.normal(size=(0, d))):
-        assert selfdual._row_sums(p).tobytes() == np.sum(p, axis=-1).tobytes()
-    # all -0.0 sums to 0.0
-    assert not np.signbit(selfdual._row_sums(np.full((1, d), -0.0))).any()
-
 
 def test_take_is_the_fancy_index():
     rng = np.random.default_rng(2101)

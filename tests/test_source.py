@@ -1,6 +1,7 @@
 """Rules that the library's source keeps, read from its syntax trees."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import polybell
@@ -109,3 +110,17 @@ def test_cli_json_takes_one_route():
     assert writers and all(None not in args and "indent" not in args for _, args in writers)
     assert not {"dump", "dumps", "JSONEncoder"} & set(imported)
     assert encoders == [("cli.py", "_write")]
+
+
+def test_cli_imports_only_exported_names():
+    # what the command line takes from the library's modules is public API:
+    # each public name is the object the package itself exports
+    tree = dict(parsed())["cli.py"]
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                for alias in node.names if not alias.name.startswith("_")]
+    assert ("correlations", "distill_with_table") in imported
+    unexported = [f"{module}.{name}" for module, name in imported
+                  if getattr(polybell, name, None)
+                  is not getattr(importlib.import_module(f"polybell.{module}"), name)]
+    assert not unexported, f"cli.py imports names polybell does not export: {unexported}"
