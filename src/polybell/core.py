@@ -133,12 +133,17 @@ def _as_int(value, what: str) -> int:
     return int(value)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()``, at a third of its cost on small arrays."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def as_vector(x, *, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a read-only 1-D float vector, checking finiteness."""
     v = np.array(x, dtype=float, copy=True)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a non-empty 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise ValueError("vector has non-finite coordinates")
     if dim is not None and v.size != dim:
         raise ValueError(f"expected dimension {dim}, got {v.size}")
@@ -151,7 +156,7 @@ def _as_matrix(x, *, cols: int, name: str) -> np.ndarray:
     m = np.array(x, dtype=float, copy=True)
     if m.ndim != 2 or m.shape[1] != cols or m.shape[0] == 0:
         raise ValueError(f"{name} must be a non-empty 2-D array with {cols} columns")
-    if not np.isfinite(m).all():
+    if not _all_finite(m):
         raise ValueError(f"{name} has non-finite entries")
     m.flags.writeable = False
     return m
@@ -387,15 +392,51 @@ def validate_model(model: ModelSpec, tol: float | None = None) -> ValidationRepo
                             range_margin=float(excess.max()))
 
 
+# Element budget of the pairing temporary when a list of settings is
+# checked: 2**16 doubles (512 KiB), the budget of q1's selection stacks.
+_CHECK_BLOCK_ELEMENTS = 1 << 16
+
+
+def _check_measurements(effects: np.ndarray, model: ModelSpec, tol: float) -> None:
+    """Check each setting of a (settings, outcomes, dim) stack as a measurement.
+
+    The two rules of a :class:`Measurement`, in this order: a setting's
+    effects sum to ``model``'s unit effect within ``tol``, and each effect's
+    pairing with every extremal state lies in [-tol, 1 + tol]. Raises the
+    ``ValueError`` that constructing the settings one at a time raises
+    first: at the first failing setting, a non-finite entry (which always
+    breaks the sum), then the sum, then the range, naming the first
+    improper outcome. ``tol`` is a resolved tolerance.
+    """
+    gap = np.abs(effects.sum(axis=1) - model.unit_effect)  # (settings, dim)
+    # (states, settings x outcomes); np.dot calls the same product as @
+    # with less overhead on small arrays
+    p = np.dot(model.extremal_states, effects.reshape(-1, effects.shape[2]).T)
+    # the ends decide; the rows are read only to name a setting and an outcome
+    if not gap.max() <= tol or p.min() < -tol or p.max() > 1.0 + tol:
+        off = ~(gap.max(axis=1) <= tol)
+        improper = ((p < -tol) | (p > 1.0 + tol)).any(axis=0).reshape(off.size, -1)
+        # argmax of a bool array is its first True
+        x = int((off | improper.any(axis=1)).argmax())
+        # the constructor's finiteness check comes first; in ray_settings'
+        # stack only an overflowing u - e can bring a non-finite entry
+        if not _all_finite(effects[x]):
+            raise ValueError("effects has non-finite entries")
+        if off[x]:
+            raise ValueError("measurement effects do not sum to the unit effect")
+        raise ValueError(f"measurement outcome {improper[x].argmax()} is not a proper effect")
+
+
 @dataclass(frozen=True, eq=False)
 class Measurement:
     """A finite-outcome measurement: effects (rows) resolving the unit effect.
 
     Construction checks that ``effects`` is a non-empty finite matrix with
-    ``model.dim`` columns, that the effects sum to the unit effect within
-    ``tol`` (not stored), and that every effect is proper: its pairing with
-    every extremal state of ``model`` lies in [-tol, 1 + tol]. The first
-    improper outcome is the one named.
+    ``model.dim`` columns, then the two rules of
+    :func:`_check_measurements`: the effects sum to the unit effect within
+    ``tol`` (not stored), and every effect is proper, its pairing with every
+    extremal state of ``model`` lying in [-tol, 1 + tol]. The first improper
+    outcome is the one named.
     """
 
     effects: np.ndarray
@@ -405,16 +446,7 @@ class Measurement:
     def __post_init__(self, tol: float | None) -> None:
         effects = _as_matrix(self.effects, cols=self.model.dim, name="effects")
         object.__setattr__(self, "effects", effects)
-        tol = resolve_tol(tol)
-        total = effects.sum(axis=0)
-        if not float(np.abs(total - self.model.unit_effect).max()) <= tol:
-            raise ValueError("measurement effects do not sum to the unit effect")
-        p = self.model.extremal_states @ effects.T  # (states, outcomes)
-        # the two ends decide; the columns are read only to name an outcome
-        if p.min() < -tol or p.max() > 1.0 + tol:
-            improper = ((p < -tol) | (p > 1.0 + tol)).any(axis=0)
-            # argmax of a bool array is its first True
-            raise ValueError(f"measurement outcome {improper.argmax()} is not a proper effect")
+        _check_measurements(effects[None], self.model, resolve_tol(tol))
 
     @property
     def n_outcomes(self) -> int:
@@ -426,18 +458,51 @@ class Measurement:
 del Measurement.tol
 
 
+def _ray_index_error(index: int, count: int) -> ValueError:
+    return ValueError(f"ray index {index} out of range (model has {count} "
+                      "ray-extremal effects)")
+
+
 def dichotomic_measurement(model: ModelSpec, ray_index: int,
                            tol: float | None = None) -> Measurement:
     """Two-outcome measurement {e, u - e} from ray-extremal effect ``ray_index``."""
     ray_index = _as_int(ray_index, "ray index")
     rays = model.ray_effects
     if not 0 <= ray_index < rays.shape[0]:
-        raise ValueError(
-            f"ray index {ray_index} out of range (model has {rays.shape[0]} "
-            "ray-extremal effects)"
-        )
+        raise _ray_index_error(ray_index, rays.shape[0])
     e = rays[ray_index]
-    return Measurement(np.array([e, model.unit_effect - e]), model, tol=tol)
+    return Measurement([e, model.unit_effect - e], model, tol=tol)
+
+
+def _ray_measurements(model: ModelSpec, k: int, tol: float | None) -> list[Measurement]:
+    """``[dichotomic_measurement(model, i, tol) for i in range(k)]``, checked once.
+
+    Returns or raises what that loop does, ``k >= 0`` being an int. The
+    settings' effects are one read-only (settings, 2, dim) stack, checked by
+    :func:`_check_measurements` in blocks whose pairing holds at most
+    ``_CHECK_BLOCK_ELEMENTS`` doubles (or one setting's, where that is
+    more); each measurement's ``effects`` is a row of it, bitwise the
+    loop's, and no measurement is checked again.
+    """
+    rays = model.ray_effects
+    count = min(k, rays.shape[0])
+    measurements = []
+    if count:
+        effects = np.empty((count, 2, model.dim))
+        effects[:, 0] = rays[:count]
+        np.subtract(model.unit_effect, rays[:count], out=effects[:, 1])
+        effects.flags.writeable = False
+        tol = resolve_tol(tol)
+        step = max(1, _CHECK_BLOCK_ELEMENTS // (2 * model.n_states))
+        for lo in range(0, count, step):
+            _check_measurements(effects[lo:lo + step], model, tol)
+        for row in effects:
+            meas = object.__new__(Measurement)
+            vars(meas).update(effects=row, model=model)
+            measurements.append(meas)
+    if k > count:
+        raise _ray_index_error(count, count)
+    return measurements
 
 
 def simplex_model(n: int) -> ModelSpec:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bipartite import JointState
-from .core import DEFAULT_TOL, Measurement, ModelSpec, _as_int, dichotomic_measurement
+from .core import DEFAULT_TOL, Measurement, ModelSpec, _all_finite, _as_int, _ray_measurements
 from .polygon import _vertex_count, max_entangled, polygon
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -43,7 +43,9 @@ class CorrelationTable:
     entries summing to 1 within ``_DISTRIBUTION_TOL``. Then it checks that
     the marginals obey no-signalling within ``_NO_SIGNALLING_TOL``. A bad
     table is reported at its first failing pair in row-major order,
-    checking padding, then negativity, then the sum.
+    checking padding, then negativity, then the sum. The padding's mask
+    comes from :func:`_padding_mask`, once per layout; a table in which no
+    setting is padded has no padding to check.
     """
 
     probs: np.ndarray
@@ -67,26 +69,26 @@ class CorrelationTable:
             raise ValueError("every setting needs at least one outcome")
         if max(outcomes_a) > probs.shape[0] or max(outcomes_b) > probs.shape[1]:
             raise ValueError("probs array too small for the declared outcome counts")
-        if not np.isfinite(probs).all():
+        if not _all_finite(probs):
             raise ValueError("probabilities must be finite")
 
-        # dead[a, b, x, y]: outcome a of setting x or b of setting y is padding
-        dead = ((np.arange(probs.shape[0])[:, None] >= outcomes_a)[:, None, :, None]
-                | (np.arange(probs.shape[1])[:, None] >= outcomes_b)[None, :, None, :])
-        padding = np.any((probs != 0.0) & dead, axis=(0, 1))
         # Where the padding passes it holds only zeros, so the whole slice
         # sums to what its live entries sum to, and its minimum is below
         # -DEFAULT_TOL exactly when theirs is; a pair whose padding fails
         # reports the padding whatever its sum and minimum.
         negative = probs.min(axis=(0, 1)) < -DEFAULT_TOL
         total = probs.sum(axis=(0, 1))
-        failing = padding | negative | (np.abs(total - 1.0) > _DISTRIBUTION_TOL)
-        if failing.any():
+        failing = negative | (np.abs(total - 1.0) > _DISTRIBUTION_TOL)
+        dead = _padding_mask(probs.shape[:2], outcomes_a, outcomes_b)
+        if dead is not None:
+            padding = ((probs != 0.0) & dead).any(axis=(0, 1))
+            failing |= padding
+        if np.any(failing):
             # argmax of a bool array is its first True, in row-major order
             x, y = divmod(int(failing.argmax()), n_y)
             # quote the pair's own sum: the whole-slice total may differ in the last bit
             pair = probs[:outcomes_a[x], :outcomes_b[y], x, y]
-            if padding[x, y]:
+            if dead is not None and padding[x, y]:
                 raise ValueError(f"padding beyond the declared outcomes of ({x}, {y}) "
                                  "must be exactly zero")
             if negative[x, y]:
@@ -112,6 +114,22 @@ class CorrelationTable:
     @property
     def n_settings_b(self) -> int:
         return self.probs.shape[3]
+
+
+@functools.lru_cache(maxsize=64)
+def _padding_mask(shape: tuple[int, int], outcomes_a: tuple[int, ...],
+                  outcomes_b: tuple[int, ...]) -> np.ndarray | None:
+    """Read-only ``dead[a, b, x, y]``: outcome a of setting x or b of setting y is padding.
+
+    ``shape`` is the padded outcome counts of a table's two sides. None
+    when every setting has that many outcomes, so that nothing is padded.
+    """
+    if min(outcomes_a) == shape[0] and min(outcomes_b) == shape[1]:
+        return None
+    dead = ((np.arange(shape[0])[:, None] >= outcomes_a)[:, None, :, None]
+            | (np.arange(shape[1])[:, None] >= outcomes_b)[None, :, None, :])
+    dead.flags.writeable = False
+    return dead
 
 
 def _effect_stack(meas: Sequence[Measurement], dim: int, side: str) -> np.ndarray:
@@ -147,20 +165,29 @@ def ray_settings(model: ModelSpec, k: int,
     """The first k dichotomic settings {e_i, u - e_i} over ray-extremal effects.
 
     ``k`` is an int or a numpy integer from 0 to the ray count; anything
-    else raises ``ValueError``.
+    else raises ``ValueError``. The result, or the error, is that of
+    building the settings one by one with
+    :func:`~polybell.core.dichotomic_measurement` at ``tol``, but the k
+    settings are checked together: their effects are one read-only
+    (k, 2, dim) array, checked in blocks whose pairing with the extremal
+    states holds at most 2**16 doubles, and each setting's ``effects`` is a
+    read-only (2, dim) row of it.
     """
     k = _as_int(k, "ray_settings k")
     if k < 0:
         raise ValueError(f"ray_settings k = {k} is negative")
-    return [dichotomic_measurement(model, i, tol=tol) for i in range(k)]
+    return _ray_measurements(model, k, tol)
 
 
 def correlator(table: CorrelationTable, x: int, y: int) -> float:
     """Dichotomic correlator E(x, y) with outcome 0 -> +1, outcome 1 -> -1.
 
-    Raises ``IndexError`` when x or y is not a setting of the table, and
-    ``ValueError`` when either setting is not dichotomic.
+    x and y are ints or numpy integers. Raises ``ValueError`` for any
+    other type, ``IndexError`` when x or y is not a setting of the table,
+    and ``ValueError`` when either setting is not dichotomic.
     """
+    x = _as_int(x, "correlator setting x")
+    y = _as_int(y, "correlator setting y")
     if not (0 <= x < len(table.outcomes_a) and 0 <= y < len(table.outcomes_b)):
         raise IndexError(f"correlator settings ({x}, {y}) out of range for a table with "
                          f"{len(table.outcomes_a)} x {len(table.outcomes_b)} settings")
@@ -278,7 +305,9 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
     fits the budget it is one block. Its one temporary holds at most
     ``T = max(_SCAN_BLOCK_ELEMENTS, n_a n_b)`` doubles. Pass 2 takes
     ``max(1, _SCAN_BLOCK_ELEMENTS // n_a)`` candidates at a time, so each
-    of its temporaries holds at most T doubles too.
+    of its temporaries holds at most T doubles too; when every candidate
+    fits one such chunk, its A and B are formed once and both searches
+    read them, two of the four temporaries below.
     Memory, besides a few vectors of length n_a or n_b: the n_a x n_b
     correlators and the n_b x n_b table; in pass 1 one block of at most T
     doubles and its two maxima over i; in pass 2 the table's boolean mask,
@@ -291,7 +320,9 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
     buffers: 3 n^2 for n_a = n_b = n >= 128.
     """
     ga = 2.0 * state.model_a.ray_effects - state.model_a.unit_effect
-    gb = 2.0 * state.model_b.ray_effects - state.model_b.unit_effect
+    # one model on both sides gives both sides the same +-1 effects
+    gb = (ga if state.model_b is state.model_a
+          else 2.0 * state.model_b.ray_effects - state.model_b.unit_effect)
     e = ga @ state.matrix @ gb.T
     n_a, n_b = e.shape
     if not n_a or not n_b:
@@ -330,6 +361,8 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
     del mask
     chunk = max(1, _SCAN_BLOCK_ELEMENTS // n_a)
     starts = range(0, len(cand_j0), chunk)
+    # candidates that fit one chunk give both searches the same A and B
+    sums = _candidate_sums(e, cand_j0, cand_j1) if len(starts) == 1 else None
 
     def first_hit(value: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple[int, int]:
         """The first row, then candidate, where ``value(A, B)`` reaches best.
@@ -339,7 +372,8 @@ def chsh_max_over_settings(state: JointState) -> tuple[float, tuple[int, int, in
         """
         hit = (n_a, 0)
         for lo in starts:
-            v = value(*_candidate_sums(e, cand_j0[lo:lo + chunk], cand_j1[lo:lo + chunk]))
+            v = value(*(sums or _candidate_sums(e, cand_j0[lo:lo + chunk],
+                                                cand_j1[lo:lo + chunk])))
             r, c = divmod(int(v.argmax()), v.shape[1])
             if v[r, c] == best and r < hit[0]:
                 hit = (r, lo + c)

@@ -40,7 +40,11 @@ def _vertex_count(n) -> int:
 
 def polygon_radius(n: int) -> float:
     """Circumradius r_n = sqrt(sec(pi/n)) of the n-vertex model."""
-    n = _vertex_count(n)
+    return _radius(_vertex_count(n))
+
+
+def _radius(n: int) -> float:
+    """:func:`polygon_radius` of a vertex count already checked."""
     return float(np.sqrt(1.0 / np.cos(np.pi / n)))
 
 
@@ -57,7 +61,7 @@ def _disc_points(radius: float, angles: np.ndarray, height: float) -> np.ndarray
 def polygon(n: int) -> ModelSpec:
     """The n-vertex polygon model (n >= 3)."""
     n = _vertex_count(n)
-    r = polygon_radius(n)
+    r = _radius(n)
     labels = np.arange(1, n + 1, dtype=float)
     states = _disc_points(r, 2.0 * np.pi * labels / n, 1.0)
     unit = np.array([0.0, 0.0, 1.0])

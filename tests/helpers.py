@@ -4,6 +4,7 @@ None of these is part of the library: the paper's results, the CLI and the
 benchmark never build them.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +44,21 @@ def random_extremal_joint_state(model_a: ModelSpec, rng: np.random.Generator,
     if not res.success:
         raise RuntimeError(f"vertex search failed: {res.message}")
     return JointState(matrix=res.x.reshape(da, db), model_a=model_a, model_b=model_b)
+
+
+# An orthogonal change of coordinates that turns some rays of every polygon
+# to a negative third coordinate: they have no angular order, so the search
+# falls back to every permutation.
+TILT = np.array([[1.0, 0.0, 0.0],
+                 [0.0, math.cos(2.0), -math.sin(2.0)],
+                 [0.0, math.sin(2.0), math.cos(2.0)]])
+
+
+def tilted(model: ModelSpec) -> ModelSpec:
+    """The model in coordinates turned by TILT; isomorphisms become TILT T TILT^T."""
+    return ModelSpec(f"tilted-{model.name}", 3, model.extremal_states @ TILT.T,
+                     model.extremal_effects @ TILT.T, TILT @ model.unit_effect,
+                     model.ray_extremal)
 
 
 def correlator_matrix(table: CorrelationTable) -> np.ndarray:

@@ -1,16 +1,19 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from polybell import core
 from polybell.core import (
     DEFAULT_TOL,
     ROUNDING_TOL,
     Measurement,
     ModelSpec,
+    _as_matrix,
     _model_gap,
     _spectra,
     dichotomic_measurement,
@@ -21,6 +24,8 @@ from polybell.core import (
 from polybell.correlations import ray_settings
 from polybell.house import house_model
 from polybell.polygon import polygon
+
+from helpers import tilted
 
 
 def square_model() -> ModelSpec:
@@ -252,6 +257,268 @@ def test_ray_index_and_level_count_take_numpy_integers():
     assert classical.to_json() == simplex_model(4).to_json()
     with pytest.raises(ValueError, match="^a classical system needs at least 2 levels$"):
         simplex_model(np.int64(1))
+
+
+def measurement_reference(effects, model, tol=None):
+    """``Measurement.__post_init__``'s checks as they were before the stacked check."""
+    effects = _as_matrix(effects, cols=model.dim, name="effects")
+    tol = resolve_tol(tol)
+    total = effects.sum(axis=0)
+    if not float(np.abs(total - model.unit_effect).max()) <= tol:
+        raise ValueError("measurement effects do not sum to the unit effect")
+    p = model.extremal_states @ effects.T  # (states, outcomes)
+    # the two ends decide; the columns are read only to name an outcome
+    if p.min() < -tol or p.max() > 1.0 + tol:
+        improper = ((p < -tol) | (p > 1.0 + tol)).any(axis=0)
+        # argmax of a bool array is its first True
+        raise ValueError(f"measurement outcome {improper.argmax()} is not a proper effect")
+
+
+def ray_settings_reference(model, k, tol=None):
+    """The effects of ``ray_settings`` as the per-setting loop built and checked them."""
+    settings = []
+    for i in range(k):
+        rays = model.ray_effects
+        if not 0 <= i < rays.shape[0]:
+            raise ValueError(f"ray index {i} out of range (model has {rays.shape[0]} "
+                             "ray-extremal effects)")
+        e = rays[i]
+        effects = np.array([e, model.unit_effect - e])
+        measurement_reference(effects, model, tol)
+        settings.append(effects)
+    return settings
+
+
+def outcome(build, *args, **kwargs):
+    """What ``build`` returns, or the type and message of what it raises."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def stack_reference(effects, model, tol):
+    """The settings of a stack checked one at a time."""
+    for setting in effects:
+        measurement_reference(setting, model, tol)
+
+
+def with_rays(model, name, change):
+    """``model`` with ``change(rays)`` applied in place to a copy of its ray-extremal effects."""
+    effects = model.extremal_effects.copy()
+    rays = np.flatnonzero(model.ray_extremal)
+    changed = effects[rays]
+    change(changed)
+    effects[rays] = changed
+    return ModelSpec(name, model.dim, model.extremal_states, effects, model.unit_effect,
+                     model.ray_extremal)
+
+
+def improper_ray(rays, i):
+    rays[i] *= 1.0 + 1e-6  # pairs to 1 + 1e-6 with its vertex: outcome 0 is improper
+
+
+def unsummable_ray(rays, i):
+    # a polygon's u is (0, 0, 1): e + (u - e) rounds to 0 in the third
+    # coordinate, so the sum fails first
+    rays[i, 2] = 1e17
+
+
+def _batch_models():
+    return ([polygon(n) for n in range(3, 65)] + [house_model()]
+            + [simplex_model(n) for n in range(2, 7)]
+            + [tilted(polygon(n)) for n in (3, 4, 5, 6, 7, 8, 16, 17)])
+
+
+@pytest.mark.parametrize("tol", [None, 0.0, 1e-6])
+def test_ray_settings_is_the_per_setting_loop(tol):
+    for model in _batch_models():
+        rays = model.ray_effects.shape[0]
+        for k in (0, 1, 2, rays, rays + 1):
+            want = outcome(ray_settings_reference, model, k, tol=tol)
+            got = outcome(ray_settings, model, k, tol=tol)
+            if isinstance(want, tuple):
+                assert got == want, (model.name, k)
+                continue
+            assert len(got) == len(want) == k, (model.name, k)
+            for meas, effects in zip(got, want):
+                assert meas.model is model
+                assert meas.effects.shape == effects.shape == (2, model.dim)
+                assert meas.effects.dtype == effects.dtype
+                assert meas.effects.tobytes() == effects.tobytes(), (model.name, k)
+                assert not meas.effects.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    meas.effects[0, 0] = 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract")
+@pytest.mark.parametrize("per_block", [None, 1, 2, 3])
+def test_ray_settings_fails_like_the_per_setting_loop(per_block, monkeypatch):
+    # None keeps the default block; otherwise per_block settings are
+    # checked at a time, so that a failure can sit in a later block
+    good = polygon(7)
+    if per_block is not None:
+        monkeypatch.setattr(core, "_CHECK_BLOCK_ELEMENTS", per_block * 2 * good.n_states)
+    bad = with_rays(good, "bad", lambda rays: improper_ray(rays, 2))
+    twice = with_rays(good, "twice", lambda rays: (unsummable_ray(rays, 4), improper_ray(rays, 5)))
+    later = with_rays(good, "later", lambda rays: (improper_ray(rays, 4), unsummable_ray(rays, 5)))
+    # u - e overflows to inf in the second setting: the loop's constructor
+    # reported a non-finite entry
+    states = good.extremal_states.copy()
+    states[:, 0] = 2.0 ** -1023
+    huge = ModelSpec("huge", 3, states, [[0.0, 0.0, 0.0], [-(2.0 ** 1023), 0.0, 0.0]],
+                     [2.0 ** 1023, 0.0, 0.0])
+    none = ModelSpec("none", 3, good.extremal_states, good.extremal_effects,
+                     good.unit_effect, np.zeros(good.n_effects, dtype=bool))
+    cases = [(model, k, tol) for model in (bad, twice, later) for k in (2, 3, 5, 6, 7, 8)
+             for tol in (None, 1e-3, -1.0)]
+    cases += [(huge, k, tol) for k in (1, 2, 3) for tol in (None, -1.0)]
+    cases += [(none, k, tol) for k in (0, 1, 3) for tol in (None, -1.0)]
+    seen = set()
+    for model, k, tol in cases:
+        want = outcome(ray_settings_reference, model, k, tol=tol)
+        got = outcome(ray_settings, model, k, tol=tol)
+        if isinstance(want, tuple):
+            assert got == want, (model.name, k, tol)
+            seen.add(want[1])
+        else:
+            assert [m.effects.tobytes() for m in got] == [e.tobytes() for e in want]
+    assert seen == {"measurement outcome 0 is not a proper effect",
+                    "measurement effects do not sum to the unit effect",
+                    "effects has non-finite entries",
+                    "tolerance must be finite and non-negative",
+                    "ray index 0 out of range (model has 0 ray-extremal effects)",
+                    "ray index 7 out of range (model has 7 ray-extremal effects)"}
+    # of two failing settings the first is reported, in whichever block
+    assert outcome(ray_settings, twice, 7)[1] == "measurement effects do not sum to the unit effect"
+    assert outcome(ray_settings, later, 7)[1] == "measurement outcome 0 is not a proper effect"
+    # the improper setting comes before the one past the rays
+    assert outcome(ray_settings, bad, 8)[1] == "measurement outcome 0 is not a proper effect"
+
+
+def split_stack(model):
+    """Every ray's setting {e, (u - e) / 2, (u - e) / 2}: one (rays, 3, dim) stack."""
+    rays = model.ray_effects
+    rest = (model.unit_effect - rays) / 2.0
+    return np.stack([rays, rest, rest], axis=1)
+
+
+def push_below_zero(stack, model, setting, outcome_index, other, tol):
+    """Move weight from one outcome to another until the first reaches -2 tol somewhere."""
+    shift = (model.extremal_states @ stack[setting, outcome_index]).min() + 2.0 * tol
+    stack[setting, outcome_index] -= shift * model.unit_effect
+    stack[setting, other] += shift * model.unit_effect
+
+
+def lift(stack, model, setting, outcome_index, amount):
+    """Add ``amount`` u / |u|^2 to one effect: its pairings and its setting's sum move by it."""
+    unit = model.unit_effect
+    stack[setting, outcome_index] += amount * unit / (unit @ unit)
+
+
+def broken_stacks(model, tol):
+    """Stacks that fail in the ways the check distinguishes, by name.
+
+    Only the split halves (u - e) / 2 are lifted off the unit, as their
+    pairings stay far below 1, so a lifted setting breaks the sum alone.
+    """
+    good = split_stack(model)
+    last = len(good) - 1
+    cases = {}
+    s = good.copy()
+    lift(s, model, 3, 1, 2.0 * tol)
+    cases["sum-off"] = s
+    s = good.copy()
+    push_below_zero(s, model, 0, 1, 2, tol)
+    cases["negative-first"] = s
+    s = good.copy()
+    push_below_zero(s, model, last, 2, 1, tol)
+    cases["negative-last"] = s
+    s = good.copy()
+    s[2, 1, 0] = np.nan
+    cases["nan"] = s
+    s = good.copy()
+    s[0, 2, 1] = np.inf
+    cases["inf-first"] = s
+    s = good.copy()
+    push_below_zero(s, model, 1, 1, 2, tol)
+    s[2, 0, 2] = -np.inf
+    cases["range-then-inf"] = s
+    s = good.copy()
+    push_below_zero(s, model, 4, 1, 2, tol)
+    lift(s, model, 4, 2, 3.0 * tol)
+    cases["both-rules"] = s
+    s = good.copy()
+    push_below_zero(s, model, 1, 2, 1, tol)
+    lift(s, model, last, 1, 2.0 * tol)
+    cases["range-then-sum"] = s
+    s = good.copy()
+    lift(s, model, 1, 1, 2.0 * tol)
+    push_below_zero(s, model, last, 2, 1, tol)
+    cases["sum-then-range"] = s
+    return cases
+
+
+EXPECTED_BREAKS = {
+    "sum-off": "measurement effects do not sum to the unit effect",
+    "negative-first": "measurement outcome 1 is not a proper effect",
+    "negative-last": "measurement outcome 2 is not a proper effect",
+    "nan": "effects has non-finite entries",
+    "inf-first": "effects has non-finite entries",
+    "range-then-inf": "measurement outcome 1 is not a proper effect",
+    "both-rules": "measurement effects do not sum to the unit effect",
+    "range-then-sum": "measurement outcome 2 is not a proper effect",
+    "sum-then-range": "measurement effects do not sum to the unit effect",
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("model", [polygon(7), polygon(8), house_model(), tilted(polygon(9))],
+                         ids=lambda model: model.name)
+def test_stacked_check_fails_like_the_per_setting_loop(model):
+    for tol in (DEFAULT_TOL, 1e-6):
+        assert outcome(core._check_measurements, split_stack(model), model, tol) is None
+        for name, stack in broken_stacks(model, tol).items():
+            want = outcome(stack_reference, stack, model, tol)
+            assert want == (ValueError, EXPECTED_BREAKS[name]), (model.name, name)
+            assert outcome(core._check_measurements, stack, model, tol) == want
+            # one setting at a time through the constructor, also with a
+            # refused tolerance, which comes after finiteness
+            for setting in stack:
+                for t in (tol, -1.0):
+                    built = outcome(Measurement, setting, model, tol=t)
+                    assert (None if isinstance(built, Measurement) else built) == outcome(
+                        measurement_reference, setting, model, t)
+
+
+def test_ray_settings_reports_a_failure_in_a_later_block():
+    # at the default budget a 2047-gon's settings are checked 16 at a time
+    model = polygon(2047)
+    assert core._CHECK_BLOCK_ELEMENTS // (2 * model.n_states) == 16
+    for first, second in ((unsummable_ray, improper_ray), (improper_ray, unsummable_ray)):
+        broken = with_rays(model, "broken", lambda rays: (first(rays, 20), second(rays, 2046)))
+        want = outcome(ray_settings_reference, broken, 2047)
+        assert want == outcome(ray_settings_reference, broken, 21)
+        assert outcome(ray_settings, broken, 2047) == want
+        alone = with_rays(model, "alone", lambda rays: second(rays, 2046))
+        assert outcome(ray_settings, alone, 2047) == outcome(ray_settings_reference, alone, 2047)
+        assert len(ray_settings(alone, 2046)) == 2046
+
+
+def test_ray_settings_memory_is_bounded_by_the_check_block():
+    # the check pairs at most _CHECK_BLOCK_ELEMENTS doubles at once: besides
+    # the (k, 2, 3) stack and the k measurements, under 1 KiB each, that one
+    # block is all it holds; pairing all 2047 settings at once would take 67 MB
+    model = polygon(2047)
+    k = model.ray_effects.shape[0]
+    tracemalloc.start()
+    try:
+        settings = ray_settings(model, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(settings) == k
+    assert peak < 8 * (core._CHECK_BLOCK_ELEMENTS + 2 * k * model.dim) + 1024 * k
 
 
 def test_models_similar_ignores_name():

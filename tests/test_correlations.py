@@ -342,6 +342,40 @@ def test_correlator_refuses_settings_outside_the_table():
     assert correlator(table, 1, 2) == probs[0, 0] + probs[1, 1] - probs[0, 1] - probs[1, 0]
 
 
+@pytest.mark.parametrize("bad", [1.0, 2.0, True], ids=repr)
+def test_correlator_settings_must_be_integers(bad):
+    # 1.0 used to end in a bare tuple TypeError, and True to pass the range
+    # check and then in numpy's TypeError
+    table = two_setting_table(7)
+    with pytest.raises(ValueError, match=f"^correlator setting x must be an integer, got {bad!r}$"):
+        correlator(table, bad, 0)
+    with pytest.raises(ValueError, match=f"^correlator setting y must be an integer, got {bad!r}$"):
+        correlator(table, 0, bad)
+
+
+def test_correlator_takes_numpy_integers():
+    table = two_setting_table(7)
+    for x, y in itertools.product(range(2), repeat=2):
+        assert correlator(table, np.int64(x), np.int32(y)) == correlator(table, x, y)
+    with pytest.raises(IndexError, match=re.escape("correlator settings (2, 0) out of range")):
+        correlator(table, np.int64(2), 0)
+
+
+def test_padding_mask_is_built_once_per_layout():
+    for case in _mixed_outcome_tables():
+        table = correlations_from_state(*case)
+        shape = table.probs.shape[:2]
+        dead = correlations._padding_mask(shape, table.outcomes_a, table.outcomes_b)
+        assert dead is correlations._padding_mask(shape, table.outcomes_a, table.outcomes_b)
+        assert not dead.flags.writeable
+        a, b, x, y = np.indices(table.probs.shape)
+        want = ((a >= np.array(table.outcomes_a)[x]) | (b >= np.array(table.outcomes_b)[y]))
+        assert np.array_equal(dead, want)
+    # no setting padded: nothing to check
+    assert correlations._padding_mask((2, 2), (2, 2, 2), (2, 2)) is None
+    assert correlations._padding_mask((3, 2), (3, 2), (2,)).any()
+
+
 def test_two_setting_functionals_refuse_a_table_with_one_setting():
     state = max_entangled(5)
     one, two = ray_settings(state.model_a, 1), ray_settings(state.model_a, 2)
@@ -744,6 +778,30 @@ def test_scan_blocks_do_not_change_the_result(state, monkeypatch):
             candidates = scan_candidates(state)
             assert candidates > 1
             assert chunks == [1] * (2 * candidates)
+
+
+@pytest.mark.parametrize("state", [all_tied_state(), max_entangled(12), *_rectangular_states()],
+                         ids=["all-tied", "maxent12", "rand5x8", "product5x8"])
+def test_scan_forms_one_chunk_of_candidates_once(state, monkeypatch):
+    # candidates that fit one chunk are summed once for both searches; more
+    # chunks are summed once per chunk and search; both keep the result
+    n_a = state.model_a.ray_effects.shape[0]
+    candidates = scan_candidates(state)
+    expected = chsh_scan_row_best_reference(state)
+    chunks = []
+    sums = correlations._candidate_sums
+    monkeypatch.setattr(correlations, "_candidate_sums",
+                        lambda e, j0s, j1s: chunks.append(len(j0s)) or sums(e, j0s, j1s))
+    for per_chunk in (candidates, candidates + 1, 2, 1):
+        monkeypatch.setattr(correlations, "_SCAN_BLOCK_ELEMENTS", per_chunk * n_a)
+        chunks.clear()
+        assert chsh_max_over_settings(state) == expected, per_chunk
+        if per_chunk >= candidates:
+            assert chunks == [candidates]
+        else:
+            split = [per_chunk] * (candidates // per_chunk) + [candidates % per_chunk] * (
+                candidates % per_chunk > 0)
+            assert chunks == split + split
 
 
 def scan_peak_bytes(state) -> int:

@@ -25,7 +25,7 @@ from polybell.selfdual import (
     state_from_isomorphism,
 )
 
-from helpers import random_extremal_joint_state
+from helpers import TILT, random_extremal_joint_state, tilted
 
 
 def _key(t: np.ndarray) -> tuple:
@@ -57,21 +57,6 @@ def twin(model: ModelSpec) -> ModelSpec:
     the states on purpose, and ``from_dict`` rejects such models.
     """
     return dataclasses.replace(model)
-
-
-# An orthogonal change of coordinates that turns some rays of every polygon
-# to a negative third coordinate: they have no angular order, so the search
-# falls back to every permutation.
-TILT = np.array([[1.0, 0.0, 0.0],
-                 [0.0, math.cos(2.0), -math.sin(2.0)],
-                 [0.0, math.sin(2.0), math.cos(2.0)]])
-
-
-def tilted(model: ModelSpec) -> ModelSpec:
-    """The model in coordinates turned by TILT; isomorphisms become TILT T TILT^T."""
-    return ModelSpec(f"tilted-{model.name}", 3, model.extremal_states @ TILT.T,
-                     model.extremal_effects @ TILT.T, TILT @ model.unit_effect,
-                     model.ray_extremal)
 
 
 def induced_state_symmetries(isomorphisms: list[np.ndarray]) -> list[np.ndarray]:

@@ -124,3 +124,29 @@ def test_cli_imports_only_exported_names():
                   if getattr(polybell, name, None)
                   is not getattr(importlib.import_module(f"polybell.{module}"), name)]
     assert not unexported, f"cli.py imports names polybell does not export: {unexported}"
+
+
+def test_measurement_rules_have_one_home():
+    # the unit-sum and range rules of a measurement live in one core
+    # function, which the constructor calls; only the batch builder, which
+    # calls it too, makes a Measurement without the constructor
+    rules, bypasses, checks = [], [], []
+    for name, tree in parsed():
+        owner = {id(node): function for function, body in functions(tree)
+                 for node in ast.walk(body)}
+        for node in ast.walk(tree):
+            where = (name, owner.get(id(node), "<module>"))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and any(
+                    rule in node.value for rule in ("do not sum to the unit effect",
+                                                    "is not a proper effect")):
+                rules.append(where)
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"
+                    and [ast.unparse(arg) for arg in node.args] == ["Measurement"]):
+                bypasses.append(where)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_check_measurements"):
+                checks.append(where)
+    assert rules == [("core.py", "_check_measurements")] * 2
+    assert bypasses == [("core.py", "_ray_measurements")]
+    assert sorted(checks) == [("core.py", "Measurement.__post_init__"),
+                              ("core.py", "_ray_measurements")]
