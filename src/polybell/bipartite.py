@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelSpec, Measurement, _all_finite, _model_gap, _spectra, psd_at, resolve_tol
+from .core import ModelSpec, Measurement, _model_gap, _spectra, psd_at, resolve_tol
 
 # Singular values below this fraction of the largest count as zero when
 # :func:`is_extremal` ranks the active constraints.
@@ -45,7 +45,7 @@ class JointState:
                 f"matrix shape {m.shape} does not match model dimensions "
                 f"({self.model_a.dim}, {self.model_b.dim})"
             )
-        if not _all_finite(m):
+        if not np.isfinite(m).all():
             raise ValueError("joint state matrix has non-finite entries")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

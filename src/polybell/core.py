@@ -133,17 +133,12 @@ def _as_int(value, what: str) -> int:
     return int(value)
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """``np.isfinite(a).all()``, at a third of its cost on small arrays."""
-    return np.count_nonzero(np.isfinite(a)) == a.size
-
-
 def as_vector(x, *, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a read-only 1-D float vector, checking finiteness."""
     v = np.array(x, dtype=float, copy=True)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a non-empty 1-D vector, got shape {v.shape}")
-    if not _all_finite(v):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite coordinates")
     if dim is not None and v.size != dim:
         raise ValueError(f"expected dimension {dim}, got {v.size}")
@@ -156,7 +151,7 @@ def _as_matrix(x, *, cols: int, name: str) -> np.ndarray:
     m = np.array(x, dtype=float, copy=True)
     if m.ndim != 2 or m.shape[1] != cols or m.shape[0] == 0:
         raise ValueError(f"{name} must be a non-empty 2-D array with {cols} columns")
-    if not _all_finite(m):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     m.flags.writeable = False
     return m
@@ -406,25 +401,35 @@ def _check_measurements(effects: np.ndarray, model: ModelSpec, tol: float) -> No
     ``ValueError`` that constructing the settings one at a time raises
     first: at the first failing setting, a non-finite entry (which always
     breaks the sum), then the sum, then the range, naming the first
-    improper outcome. ``tol`` is a resolved tolerance.
+    improper outcome. As in the constructor, a setting with a nan pairing
+    (finite effects can overflow in it) passes the range rule, whatever its
+    other pairings; it does not hide another setting's failure. ``tol`` is
+    a resolved tolerance.
     """
     gap = np.abs(effects.sum(axis=1) - model.unit_effect)  # (settings, dim)
     # (states, settings x outcomes); np.dot calls the same product as @
     # with less overhead on small arrays
     p = np.dot(model.extremal_states, effects.reshape(-1, effects.shape[2]).T)
-    # the ends decide; the rows are read only to name a setting and an outcome
-    if not gap.max() <= tol or p.min() < -tol or p.max() > 1.0 + tol:
+    # the ends decide, skipping nan so that one setting's nan hides nothing
+    # in the others; the settings are read only to find the one that fails
+    if (not gap.max() <= tol or np.fmin.reduce(p, axis=None) < -tol
+            or np.fmax.reduce(p, axis=None) > 1.0 + tol):
+        p = p.reshape(p.shape[0], *effects.shape[:2])  # (states, settings, outcomes)
         off = ~(gap.max(axis=1) <= tol)
-        improper = ((p < -tol) | (p > 1.0 + tol)).any(axis=0).reshape(off.size, -1)
+        # a setting's own ends, nan and all, decide its range, as in the constructor
+        failing = off | (p.min(axis=(0, 2)) < -tol) | (p.max(axis=(0, 2)) > 1.0 + tol)
+        if not failing.any():
+            return
         # argmax of a bool array is its first True
-        x = int((off | improper.any(axis=1)).argmax())
+        x = int(failing.argmax())
         # the constructor's finiteness check comes first; in ray_settings'
         # stack only an overflowing u - e can bring a non-finite entry
-        if not _all_finite(effects[x]):
+        if not np.isfinite(effects[x]).all():
             raise ValueError("effects has non-finite entries")
         if off[x]:
             raise ValueError("measurement effects do not sum to the unit effect")
-        raise ValueError(f"measurement outcome {improper[x].argmax()} is not a proper effect")
+        improper = ((p[:, x] < -tol) | (p[:, x] > 1.0 + tol)).any(axis=0)
+        raise ValueError(f"measurement outcome {improper.argmax()} is not a proper effect")
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,6 +497,9 @@ def _ray_measurements(model: ModelSpec, k: int, tol: float | None) -> list[Measu
         effects[:, 0] = rays[:count]
         np.subtract(model.unit_effect, rays[:count], out=effects[:, 1])
         effects.flags.writeable = False
+        # the first setting's constructor refuses a non-finite entry before a tol
+        if not np.isfinite(effects[0]).all():
+            raise ValueError("effects has non-finite entries")
         tol = resolve_tol(tol)
         step = max(1, _CHECK_BLOCK_ELEMENTS // (2 * model.n_states))
         for lo in range(0, count, step):

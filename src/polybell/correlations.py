@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bipartite import JointState
-from .core import DEFAULT_TOL, Measurement, ModelSpec, _all_finite, _as_int, _ray_measurements
+from .core import DEFAULT_TOL, Measurement, ModelSpec, _as_int, _ray_measurements
 from .polygon import _vertex_count, max_entangled, polygon
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -43,8 +43,7 @@ class CorrelationTable:
     entries summing to 1 within ``_DISTRIBUTION_TOL``. Then it checks that
     the marginals obey no-signalling within ``_NO_SIGNALLING_TOL``. A bad
     table is reported at its first failing pair in row-major order,
-    checking padding, then negativity, then the sum. The padding's mask
-    comes from :func:`_padding_mask`, once per layout; a table in which no
+    checking padding, then negativity, then the sum. A table in which no
     setting is padded has no padding to check.
     """
 
@@ -69,7 +68,7 @@ class CorrelationTable:
             raise ValueError("every setting needs at least one outcome")
         if max(outcomes_a) > probs.shape[0] or max(outcomes_b) > probs.shape[1]:
             raise ValueError("probs array too small for the declared outcome counts")
-        if not _all_finite(probs):
+        if not np.isfinite(probs).all():
             raise ValueError("probabilities must be finite")
 
         # Where the padding passes it holds only zeros, so the whole slice
@@ -79,16 +78,19 @@ class CorrelationTable:
         negative = probs.min(axis=(0, 1)) < -DEFAULT_TOL
         total = probs.sum(axis=(0, 1))
         failing = negative | (np.abs(total - 1.0) > _DISTRIBUTION_TOL)
-        dead = _padding_mask(probs.shape[:2], outcomes_a, outcomes_b)
-        if dead is not None:
-            padding = ((probs != 0.0) & dead).any(axis=(0, 1))
+        padded = min(outcomes_a) < probs.shape[0] or min(outcomes_b) < probs.shape[1]
+        if padded:
+            # dead[a, b, x, y]: outcome a of setting x or b of setting y is padding
+            dead = ((np.arange(probs.shape[0])[:, None] >= outcomes_a)[:, None, :, None]
+                    | (np.arange(probs.shape[1])[:, None] >= outcomes_b)[None, :, None, :])
+            padding = np.any((probs != 0.0) & dead, axis=(0, 1))
             failing |= padding
         if np.any(failing):
             # argmax of a bool array is its first True, in row-major order
             x, y = divmod(int(failing.argmax()), n_y)
             # quote the pair's own sum: the whole-slice total may differ in the last bit
             pair = probs[:outcomes_a[x], :outcomes_b[y], x, y]
-            if dead is not None and padding[x, y]:
+            if padded and padding[x, y]:
                 raise ValueError(f"padding beyond the declared outcomes of ({x}, {y}) "
                                  "must be exactly zero")
             if negative[x, y]:
@@ -114,22 +116,6 @@ class CorrelationTable:
     @property
     def n_settings_b(self) -> int:
         return self.probs.shape[3]
-
-
-@functools.lru_cache(maxsize=64)
-def _padding_mask(shape: tuple[int, int], outcomes_a: tuple[int, ...],
-                  outcomes_b: tuple[int, ...]) -> np.ndarray | None:
-    """Read-only ``dead[a, b, x, y]``: outcome a of setting x or b of setting y is padding.
-
-    ``shape`` is the padded outcome counts of a table's two sides. None
-    when every setting has that many outcomes, so that nothing is padded.
-    """
-    if min(outcomes_a) == shape[0] and min(outcomes_b) == shape[1]:
-        return None
-    dead = ((np.arange(shape[0])[:, None] >= outcomes_a)[:, None, :, None]
-            | (np.arange(shape[1])[:, None] >= outcomes_b)[None, :, None, :])
-    dead.flags.writeable = False
-    return dead
 
 
 def _effect_stack(meas: Sequence[Measurement], dim: int, side: str) -> np.ndarray:

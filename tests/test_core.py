@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -368,11 +369,15 @@ def test_ray_settings_fails_like_the_per_setting_loop(per_block, monkeypatch):
     states[:, 0] = 2.0 ** -1023
     huge = ModelSpec("huge", 3, states, [[0.0, 0.0, 0.0], [-(2.0 ** 1023), 0.0, 0.0]],
                      [2.0 ** 1023, 0.0, 0.0])
+    # the same in the first setting, whose constructor refuses it before any tol
+    huge_first = ModelSpec("huge-first", 3, states, huge.extremal_effects[::-1],
+                           huge.unit_effect)
     none = ModelSpec("none", 3, good.extremal_states, good.extremal_effects,
                      good.unit_effect, np.zeros(good.n_effects, dtype=bool))
     cases = [(model, k, tol) for model in (bad, twice, later) for k in (2, 3, 5, 6, 7, 8)
              for tol in (None, 1e-3, -1.0)]
-    cases += [(huge, k, tol) for k in (1, 2, 3) for tol in (None, -1.0)]
+    cases += [(model, k, tol) for model in (huge, huge_first) for k in (1, 2, 3)
+              for tol in (None, -1.0, np.nan)]
     cases += [(none, k, tol) for k in (0, 1, 3) for tol in (None, -1.0)]
     seen = set()
     for model, k, tol in cases:
@@ -394,6 +399,7 @@ def test_ray_settings_fails_like_the_per_setting_loop(per_block, monkeypatch):
     assert outcome(ray_settings, later, 7)[1] == "measurement outcome 0 is not a proper effect"
     # the improper setting comes before the one past the rays
     assert outcome(ray_settings, bad, 8)[1] == "measurement outcome 0 is not a proper effect"
+    assert outcome(ray_settings, huge_first, 1, tol=-1.0)[1] == "effects has non-finite entries"
 
 
 def split_stack(model):
@@ -489,6 +495,33 @@ def test_stacked_check_fails_like_the_per_setting_loop(model):
                     built = outcome(Measurement, setting, model, tol=t)
                     assert (None if isinstance(built, Measurement) else built) == outcome(
                         measurement_reference, setting, model, t)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_stacked_check_lets_a_nan_pairing_hide_nothing_else():
+    # A setting whose pairing is nan passes the constructor's range rule,
+    # whatever its other pairings; it must not hide a failing setting beside
+    # it. A product without fused multiply-adds can pair finite effects of
+    # size 2**1023 to inf - inf; here a stand-in model with an infinite
+    # state coordinate, which a ModelSpec refuses, makes the nan for sure:
+    # inf * 0 in every setting whose effects have a zero first coordinate.
+    unit = np.array([0.0, 0.0, 1.0])
+    model = SimpleNamespace(dim=3, unit_effect=unit, extremal_states=np.array(
+        [[1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [np.inf, 0.0, 1.0]]))
+    nan_pairing = np.array([unit / 2.0, unit / 2.0])
+    improper = np.array([[1e-300, 0.0, 2.0], [-1e-300, 0.0, -1.0]])
+    also_improper = np.array([2.0 * unit, -unit])  # out of range, but nan too
+    stacks = [
+        ((nan_pairing, also_improper), None),
+        ((nan_pairing, nan_pairing, improper), "measurement outcome 0 is not a proper effect"),
+        ((improper[::-1], nan_pairing), "measurement outcome 0 is not a proper effect"),
+    ]
+    for settings, message in stacks:
+        stack = np.stack(settings)
+        assert np.isnan(np.dot(model.extremal_states, stack.reshape(-1, 3).T)).any()
+        want = outcome(stack_reference, stack, model, DEFAULT_TOL)
+        assert want == (None if message is None else (ValueError, message))
+        assert outcome(core._check_measurements, stack, model, DEFAULT_TOL) == want
 
 
 def test_ray_settings_reports_a_failure_in_a_later_block():

@@ -361,19 +361,26 @@ def test_correlator_takes_numpy_integers():
         correlator(table, np.int64(2), 0)
 
 
-def test_padding_mask_is_built_once_per_layout():
-    for case in _mixed_outcome_tables():
-        table = correlations_from_state(*case)
-        shape = table.probs.shape[:2]
-        dead = correlations._padding_mask(shape, table.outcomes_a, table.outcomes_b)
-        assert dead is correlations._padding_mask(shape, table.outcomes_a, table.outcomes_b)
-        assert not dead.flags.writeable
+def test_padding_is_every_entry_past_a_settings_outcomes():
+    # a nonzero entry is refused as padding exactly where outcome a of
+    # setting x or b of setting y is past that setting's outcome count; a
+    # table in which no setting is padded has no such entry
+    two = two_setting_table(7)
+    tables = [correlations_from_state(*case) for case in _mixed_outcome_tables()] + [two]
+    # every setting padded on both sides, then on the second side alone
+    for shape in ((3, 3, 2, 2), (2, 3, 2, 2)):
+        wide = np.zeros(shape)
+        wide[:2, :2] = two.probs
+        tables.append(CorrelationTable(wide, two.outcomes_a, two.outcomes_b))
+    for table in tables:
         a, b, x, y = np.indices(table.probs.shape)
-        want = ((a >= np.array(table.outcomes_a)[x]) | (b >= np.array(table.outcomes_b)[y]))
-        assert np.array_equal(dead, want)
-    # no setting padded: nothing to check
-    assert correlations._padding_mask((2, 2), (2, 2, 2), (2, 2)) is None
-    assert correlations._padding_mask((3, 2), (3, 2), (2,)).any()
+        dead = (a >= np.array(table.outcomes_a)[x]) | (b >= np.array(table.outcomes_b)[y])
+        for index in np.ndindex(table.probs.shape):
+            probs = table.probs.copy()
+            probs[index] += 1e-300  # leaves every live entry, sum and minimum as they were
+            want = (f"padding beyond the declared outcomes of {index[2:]} must be exactly zero"
+                    if dead[index] else None)
+            assert table_error(probs, table.outcomes_a, table.outcomes_b) == want, index
 
 
 def test_two_setting_functionals_refuse_a_table_with_one_setting():
