@@ -7,12 +7,12 @@ nothing; ``run`` writes one of the two to stdout, or to the file named by
 wrote. A file that cannot be written is an error (exit 1). All JSON output
 carries a schema_version field, and its bytes are those of
 ``json.dumps(payload, sort_keys=True, indent=2)``, streamed by the encoder
-below rather than by json's pure-Python one. Its one fast rule is that a
-list of floats is one join over ``float.__repr__``; a float matrix is a
-list of such rows, with no special case of its own. CSV floats are rendered
-with %.12g. Setting labels in human-readable and JSON output are 1-based
-(matching the way the models are usually drawn), while the Python API
-stays 0-based.
+below. It writes exact str, bool, None, int, finite float, list and
+str-keyed dict itself and leaves any other value to ``json.dumps``; its
+fast rule is that a list of floats is one join over ``float.__repr__``.
+CSV floats are rendered with %.12g. Setting labels in human-readable and
+JSON output are 1-based (matching the way the models are usually drawn),
+while the Python API stays 0-based.
 
 The argument parser is built once per process, on the first call rather
 than at import, and every later ``run`` reuses it, so a repeated in-process
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from collections.abc import Iterator
@@ -103,16 +104,15 @@ def _json_chunks(value) -> Iterator[str]:
     moment-matrix row at a time, as ``json.dump`` does. Raises what
     ``json.dumps`` raises for a value it refuses.
     """
-    markers: set[int] = set()
-    if not isinstance(value, dict) or not value:
-        yield _json_text(value, "\n", markers)
+    if type(value) is not dict or not value or set(map(type, value)) != {str}:
+        yield _json_text(value, "\n", set())
         return
-    markers.add(id(value))
+    markers = {id(value)}
     opening = "{"
     for key, item in sorted(value.items()):
-        head = f"{opening}\n  {_json_key(key)}: "
+        head = f"{opening}\n  {_json_str(key)}: "
         opening = ","
-        if not isinstance(item, (list, tuple)) or not item:
+        if type(item) is not list or not item:
             yield head + _json_text(item, "\n  ", markers)
         else:
             _json_mark(item, markers)
@@ -128,75 +128,42 @@ def _json_chunks(value) -> Iterator[str]:
 def _json_text(value, pad: str, markers: set[int]) -> str:
     """json's text of ``value`` at indent ``pad`` (a newline and the spaces of its line).
 
-    The checks follow ``json.encoder._make_iterencode`` in order, so
-    subclasses of str, int and float, tuples, non-str keys, cycles and
-    refused types come out, or raise, as json's own encoder has them.
-    ``markers`` holds the ids of the containers being encoded. The one fast
-    rule: a list or tuple of exact ``float`` is one join over
-    ``float.__repr__``, so a float matrix is a list of such rows.
+    Writes the CLI's own types itself: exact str, bool, None, int, finite
+    float, list and str-keyed dict. ``markers`` holds the ids of the
+    containers being encoded, to catch a cycle through them. Any other
+    value, such as a tuple, a subclass, a non-str key or a nan, is
+    ``json.dumps``'s text or error. The one fast rule: a list of exact
+    ``float`` is one join over ``float.__repr__``, so a float matrix is a
+    list of such rows.
     """
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         return _json_str(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
         return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    inner = pad + "  "
+    if kind is list and value:
         if set(map(type, value)) == {float}:
             text = ("," + inner).join(map(float.__repr__, value))
-            if "n" in text:  # nan or inf, which json spells its own way
-                text = ("," + inner).join(map(_json_float, value))
-        else:
-            _json_mark(value, markers)
-            text = ("," + inner).join([_json_text(element, inner, markers) for element in value])
-            markers.discard(id(value))
-        return "[" + inner + text + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
+            if "n" not in text:  # else a nan or inf, which json spells its own way
+                return "[" + inner + text + pad + "]"
         _json_mark(value, markers)
-        text = "{" + inner + ("," + inner).join(
-            [f"{_json_key(key)}: {_json_text(item, inner, markers)}"
-             for key, item in sorted(value.items())]) + pad + "}"
+        text = ("," + inner).join([_json_text(element, inner, markers) for element in value])
         markers.discard(id(value))
-        return text
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return _json_str(key)
-    if isinstance(key, float):
-        return _json_str(_json_float(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _json_str(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+        return "[" + inner + text + pad + "]"
+    if kind is dict and value and set(map(type, value)) == {str}:
+        _json_mark(value, markers)
+        text = ("," + inner).join([f"{_json_str(key)}: {_json_text(item, inner, markers)}"
+                                   for key, item in sorted(value.items())])
+        markers.discard(id(value))
+        return "{" + inner + text + pad + "}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
 
 
 def _json_mark(container, markers: set[int]) -> None:
@@ -276,7 +243,7 @@ def _cmd_chsh_max(args: argparse.Namespace) -> tuple[dict, str]:
     else:
         raise argparse.ArgumentError(None, "--n cannot be combined with --n-from or --n-to")
     if n_from < 3 or n_to < n_from:
-        raise ValueError("need 3 <= n-from <= n-to")
+        raise ValueError("need n >= 3" if args.n is not None else "need 3 <= n-from <= n-to")
     _check_size(n_to, MAX_SCAN_N, "CHSH scan")
     rows = _chsh_rows(n_from, n_to, args.tol)
     return {"rows": rows, "tsirelson": TSIRELSON_BOUND}, _chsh_csv(rows)
@@ -340,6 +307,8 @@ def _cmd_q1_cert(args: argparse.Namespace) -> tuple[dict, str]:
         if k < 1:
             raise ValueError(f"settings = {k} is below the minimum 1")
         _check_size(k, MAX_SETTINGS, "certificate settings", "settings")
+        if n < k:
+            raise ValueError("polygon needs at least one ray per setting")
         state = max_entangled(n)
         meas_a = meas_b = ray_settings(state.model_a, k, tol=args.tol)
 

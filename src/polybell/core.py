@@ -238,14 +238,25 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelSpec":
-        """Rebuild a model; ``ValueError`` when :func:`validate_model` rejects it.
+        """Rebuild a model; ``ValueError`` for malformed data or a failed validation.
 
         Outside input is not coerced: the name must be a string, ``dim`` an
         integer (not a bool or a float, which ``int`` would truncate), no
         entry of the arrays a bool or a string (``float`` would read them as
         numbers), and every ``ray_extremal`` flag a bool (``"no"``, ``2`` and
-        ``0.5`` would all read as True).
+        ``0.5`` would all read as True). ``data`` must be a dict holding every
+        field :meth:`to_dict` writes, ``ray_extremal`` aside, and its
+        ``schema_version`` must be :data:`MODEL_SCHEMA_VERSION`.
         """
+        if not isinstance(data, dict):
+            raise ValueError(f"model data must be a dict, got {type(data).__name__}")
+        missing = [key for key in ("schema_version", "name", "dim", "extremal_states",
+                                   "extremal_effects", "unit_effect") if key not in data]
+        if missing:
+            raise ValueError(f"model is missing {', '.join(map(repr, missing))}")
+        version = data["schema_version"]
+        if type(version) is not int or version != MODEL_SCHEMA_VERSION:
+            raise ValueError(f"schema_version must be {MODEL_SCHEMA_VERSION}, got {version!r}")
         name = data["name"]
         if not isinstance(name, str):
             raise ValueError(f"name must be a string, got {name!r}")

@@ -282,6 +282,13 @@ def certificate_from_inner_product_state(state: JointState,
     kept per tuple of outcome counts; the matrix of every certificate is
     computed afresh, and the certificate's spectrum is computed from its
     own matrix.
+
+    The pairing is under ``S = (M + M^T) / 2``, so the certified table, the
+    joint block, is the table of ``S`` and not the state's own table
+    ``e M f``. Per entry the two differ by at most
+    ``max|M - M^T| * |e|_1 * |f|_1 / 2``, zero for a symmetric ``M``; the
+    inner-product test admits an asymmetry inside ``tol``, and nothing here
+    compares the two tables.
     """
     tol = resolve_tol(tol)
     gamma, outcomes_a, outcomes_b = _moment_matrix(state, meas_a, meas_b, tol)

@@ -198,6 +198,30 @@ def test_model_size_caps_run_before_construction(args, message, capsys, monkeypa
     assert message in captured.err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["chsh-max", "--n", "2"], "need n >= 3"),
+    (["chsh-max", "--n", "-5", "--json"], "need n >= 3"),
+    (["chsh-max", "--n-from", "2"], "need 3 <= n-from <= n-to"),
+    (["chsh-max", "--n-from", "9", "--n-to", "5"], "need 3 <= n-from <= n-to"),
+    (["q1-cert", "--model", "polygon:3", "--settings", "4"],
+     "polygon needs at least one ray per setting"),
+    (["q1-cert", "--model", "polygon:7", "--settings", "8", "--json"],
+     "polygon needs at least one ray per setting"),
+    (["chained", "--n", "3", "--N", "4"], "polygon needs at least one ray per setting"),
+], ids=["chsh-n", "chsh-negative-n", "chsh-n-from", "chsh-empty-range", "q1-cert-rays",
+        "q1-cert-rays-json", "chained-rays"])
+def test_errors_name_only_what_was_given(args, message, capsys, monkeypatch):
+    # each message speaks of the flags on the command line, and comes
+    # before any model is built
+    def refuse(n):
+        raise AssertionError(f"a {n}-gon built before the check")
+
+    for name in ("polygon", "max_entangled"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert run(args) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("args", [
     ["chsh-max", "--n", "8", "--json", "--out", "{out}"],
     ["chsh-max", "--n", "8", "--n-from", "3"],
@@ -806,6 +830,42 @@ def test_cli_json_refuses_what_json_refuses():
     for bad in refused:
         with pytest.raises(TypeError, match="is not JSON serializable"):
             cli_json({"x": bad})
+
+
+def foreign_json_values(value, where="payload"):
+    """Where ``value`` holds something the CLI's encoder leaves to json.
+
+    The encoder writes exact str, bool, None, int, finite float, list and
+    str-keyed dict itself; a tuple, a subclass such as a numpy scalar, a
+    non-str key or a nan would take json's slower pure-Python encoder.
+    """
+    kind = type(value)
+    if kind in (str, bool, int) or value is None or (kind is float and math.isfinite(value)):
+        return []
+    if kind is list:
+        return [found for i, item in enumerate(value)
+                for found in foreign_json_values(item, f"{where}[{i}]")]
+    if kind is dict:
+        return [found for key, item in value.items()
+                for found in ([] if type(key) is str else [f"{where} key {key!r}"])
+                + foreign_json_values(item, f"{where}[{key!r}]")]
+    return [f"{where}: {value!r} of type {kind.__name__}"]
+
+
+@pytest.mark.parametrize("argv", [HEADLINES[name][0] for name in HEADLINES]
+                         + [["q1-cert", "--model", "polygon:63", "--settings", "63"]],
+                         ids=[*HEADLINES, "q1-cert-63"])
+def test_payloads_hold_only_what_the_encoder_writes_itself(argv):
+    assert foreign_json_values(subcommand_payload(argv)) == []
+
+
+def test_foreign_json_values_are_found():
+    payload = {"a": (1.0,), "b": [LoudFloat(0.5), math.inf], "c": {1: True}, "d": [[LoudInt(2)]],
+               "e": [0.5, None, "x", {"f": [1, False]}]}
+    assert foreign_json_values(payload) == [
+        "payload['a']: (1.0,) of type tuple", "payload['b'][0]: loud of type LoudFloat",
+        "payload['b'][1]: inf of type float", "payload['c'] key 1",
+        "payload['d'][0][0]: loud of type LoudInt"]
 
 
 def test_large_certificates_stream_one_row_at_a_time():

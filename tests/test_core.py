@@ -726,8 +726,16 @@ def _as_strings(rows):
     ("unit_effect", lambda unit: [str(x) for x in unit], "unit_effect entries must be numbers"),
     ("name", lambda name: None, "name must be a string, got None"),
     ("name", lambda name: 4, "name must be a string, got 4"),
+    ("schema_version", lambda version: 2, "schema_version must be 1, got 2$"),
+    ("schema_version", lambda version: 0, "schema_version must be 1, got 0$"),
+    ("schema_version", lambda version: True, "schema_version must be 1, got True$"),
+    ("schema_version", lambda version: 1.0, "schema_version must be 1, got 1.0$"),
+    ("schema_version", lambda version: "1", "schema_version must be 1, got '1'$"),
+    ("schema_version", lambda version: None, "schema_version must be 1, got None$"),
 ], ids=["states-strings", "states-one-string", "effects-strings", "effects-bools",
-        "unit-bools", "unit-one-bool", "unit-strings", "name-null", "name-int"])
+        "unit-bools", "unit-one-bool", "unit-strings", "name-null", "name-int",
+        "version-2", "version-0", "version-bool", "version-float", "version-string",
+        "version-null"])
 def test_from_dict_does_not_coerce_outside_input(key, value, message):
     data = polygon(4).to_dict()
     data[key] = value(data[key])
@@ -737,6 +745,32 @@ def test_from_dict_does_not_coerce_outside_input(key, value, message):
         ModelSpec.from_json(json.dumps(data))
     # the unmutated dict loads
     assert ModelSpec.from_dict(polygon(4).to_dict()).name == polygon(4).name
+
+
+REQUIRED_FIELDS = ["schema_version", "name", "dim", "extremal_states", "extremal_effects",
+                   "unit_effect"]
+
+
+@pytest.mark.parametrize("keys", [[key] for key in REQUIRED_FIELDS] + [REQUIRED_FIELDS],
+                         ids=[*REQUIRED_FIELDS, "all"])
+def test_from_dict_names_the_missing_fields(keys):
+    data = polygon(4).to_dict()
+    for key in keys:
+        del data[key]
+    message = f"^model is missing {', '.join(map(repr, keys))}$"
+    with pytest.raises(ValueError, match=message):
+        ModelSpec.from_dict(data)
+    with pytest.raises(ValueError, match=message):
+        ModelSpec.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("text, kind", [("[]", "list"), ("[{}]", "list"), ("3", "int"),
+                                        ('"model"', "str"), ("null", "NoneType")])
+def test_from_json_refuses_a_document_that_is_not_an_object(text, kind):
+    with pytest.raises(ValueError, match=f"^model data must be a dict, got {kind}$"):
+        ModelSpec.from_json(text)
+    with pytest.raises(ValueError, match=f"^model data must be a dict, got {kind}$"):
+        ModelSpec.from_dict(json.loads(text))
 
 
 @pytest.mark.parametrize("dim", [3.0, 3.7, True, np.True_, np.float64(3.0), "3", 0, -3],

@@ -1017,6 +1017,30 @@ def test_pushforward_refuses_a_certificate_that_misses_the_table():
     assert cert.verdict() == "in-Q1"
 
 
+def test_a_direct_certificate_holds_the_table_of_the_symmetric_part():
+    # documented, not mended: the certificate pairs under S = (M + M^T) / 2,
+    # so its joint block is S's table, and the state's own table e M f lies
+    # within max|M - M^T| |e|_1 |f|_1 / 2 of it, unchecked
+    state = asymmetric_heptagon(1e-10)
+    meas = ray_settings(state.model_a, 2)
+    cert = certificate_from_inner_product_state(state, meas, meas)
+    assert cert.verdict() == "in-Q1"
+    m = state.matrix
+    symmetric = JointState((m + m.T) / 2, state.model_a, state.model_b)
+
+    def joint(table):  # rows (x, a), columns (y, b): the certificate's order
+        return table.probs.transpose(2, 0, 3, 1).reshape(4, 4)
+
+    block = cert.gamma[1:5, 5:]
+    np.testing.assert_allclose(block, joint(correlations_from_state(symmetric, meas, meas)),
+                               rtol=0, atol=1e-15)
+    gap = np.abs(block - joint(correlations_from_state(state, meas, meas)))
+    norms = np.array([np.abs(e).sum() for setting in meas for e in setting.effects])
+    bound = np.abs(m - m.T).max() * np.outer(norms, norms) / 2
+    assert (gap <= bound).all()
+    assert 3e-11 < gap.max() < 3.2e-11
+
+
 def assert_unit_row_is_the_diagonal(cert):
     assert cert.gamma[0, 1:].tobytes() == np.diag(cert.gamma)[1:].tobytes()
 

@@ -92,22 +92,27 @@ def is_json_writer(node):
 
 
 def test_cli_json_takes_one_route():
-    # indented JSON is the CLI's, and cli._write is the one place that
-    # encodes it, so no second writer can drift from its bytes
-    writers, imported, encoders = [], [], []
+    # indented JSON is the CLI's: cli._write is the one place that encodes
+    # it, and json writes it only inside cli._json_text, for the values the
+    # encoder leaves to it, so no second writer can drift from its bytes
+    indented, imported, encoders = [], [], []
     for name, tree in parsed():
         owner = {id(node): function for function, body in functions(tree)
                  for node in ast.walk(body)}
         for node in ast.walk(tree):
+            where = (name, owner.get(id(node), "<module>"))
             if is_json_writer(node):
-                writers.append((name, [k.arg for k in node.keywords]))
+                keywords = [k.arg for k in node.keywords]
+                # ModelSpec.to_json writes compact JSON; a ** argument could hide an indent
+                assert None not in keywords, where
+                if "indent" in keywords:
+                    indented.append(where)
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 imported += [alias.name for alias in node.names]
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "_json_chunks"):
-                encoders.append((name, owner.get(id(node), "<module>")))
-    # ModelSpec.to_json writes compact JSON; a ** argument could hide an indent
-    assert writers and all(None not in args and "indent" not in args for _, args in writers)
+                encoders.append(where)
+    assert indented == [("cli.py", "_json_text")]
     assert not {"dump", "dumps", "JSONEncoder"} & set(imported)
     assert encoders == [("cli.py", "_write")]
 
